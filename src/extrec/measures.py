@@ -1,11 +1,14 @@
 """Extropy-type information functionals of distributions and their k-records.
 
+The kernel table :data:`KERNELS` is the single source of every measure, gap,
+CLI ``--measure`` id and verify residual family; the functions read it.
+
 All cdf-based measures are evaluated in quantile form, i.e. as integrals of
-``w(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
+``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
 uniformly; the direct support-form integrals are provided as independent
 cross-check routines (``*_via_support``).  Plain and generalized, base-level
-and record-level measures share one integral core, so the reduction
-identities (m=2 generalized == plain, n=k=1 record == base) hold exactly.
+and record-level measures share one kernel, so the reduction identities
+(m=2 generalized == plain, n=k=1 record == base) hold exactly.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -19,10 +22,12 @@ from typing import Callable, Mapping
 
 from .dist import Distribution
 from .quad import DEFAULT_TOL, QuadResult, QuadStatus, integrate_support, integrate_unit
-from .records import SIDES, PhiKernel, RecordLaw
+from .records import PhiKernel, RecordLaw, check_params
 
 __all__ = [
     "MeasureValue",
+    "KERNELS",
+    "measure_value",
     "extropy",
     "crj",
     "cpj",
@@ -96,98 +101,165 @@ def scaled_result(measure_id: str, qr: QuadResult, scale: float,
     return MeasureValue(measure_id, math.nan, status, math.inf, dict(params or {}))
 
 
-def _validate_nkm(n: int, k: int, m: int = 1) -> None:
-    for label, v in (("n", n), ("k", k), ("m", m)):
-        if not (isinstance(v, int) and v >= 1):
-            raise ValueError(f"{label} must be an integer >= 1, got {v!r}")
+def _with_gap(K):
+    """(K, G) with the usual gap weight G(u) = K(u) - K(1-u)."""
+    return K, lambda u: K(u) - K(1.0 - u)
 
 
-def _phi_power_quantile(d: Distribution, n: int, k: int, m: int,
-                        complement: bool, tol: float) -> QuadResult:
-    """Core integral of phi_n(u)^m over the reciprocal density-quantile."""
-    phi = PhiKernel(n, k)
-    den: Callable[[float], float] = d.dqf_c if complement else d.dqf
+def _phi_power(n: int, k: int, m: int):
+    """phi_{n,k}(u)^m.  phi_{1,1}(u) is u exactly on the integration domain,
+    so (1, 1, m) is u^m, the kernel of gcrj, gcpj and delta3."""
+    if (n, k) == (1, 1):
+        return _with_gap(lambda u: u ** m)
+    ev = PhiKernel(n, k)._eval
+    return _with_gap(lambda u: ev(u) ** m)
 
-    def f(u: float) -> float:
-        return phi._eval(u) ** m / den(u)
 
-    return integrate_unit(f, tol)
+def _u_phi(n: int, k: int, m: int):
+    ev = PhiKernel(n, k)._eval
+    return _with_gap(lambda u: u * ev(u))
+
+
+def _record_weight(n: int, k: int, m: int):
+    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
+    in log space past n = 20); its gap, at k = 1, applies 1/(n-1)! once."""
+    inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
+
+    def K(u: float) -> float:
+        lam = -k * math.log(u)
+        return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+
+    def G(u: float) -> float:
+        return ((-math.log(u)) ** (n - 1) - (-math.log(1.0 - u)) ** (n - 1)) * inv_fact
+
+    return K, G
+
+
+def _linear(n: int, k: int, m: int):
+    """Gap 2u - 1 of crj - cpj; it is u^2 - (1-u)^2 only algebraically, not bitwise."""
+    return None, lambda u: 2.0 * u - 1.0
+
+
+@dataclass(frozen=True)
+class KernelRow:
+    """A measure or gap: ``prefactor`` times the integral of its kernel."""
+
+    id: str | None             # CLI --measure id; None if the CLI does not offer it
+    measure_id: str            # MeasureValue.measure_id
+    params: tuple[str, ...]    # free parameters; the others are ``fixed`` or n=1, k=1, m=2
+    kernel: Callable | None    # (n, k, m) -> (K, G): K(u) on (0, 1), the gap's G(u) on (0, 1/2)
+    form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf, "f^2": pdf^2 on the support
+    side: str | None           # "upper" takes dqf(1-u), "lower" dqf(u); None: the side param
+    prefactor: float
+    oracle: str | None = None  # name of the support-form cross-check in this module
+    family: str | None = None  # verify residual family, set on gap rows
+    fixed: Mapping[str, int] = field(default_factory=dict)
+
+
+#: The kernel table, keyed by ``measure_id``; gap rows in verify order.
+KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
+    KernelRow("extropy", "extropy", (), None, "f^2", None, -0.5, "extropy_via_quantile"),
+    KernelRow("crj", "crj", (), _phi_power, "K/dqf", "upper", -0.5, "crj_via_support"),
+    KernelRow("cpj", "cpj", (), _phi_power, "K/dqf", "lower", -0.5, "cpj_via_support"),
+    KernelRow("gcrj", "gcrj", ("m",), _phi_power, "K/dqf", "upper", -0.5, "gcrj_via_support"),
+    KernelRow("gcpj", "gcpj", ("m",), _phi_power, "K/dqf", "lower", -0.5, "gcpj_via_support"),
+    KernelRow("record_crj_upper", "record_crj_upper", ("n", "k"), _phi_power, "K/dqf",
+              "upper", -0.5, "record_crj_upper_via_support"),
+    KernelRow("record_cpj_lower", "record_cpj_lower", ("n", "k"), _phi_power, "K/dqf",
+              "lower", -0.5, "record_cpj_lower_via_support"),
+    KernelRow("record_gcrj_upper", "record_gcrj_upper", ("n", "k", "m"), _phi_power, "K/dqf",
+              "upper", -0.5),
+    KernelRow("record_gcpj_lower", "record_gcpj_lower", ("n", "k", "m"), _phi_power, "K/dqf",
+              "lower", -0.5),
+    KernelRow("kij", "kij_record", ("n", "k", "side"), _record_weight, "w*dqf", None, -0.5,
+              "kij_record_via_support"),
+    KernelRow("crij_upper", "crij_upper", ("n", "k"), _u_phi, "K/dqf", "upper", -0.5,
+              "crij_upper_via_support"),
+    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), _u_phi, "K/dqf", "lower", -0.5,
+              "cpij_lower_via_support"),
+    KernelRow("delta1", "delta1", (), _linear, "K/dqf", None, -0.5, family="crj_cpj"),
+    KernelRow("delta2", "delta2", ("n", "k"), _phi_power, "K/dqf", None, -0.5,
+              family="record_crj_cpj"),
+    KernelRow("delta3", "delta3", ("m",), _phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj"),
+    KernelRow(None, "delta2_generalized", ("n", "k", "m"), _phi_power, "K/dqf", None, -0.5,
+              family="record_gcrj_gcpj"),
+    KernelRow("delta_kij", "delta_kij", ("n",), _record_weight, "w*dqf", None, -0.5,
+              family="kij", fixed={"k": 1}),  # the KIJ equality only characterizes at k = 1
+    KernelRow("delta_crij", "delta_crij", ("n", "k"), _u_phi, "K/dqf", None, -0.5,
+              family="crij_cpij"),
+)}
+
+
+def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upper") -> tuple:
+    """The row's free parameters, checked, and its kernel's (n, k, m)."""
+    given = {"n": n, "k": k, "m": m, "side": side}
+    params = {p: given[p] for p in row.params}
+    check_params(**params)
+    point = {"n": 1, "k": 1, "m": 2, **row.fixed, **params}
+    return params, (point["n"], point["k"], point["m"])
+
+
+def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
+                  side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
+    """Evaluate a measure row of :data:`KERNELS` on ``d``."""
+    params, nkm = resolve(row, n, k, m, side)
+    if row.form == "f^2":
+        qr = integrate_support(lambda x: d.pdf(x) ** 2, d.support, tol)
+    else:
+        K, _ = row.kernel(*nkm)
+        den = d.dqf_c if params.get("side", row.side) == "upper" else d.dqf
+        if row.form == "K/dqf":
+            qr = integrate_unit(lambda u: K(u) / den(u), tol)
+        else:
+            qr = integrate_unit(lambda u: K(u) * den(u), tol)
+    return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
 def extropy(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
     """J(X) = -1/2 * integral of f^2 over the support."""
-    qr = integrate_support(lambda x: d.pdf(x) ** 2, d.support, tol)
-    return scaled_result("extropy", qr, -0.5)
+    return measure_value(KERNELS["extropy"], d, tol=tol)
 
 
 def crj(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Cumulative residual extropy, -1/2 * integral of u^2/dqf(1-u)."""
-    qr = _phi_power_quantile(d, 1, 1, 2, complement=True, tol=tol)
-    return scaled_result("crj", qr, -0.5)
+    return measure_value(KERNELS["crj"], d, tol=tol)
 
 
 def cpj(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Cumulative past extropy, -1/2 * integral of u^2/dqf(u)."""
-    qr = _phi_power_quantile(d, 1, 1, 2, complement=False, tol=tol)
-    return scaled_result("cpj", qr, -0.5)
+    return measure_value(KERNELS["cpj"], d, tol=tol)
 
 
 def gcrj(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Generalized cumulative residual extropy of order m."""
-    _validate_nkm(1, 1, m)
-    qr = _phi_power_quantile(d, 1, 1, m, complement=True, tol=tol)
-    return scaled_result("gcrj", qr, -0.5, {"m": m})
+    return measure_value(KERNELS["gcrj"], d, m=m, tol=tol)
 
 
 def gcpj(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Generalized cumulative past extropy of order m."""
-    _validate_nkm(1, 1, m)
-    qr = _phi_power_quantile(d, 1, 1, m, complement=False, tol=tol)
-    return scaled_result("gcpj", qr, -0.5, {"m": m})
+    return measure_value(KERNELS["gcpj"], d, m=m, tol=tol)
 
 
 def record_crj_upper(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """CRJ of the n-th upper k-record, -1/2 * integral of phi_n^2(u)/dqf(1-u)."""
-    _validate_nkm(n, k)
-    qr = _phi_power_quantile(d, n, k, 2, complement=True, tol=tol)
-    return scaled_result("record_crj_upper", qr, -0.5, {"n": n, "k": k})
+    return measure_value(KERNELS["record_crj_upper"], d, n, k, tol=tol)
 
 
 def record_cpj_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """CPJ of the n-th lower k-record, -1/2 * integral of phi_n^2(u)/dqf(u)."""
-    _validate_nkm(n, k)
-    qr = _phi_power_quantile(d, n, k, 2, complement=False, tol=tol)
-    return scaled_result("record_cpj_lower", qr, -0.5, {"n": n, "k": k})
+    return measure_value(KERNELS["record_cpj_lower"], d, n, k, tol=tol)
 
 
 def record_gcrj_upper(d: Distribution, n: int, k: int, m: int,
                       tol: float = DEFAULT_TOL) -> MeasureValue:
     """Order-m GCRJ of the n-th upper k-record."""
-    _validate_nkm(n, k, m)
-    qr = _phi_power_quantile(d, n, k, m, complement=True, tol=tol)
-    return scaled_result("record_gcrj_upper", qr, -0.5, {"n": n, "k": k, "m": m})
+    return measure_value(KERNELS["record_gcrj_upper"], d, n, k, m, tol=tol)
 
 
 def record_gcpj_lower(d: Distribution, n: int, k: int, m: int,
                       tol: float = DEFAULT_TOL) -> MeasureValue:
     """Order-m GCPJ of the n-th lower k-record."""
-    _validate_nkm(n, k, m)
-    qr = _phi_power_quantile(d, n, k, m, complement=False, tol=tol)
-    return scaled_result("record_gcpj_lower", qr, -0.5, {"n": n, "k": k, "m": m})
-
-
-def _record_pdf_weight(n: int, k: int) -> Callable[[float], float]:
-    # k * u^(k-1) * (-k log u)^(n-1) / (n-1)!  -- the record density in u-space
-    if n <= 20:
-        inv_fact = 1.0 / math.factorial(n - 1)
-    else:
-        inv_fact = math.exp(-math.lgamma(n))
-
-    def w(u: float) -> float:
-        lam = -k * math.log(u)
-        return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
-
-    return w
+    return measure_value(KERNELS["record_gcpj_lower"], d, n, k, m, tol=tol)
 
 
 def kij_record(d: Distribution, n: int, k: int, side: str,
@@ -197,17 +269,7 @@ def kij_record(d: Distribution, n: int, k: int, side: str,
     Upper: -1/2 * integral of w(u) * dqf(1-u); lower: same with dqf(u),
     where w is the record density transported to u-space.
     """
-    _validate_nkm(n, k)
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    w = _record_pdf_weight(n, k)
-    den = d.dqf_c if side == "upper" else d.dqf
-
-    def f(u: float) -> float:
-        return w(u) * den(u)
-
-    qr = integrate_unit(f, tol)
-    return scaled_result("kij_record", qr, -0.5, {"n": n, "k": k, "side": side})
+    return measure_value(KERNELS["kij_record"], d, n, k, side=side, tol=tol)
 
 
 def crij_upper(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
@@ -215,26 +277,12 @@ def crij_upper(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> Mea
 
     Kernel psi(u) = u * phi_n(u) = u^(k+1) * sum_{i<n} (-k log u)^i / i!.
     """
-    _validate_nkm(n, k)
-    phi = PhiKernel(n, k)
-
-    def f(u: float) -> float:
-        return u * phi._eval(u) / d.dqf_c(u)
-
-    qr = integrate_unit(f, tol)
-    return scaled_result("crij_upper", qr, -0.5, {"n": n, "k": k})
+    return measure_value(KERNELS["crij_upper"], d, n, k, tol=tol)
 
 
 def cpij_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Cumulative past extropy inaccuracy of the lower record vs the base."""
-    _validate_nkm(n, k)
-    phi = PhiKernel(n, k)
-
-    def f(u: float) -> float:
-        return u * phi._eval(u) / d.dqf(u)
-
-    qr = integrate_unit(f, tol)
-    return scaled_result("cpij_lower", qr, -0.5, {"n": n, "k": k})
+    return measure_value(KERNELS["cpij_lower"], d, n, k, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +308,12 @@ def cpj_via_support(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
 
 
 def gcrj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    _validate_nkm(1, 1, m)
+    check_params(m=m)
     return scaled_result("gcrj", _support_power(d, d.sf, m, tol), -0.5, {"m": m})
 
 
 def gcpj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    _validate_nkm(1, 1, m)
+    check_params(m=m)
     return scaled_result("gcpj", _support_power(d, d.cdf, m, tol), -0.5, {"m": m})
 
 

@@ -31,6 +31,16 @@ SIDES = ("upper", "lower")
 _LAM_DIRECT_MAX = 680.0
 
 
+def check_params(**values) -> None:
+    """The one check of record parameters: n, k, m integers >= 1, side in SIDES."""
+    for label, v in values.items():
+        if label == "side":
+            if v not in SIDES:
+                raise ValueError(f"side must be one of {SIDES}, got {v!r}")
+        elif not (isinstance(v, int) and v >= 1):
+            raise ValueError(f"{label} must be an integer >= 1, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PhiKernel:
     """Kernel u -> u^k * sum_{i=0}^{n-1} (-k log u)^i / i! on (0, 1).
@@ -42,10 +52,7 @@ class PhiKernel:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        check_params(n=self.n, k=self.k)
 
     def __call__(self, u: float) -> float:
         if not 0.0 < u < 1.0:
@@ -101,12 +108,7 @@ class RecordLaw:
     side: str = "upper"
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+        check_params(n=self.n, k=self.k, side=self.side)
 
     @cached_property
     def _phi(self) -> PhiKernel:

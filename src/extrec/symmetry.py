@@ -6,7 +6,8 @@ The characterization equalities (residual-vs-past measures of the law and of
 its k-records, plain, generalized, and inaccuracy-type) all reduce to
 weighted integrals of ``eta`` over (0, 1/2); those antisymmetrized forms are
 how every residual here is computed, because they stay finite in cases where
-the individual measures diverge.
+the individual measures diverge.  The gaps and their kernels are the rows of
+:data:`extrec.measures.KERNELS` that name a verify family.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -15,16 +16,15 @@ spacings estimators and calibrates it against a symmetrized bootstrap null.
 from __future__ import annotations
 
 import enum
-import math
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadStatus, integrate_support
-from .records import PhiKernel
-from .measures import MeasureValue, scaled_result
+from .quad import DEFAULT_TOL, QuadResult, QuadStatus, integrate_support
+from .measures import KERNELS, KernelRow, MeasureValue, resolve, scaled_result
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -36,6 +36,7 @@ __all__ = [
     "eta",
     "eta_profile",
     "class_c_check",
+    "gap_value",
     "delta1",
     "delta2",
     "delta3",
@@ -103,42 +104,35 @@ def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     return ClassC.NOT_MEMBER
 
 
-def _antisym(measure_id: str, d: Distribution, weight: Callable[[float], float],
-             scale: float, tol: float, params: dict | None = None) -> MeasureValue:
-    """scale * integral over (0, 1/2) of weight(u) * eta(u)."""
+def _gap_integral(row: KernelRow, d: Distribution, n: int, k: int, m: int, tol: float) -> QuadResult:
+    """Integral over (0, 1/2) of G(u) * eta(u), or of G(u) * (dqf_c - dqf)(u) for ``w*dqf``."""
+    _, G = row.kernel(n, k, m)
+    if row.form == "K/dqf":
+        return integrate_support(lambda u: G(u) * eta(d, u), (0.0, 0.5), tol)
+    return integrate_support(lambda u: G(u) * (d.dqf_c(u) - d.dqf(u)), (0.0, 0.5), tol)
 
-    def f(u: float) -> float:
-        return weight(u) * eta(d, u)
 
-    qr = integrate_support(f, (0.0, 0.5), tol)
-    return scaled_result(measure_id, qr, scale, params)
+def gap_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
+              side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
+    """Evaluate a gap row (one with a verify ``family``) of the kernel table."""
+    params, nkm = resolve(row, n, k, m, side)
+    return scaled_result(row.measure_id, _gap_integral(row, d, *nkm, tol), row.prefactor, params)
 
 
 def delta1(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(2u-1) du."""
-    return _antisym("delta1", d, lambda u: 2.0 * u - 1.0, -0.5, tol)
+    return gap_value(KERNELS["delta1"], d, tol=tol)
 
 
 def delta2(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Record-level gap crj(upper record) - cpj(lower record), antisymmetrized."""
-    return delta2_generalized(d, n, k, 2, tol, measure_id="delta2",
-                              params={"n": n, "k": k})
+    return gap_value(KERNELS["delta2"], d, n, k, tol=tol)
 
 
 def delta2_generalized(d: Distribution, n: int, k: int, m: int,
-                       tol: float = DEFAULT_TOL, measure_id: str = "delta2_generalized",
-                       params: dict | None = None) -> MeasureValue:
+                       tol: float = DEFAULT_TOL) -> MeasureValue:
     """Order-m record-level gap gcrj(upper record) - gcpj(lower record)."""
-    phi = PhiKernel(n, k)
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-
-    def w(u: float) -> float:
-        return phi._eval(u) ** m - phi._eval(1.0 - u) ** m
-
-    if params is None:
-        params = {"n": n, "k": k, "m": m}
-    return _antisym(measure_id, d, w, -0.5, tol, params)
+    return gap_value(KERNELS["delta2_generalized"], d, n, k, m, tol=tol)
 
 
 def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
@@ -147,9 +141,7 @@ def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     The sign convention makes delta3 equal gcpj - gcrj whenever both converge
     (so delta3(d, 2) == -delta1(d)).
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    return _antisym("delta3", d, lambda u: u ** m - (1.0 - u) ** m, 0.5, tol, {"m": m})
+    return gap_value(KERNELS["delta3"], d, m=m, tol=tol)
 
 
 def delta_kij(d: Distribution, n: int, tol: float = DEFAULT_TOL) -> MeasureValue:
@@ -159,26 +151,12 @@ def delta_kij(d: Distribution, n: int, tol: float = DEFAULT_TOL) -> MeasureValue
     density-quantile gap; identical to the difference of the two inaccuracy
     measures whenever both converge, and identically zero at n=1.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
-
-    def f(u: float) -> float:
-        w = (-math.log(u)) ** (n - 1) - (-math.log(1.0 - u)) ** (n - 1)
-        return w * inv_fact * (d.dqf_c(u) - d.dqf(u))
-
-    qr = integrate_support(f, (0.0, 0.5), tol)
-    return scaled_result("delta_kij", qr, -0.5, {"n": n})
+    return gap_value(KERNELS["delta_kij"], d, n, tol=tol)
 
 
 def delta_crij(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Cumulative inaccuracy gap crij(upper record) - cpij(lower record)."""
-    phi = PhiKernel(n, k)
-
-    def w(u: float) -> float:
-        return u * phi._eval(u) - (1.0 - u) * phi._eval(1.0 - u)
-
-    return _antisym("delta_crij", d, w, -0.5, tol, {"n": n, "k": k})
+    return gap_value(KERNELS["delta_crij"], d, n, k, tol=tol)
 
 
 class Verdict(str, enum.Enum):
@@ -232,27 +210,23 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     cls = class_c_check(d)
+    limits = {"n": max_n, "k": max_k, "m": max_m}
+    # a gap integral depends only on its kernel and (n, k, m): delta2 reuses
+    # delta2_generalized at m=2, delta3 at n=k=1, each with its own prefactor
+    integrals: dict[tuple, QuadResult] = {}
     entries: list[ResidualEntry] = []
-
-    def add(family: str, mv: MeasureValue, n=None, k=None, m=None):
-        entries.append(ResidualEntry(family, n, k, m, mv.value, mv.quad_status))
-
-    add("crj_cpj", delta1(d, quad_tol))
-    for n in range(1, max_n + 1):
-        for k in range(1, max_k + 1):
-            add("record_crj_cpj", delta2(d, n, k, quad_tol), n=n, k=k)
-    for m in range(1, max_m + 1):
-        add("gcrj_gcpj", delta3(d, m, quad_tol), m=m)
-    for n in range(1, max_n + 1):
-        for k in range(1, max_k + 1):
-            for m in range(1, max_m + 1):
-                add("record_gcrj_gcpj", delta2_generalized(d, n, k, m, quad_tol), n=n, k=k, m=m)
-    for n in range(1, max_n + 1):
-        # the inaccuracy-extropy equality only characterizes at k = 1
-        add("kij", delta_kij(d, n, quad_tol), n=n, k=1)
-    for n in range(1, max_n + 1):
-        for k in range(1, max_k + 1):
-            add("crij_cpij", delta_crij(d, n, k, quad_tol), n=n, k=k)
+    for row in KERNELS.values():
+        if row.family is None:
+            continue
+        for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
+            params, nkm = resolve(row, **dict(zip(row.params, values)))
+            key = (row.kernel, *nkm)
+            if key not in integrals:
+                integrals[key] = _gap_integral(row, d, *nkm, quad_tol)
+            mv = scaled_result(row.measure_id, integrals[key], row.prefactor)
+            shown = {**row.fixed, **params}
+            entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
+                                         mv.value, mv.quad_status))
 
     finite = [e for e in entries if e.is_finite]
     if not cls.is_member:

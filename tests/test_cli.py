@@ -15,6 +15,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def run_cli(*args, env_extra=None, check_json=None):
     env = dict(os.environ)
+    # the child imports the checkout's extrec, as the pytest process does
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "extrec.cli", *args],
@@ -71,6 +73,21 @@ class TestMeasureCommand:
             proc, payload = run_cli("measure", "--dist", "power:theta=2", "--measure", measure,
                                     *extra, "--output", "json", check_json="measure")
             assert proc.returncode == 0, (measure, proc.stderr)
+
+    def test_measure_choices_are_the_table_ids(self):
+        import argparse
+
+        from extrec import cli, measures
+
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = next(a.choices for a in sub.choices["measure"]._actions if a.dest == "measure")
+        table_ids = {row.id for row in measures.KERNELS.values() if row.id is not None}
+        assert list(choices) == sorted(table_ids)
+        assert table_ids == {
+            "extropy", "crj", "cpj", "gcrj", "gcpj", "record_crj_upper", "record_cpj_lower",
+            "record_gcrj_upper", "record_gcpj_lower", "kij", "crij_upper", "cpij_lower",
+            "delta1", "delta2", "delta3", "delta_kij", "delta_crij"}
 
     def test_table_output(self):
         proc, _ = run_cli("measure", "--dist", "uniform", "--measure", "crj")
@@ -164,6 +181,15 @@ class TestSymtestCommand:
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
         assert "at least 20" in proc.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--replicates", "100", "error: replicates must be >= 199, got 100"),
+        ("--alpha", "1.5", "error: alpha must lie in (0, 1), got 1.5"),
+    ])
+    def test_bootstrap_settings_rejected(self, flag, value, message):
+        proc, _ = run_cli("symtest", "--input", str(DATA / "symmetric_20.txt"), flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr == message + "\n"
 
     def test_non_finite_value_rejected(self, tmp_path):
         f = tmp_path / "inf.txt"

@@ -166,23 +166,21 @@ class TestSignAndStatus:
                 assert mv.value in (math.inf, -math.inf)
 
 
+ORACLE_ROWS = [row for row in M.KERNELS.values() if row.oracle]
+
+
 class TestSupportFormAgreement:
+    @pytest.mark.parametrize("row", ORACLE_ROWS, ids=lambda row: row.measure_id)
     @pytest.mark.parametrize("d", [U, E1, P2, PA2], ids=lambda d: d.spec_string())
-    def test_quantile_vs_support(self, d):
-        pairs = [
-            (M.crj(d), M.crj_via_support(d)),
-            (M.cpj(d), M.cpj_via_support(d)),
-            (M.gcrj(d, 3), M.gcrj_via_support(d, 3)),
-            (M.gcpj(d, 3), M.gcpj_via_support(d, 3)),
-            (M.record_crj_upper(d, 2, 2), M.record_crj_upper_via_support(d, 2, 2)),
-            (M.record_cpj_lower(d, 2, 2), M.record_cpj_lower_via_support(d, 2, 2)),
-            (M.kij_record(d, 2, 1, "upper"), M.kij_record_via_support(d, 2, 1, "upper")),
-            (M.crij_upper(d, 2, 1), M.crij_upper_via_support(d, 2, 1)),
-            (M.cpij_lower(d, 2, 1), M.cpij_lower_via_support(d, 2, 1)),
-        ]
-        for a, b in pairs:
-            if a.is_finite and b.is_finite:
-                assert abs(a.value - b.value) < 1e-6, (a.measure_id, a.value, b.value)
+    def test_quantile_vs_support(self, d, row):
+        # every row's public function and its oracle, at one (n, k, m, side) point
+        point = {"n": 2, "k": 2, "m": 3, "side": "upper"}
+        args = [point[p] for p in row.params]
+        a = getattr(M, row.measure_id)(d, *args)
+        b = getattr(M, row.oracle)(d, *args)
+        assert (a.measure_id, a.params) == (b.measure_id, b.params)
+        if a.is_finite and b.is_finite:
+            assert abs(a.value - b.value) < 1e-6, (a.measure_id, a.value, b.value)
 
 
 class TestScaleCovariance:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -242,6 +243,33 @@ class TestVerify:
             S.verify_characterizations(U, 0, 1, 1)
         with pytest.raises(ValueError):
             S.verify_characterizations(U, tol=-1.0)
+
+    @pytest.mark.parametrize("d", CATALOG_MEMBERS, ids=lambda d: d.spec_string())
+    def test_shared_kernels_bit_identical(self, d):
+        # record_crj_cpj(n,k) and record_gcrj_gcpj(n,k,2) integrate one kernel;
+        # so do gcrj_gcpj(m) and record_gcrj_gcpj(1,1,m), under prefactors +1/2
+        # and -1/2, which flip the sign of zero and of a divergence
+        bits = lambda v: struct.pack("<d", v)
+        flip = {QuadStatus.DIVERGED_POSITIVE: QuadStatus.DIVERGED_NEGATIVE,
+                QuadStatus.DIVERGED_NEGATIVE: QuadStatus.DIVERGED_POSITIVE}
+        by_key = {e.key(): e for e in S.verify_characterizations(d).residuals}
+        for n in range(1, 5):
+            for k in range(1, 5):
+                a = by_key[f"record_crj_cpj:n={n}:k={k}"]
+                b = by_key[f"record_gcrj_gcpj:n={n}:k={k}:m=2"]
+                assert (bits(a.value), a.status) == (bits(b.value), b.status), (n, k)
+        for m in range(1, 5):
+            a, b = by_key[f"gcrj_gcpj:m={m}"], by_key[f"record_gcrj_gcpj:n=1:k=1:m={m}"]
+            assert a.status is flip.get(b.status, b.status), m
+            if b.status is not QuadStatus.NO_CONVERGENCE:
+                assert bits(a.value) == bits(-b.value), (m, a.value, b.value)
+        # the public functions, evaluated apart, agree bit for bit as well
+        a, b = S.delta2(d, 2, 3), S.delta2_generalized(d, 2, 3, 2)
+        assert (bits(a.value), a.quad_status) == (bits(b.value), b.quad_status)
+        a, b = S.delta3(d, 3), S.delta2_generalized(d, 1, 1, 3)
+        assert a.quad_status is flip.get(b.quad_status, b.quad_status)
+        if b.quad_status is not QuadStatus.NO_CONVERGENCE:
+            assert bits(a.value) == bits(-b.value)
 
     def test_report_invariant(self):
         for d in (U, E1, PA2):
