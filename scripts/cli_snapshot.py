@@ -1,0 +1,65 @@
+"""Byte snapshot of the CLI over a fixed case list.
+
+Runs ``extrec.cli.main`` in-process on every case and prints one line per
+case: the exit code, the sha256 of stdout, the sha256 of stderr, and the
+argv.  Diffing the output of two checkouts shows every case whose bytes
+moved::
+
+    PYTHONPATH=src python scripts/cli_snapshot.py > new.txt
+    PYTHONPATH=/path/to/other/src python scripts/cli_snapshot.py > old.txt
+    diff old.txt new.txt
+
+The cases are ``verify`` on every spec of ``verify_catalog.py``, ``measure``
+for every ``--measure`` id on those specs at three (n, k, m, side) points,
+seeded ``records-sim`` on uniform and normal, and ``symtest`` on the files
+under ``tests/data/``.  It takes about five seconds on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+from extrec import cli
+
+from verify_catalog import SPECS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+POINTS = (("1", "1", "2", "upper"), ("2", "3", "1", "lower"), ("4", "4", "4", "upper"))
+
+
+def cases() -> list[list[str]]:
+    out = [["verify", "--dist", spec, "--output", "json"] for spec in SPECS]
+    for measure in sorted(cli._MEASURES):
+        for spec in SPECS:
+            for n, k, m, side in POINTS:
+                out.append(["measure", "--dist", spec, "--measure", measure, "--n", n, "--k", k,
+                            "--m", m, "--side", side, "--output", "json"])
+    for spec, n, k in (("uniform", "2", "2"), ("normal", "3", "2")):
+        out.append(["records-sim", "--dist", spec, "--n", n, "--k", k, "--count", "200",
+                    "--seed", "7", "--output", "json"])
+    for data in sorted((ROOT / "tests" / "data").glob("*.txt")):
+        out.append(["symtest", "--input", str(data.relative_to(ROOT)), "--replicates", "199",
+                    "--seed", "1", "--output", "json"])
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def main() -> None:
+    os.chdir(ROOT)  # symtest inputs are given relative to the checkout root
+    for argv in cases():
+        code, out, err = run(argv)
+        print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
+              " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,7 @@ accepted).  Catalog: ``uniform``, ``exponential(rate)``, ``power(theta)``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -158,14 +158,33 @@ def _check_unit_open(u: float) -> None:
 
 
 @dataclass(frozen=True, repr=False)
-class Uniform(Distribution):
+class _CatalogLaw(Distribution):
+    """A catalog law: its dataclass fields are its ``params``, in spec order,
+    and its ``support`` is a class constant.
+
+    One check covers every field: ``mu`` must be finite, every other
+    parameter must be > 0 and finite.
+    """
+
+    def __post_init__(self):
+        params = self.params
+        for key, v in params.items():
+            if key != "mu" and not (v > 0 and math.isfinite(v)):
+                raise DistributionError(f"{self.name}: {key} must be > 0, got {v}")
+        if not math.isfinite(params.get("mu", 0.0)):
+            raise DistributionError(f"{self.name}: mu must be finite, got {params['mu']}")
+
+    @property
+    def params(self) -> dict[str, float]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True, repr=False)
+class Uniform(_CatalogLaw):
     """Uniform law on (0, 1)."""
 
     name: ClassVar[str] = "uniform"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
+    support: ClassVar[tuple[float, float]] = (0.0, 1.0)
 
     def pdf(self, x: float) -> float:
         return 1.0 if 0.0 < x < 1.0 else 0.0
@@ -188,23 +207,12 @@ class Uniform(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Exponential(Distribution):
+class Exponential(_CatalogLaw):
     """Exponential law with the given rate; support (0, inf)."""
 
     rate: float = 1.0
     name: ClassVar[str] = "exponential"
-
-    def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise DistributionError(f"exponential: rate must be > 0, got {self.rate}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"rate": self.rate}
+    support: ClassVar[tuple[float, float]] = (0.0, math.inf)
 
     def pdf(self, x: float) -> float:
         return self.rate * math.exp(-self.rate * x) if x > 0.0 else 0.0
@@ -232,23 +240,12 @@ class Exponential(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class PowerFunction(Distribution):
+class PowerFunction(_CatalogLaw):
     """Power-function law: density theta * x^(theta-1) on (0, 1)."""
 
     theta: float = 1.0
     name: ClassVar[str] = "power"
-
-    def __post_init__(self):
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise DistributionError(f"power: theta must be > 0, got {self.theta}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"theta": self.theta}
+    support: ClassVar[tuple[float, float]] = (0.0, 1.0)
 
     def pdf(self, x: float) -> float:
         return self.theta * x ** (self.theta - 1.0) if 0.0 < x < 1.0 else 0.0
@@ -275,23 +272,12 @@ class PowerFunction(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Pareto(Distribution):
+class Pareto(_CatalogLaw):
     """Pareto law: density theta * x^(-theta-1) on (1, inf)."""
 
     theta: float = 1.0
     name: ClassVar[str] = "pareto"
-
-    def __post_init__(self):
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise DistributionError(f"pareto: theta must be > 0, got {self.theta}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (1.0, math.inf)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"theta": self.theta}
+    support: ClassVar[tuple[float, float]] = (1.0, math.inf)
 
     def pdf(self, x: float) -> float:
         return self.theta * x ** (-self.theta - 1.0) if x > 1.0 else 0.0
@@ -360,26 +346,13 @@ def _std_normal_quantile(p: float) -> float:
 
 
 @dataclass(frozen=True, repr=False)
-class Normal(Distribution):
+class Normal(_CatalogLaw):
     """Normal law with mean mu and standard deviation sigma."""
 
     mu: float = 0.0
     sigma: float = 1.0
     name: ClassVar[str] = "normal"
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DistributionError(f"normal: sigma must be > 0, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise DistributionError(f"normal: mu must be finite, got {self.mu}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"mu": self.mu, "sigma": self.sigma}
+    support: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
 
     def pdf(self, x: float) -> float:
         z = (x - self.mu) / self.sigma
@@ -400,32 +373,17 @@ class Normal(Distribution):
     def dqf(self, u: float) -> float:
         return self.pdf(self.quantile(u))
 
-    def dqf_c(self, u: float) -> float:
-        # symmetric about mu: f(F^-1(1-u)) == f(F^-1(u))
-        return self.dqf(u)
+    dqf_c = dqf  # symmetric about mu: f(F^-1(1-u)) == f(F^-1(u))
 
 
 @dataclass(frozen=True, repr=False)
-class Laplace(Distribution):
+class Laplace(_CatalogLaw):
     """Laplace law with location mu and scale b."""
 
     mu: float = 0.0
     b: float = 1.0
     name: ClassVar[str] = "laplace"
-
-    def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise DistributionError(f"laplace: b must be > 0, got {self.b}")
-        if not math.isfinite(self.mu):
-            raise DistributionError(f"laplace: mu must be finite, got {self.mu}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"mu": self.mu, "b": self.b}
+    support: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
 
     def pdf(self, x: float) -> float:
         return math.exp(-abs(x - self.mu) / self.b) / (2.0 * self.b)
@@ -454,26 +412,13 @@ class Laplace(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Logistic(Distribution):
+class Logistic(_CatalogLaw):
     """Logistic law with location mu and scale s."""
 
     mu: float = 0.0
     s: float = 1.0
     name: ClassVar[str] = "logistic"
-
-    def __post_init__(self):
-        if not (self.s > 0 and math.isfinite(self.s)):
-            raise DistributionError(f"logistic: s must be > 0, got {self.s}")
-        if not math.isfinite(self.mu):
-            raise DistributionError(f"logistic: mu must be finite, got {self.mu}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
-
-    @property
-    def params(self) -> dict[str, float]:
-        return {"mu": self.mu, "s": self.s}
+    support: ClassVar[tuple[float, float]] = (-math.inf, math.inf)
 
     def pdf(self, x: float) -> float:
         t = math.exp(-abs(x - self.mu) / self.s)
@@ -570,7 +515,7 @@ def make_distribution(spec: str) -> Distribution:
         raise SpecParseError(f"unknown distribution {name!r}; expected one of: {known}")
     kwargs: dict[str, float] = {}
     if rest:
-        valid = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        valid = {f.name for f in fields(cls)}
         for item in rest.split(","):
             key, eq, raw = item.partition("=")
             key = key.strip()
@@ -594,12 +539,16 @@ def make_distribution(spec: str) -> Distribution:
         raise SpecParseError(f"bad parameters in spec {spec!r}: {exc}") from None
 
 
-def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
-    """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+def draw(d: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` iid draws from ``d`` by inverse transform of ``rng``'s uniforms."""
     u = rng.random(count)
     # keep draws strictly inside (0, 1) for quantile safety
     np.maximum(u, 2.0 ** -53, out=u)
     return d.quantile_array(u)
+
+
+def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
+    """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return draw(d, np.random.default_rng(seed), count)

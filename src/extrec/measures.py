@@ -203,11 +203,18 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate a measure row of :data:`KERNELS` on ``d``."""
     params, nkm = resolve(row, n, k, m, side)
+    upper = params.get("side", row.side) == "upper"
     if row.form == "f^2":
         qr = integrate_support(lambda x: d.pdf(x) ** 2, d.support, tol)
+    elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
+        # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
+        # of the support and F^-1(u) (lower) the upper end: past an infinite end
+        # the integral contains the integral of dx over a half-line.
+        qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
+                        "kernel tends to 1 at an infinite end of the support")
     else:
         K, _ = row.kernel(*nkm)
-        den = d.dqf_c if params.get("side", row.side) == "upper" else d.dqf
+        den = d.dqf_c if upper else d.dqf
         if row.form == "K/dqf":
             qr = integrate_unit(lambda u: K(u) / den(u), tol)
         else:

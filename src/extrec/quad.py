@@ -121,7 +121,7 @@ def _diverged(sign: float, vals: list[float], detail: str) -> QuadResult:
     return QuadResult(math.copysign(math.inf, sign), math.inf, status, detail, tuple(vals))
 
 
-def integrate_unit(f, tol: float = DEFAULT_TOL, cap: float = MAGNITUDE_CAP) -> QuadResult:
+def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate ``f`` over the open interval (0, 1).
 
     ``f`` may blow up at either endpoint; integrable singularities are
@@ -144,8 +144,9 @@ def integrate_unit(f, tol: float = DEFAULT_TOL, cap: float = MAGNITUDE_CAP) -> Q
             d_hi, e_hi = _piece(f, 1.0 - eps_old, 1.0 - eps_new, rung_tol)
             vals.append(vals[-1] + d_lo + d_hi)
             qerr += e_lo + e_hi
-            if abs(vals[-1]) > cap:
-                return _diverged(vals[-1], vals, f"magnitude cap {cap:g} exceeded at eps={eps_new:g}")
+            if abs(vals[-1]) > MAGNITUDE_CAP:
+                return _diverged(vals[-1], vals,
+                                 f"magnitude cap {MAGNITUDE_CAP:g} exceeded at eps={eps_new:g}")
             d = np.diff(vals)
             # Fast-growing tails are classified early; the deepest strips of a
             # strongly divergent integrand are numerically meaningless anyway.
@@ -214,8 +215,7 @@ def _combine(a: QuadResult, b: QuadResult) -> QuadResult:
     return QuadResult(div.value, math.inf, div.status, div.detail, ladder)
 
 
-def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL,
-                      cap: float = MAGNITUDE_CAP) -> QuadResult:
+def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate ``f`` over ``support``; either bound may be infinite.
 
     Infinite ends are mapped to (0, 1) by the rational substitution
@@ -228,8 +228,8 @@ def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL,
     a_inf = math.isinf(a)
     b_inf = math.isinf(b)
     if a_inf and b_inf:
-        left = integrate_support(f, (a, 0.0), tol / 2.0, cap)
-        right = integrate_support(f, (0.0, b), tol / 2.0, cap)
+        left = integrate_support(f, (a, 0.0), tol / 2.0)
+        right = integrate_support(f, (0.0, b), tol / 2.0)
         return _combine(left, right)
     if not a_inf and not b_inf:
         width = b - a
@@ -249,4 +249,4 @@ def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL,
             s = 1.0 - t
             return f(b - t / s) / (s * s)
 
-    return integrate_unit(g, tol, cap)
+    return integrate_unit(g, tol)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import Distribution, draw
 
 __all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES"]
 
@@ -146,13 +146,7 @@ def _scan_one(base: Distribution, n: int, k: int, upper: bool, rng: np.random.Ge
               max_draws: int) -> float | None:
     """Literal definitional scan of one iid stream until the n-th k-record."""
     sign = 1.0 if upper else -1.0
-
-    def draw(m: int) -> np.ndarray:
-        u = rng.random(m)
-        np.maximum(u, 2.0 ** -53, out=u)
-        return sign * base.quantile_array(u)
-
-    top = list(draw(k))  # min-heap of the k largest (sign-flipped for lower)
+    top = list(sign * draw(base, rng, k))  # min-heap of the k largest (sign-flipped for lower)
     heapq.heapify(top)
     drawn = k
     seen = 1
@@ -161,7 +155,7 @@ def _scan_one(base: Distribution, n: int, k: int, upper: bool, rng: np.random.Ge
     batch = 128
     while drawn < max_draws:
         m = min(batch, max_draws - drawn)
-        xs = draw(m)
+        xs = sign * draw(base, rng, m)
         drawn += m
         threshold = top[0]
         pos = 0
@@ -191,12 +185,12 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     execution schedule.  A realization whose stream exceeds ``max_draws`` is
     aborted and counted in ``aborted``.
     """
-    law = RecordLaw(base, n, k, side)  # reuse argument validation
+    check_params(n=n, k=k, side=side)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if max_draws < k:
         raise ValueError(f"max_draws must be >= k, got {max_draws}")
-    upper = law.side == "upper"
+    upper = side == "upper"
     out = []
     aborted = 0
     for i in range(count):

@@ -83,8 +83,8 @@ class EtaProfile:
     values: np.ndarray
 
 
-def eta_profile(d: Distribution, grid_size: int = 512, delta: float = 1e-4) -> EtaProfile:
-    grid = np.linspace(delta, 0.5 - delta, grid_size)
+def eta_profile(d: Distribution, grid_size: int = 512) -> EtaProfile:
+    grid = np.linspace(1e-4, 0.5 - 1e-4, grid_size)
     values = np.fromiter((eta(d, float(u)) for u in grid), dtype=float, count=grid_size)
     return EtaProfile(base=d, grid=grid, values=values)
 

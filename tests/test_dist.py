@@ -10,6 +10,8 @@ from extrec.dist import (
     CATALOG,
     DistributionError,
     Exponential,
+    Laplace,
+    Logistic,
     Normal,
     Pareto,
     PowerFunction,
@@ -71,10 +73,35 @@ class TestSpecGrammar:
 
     def test_spec_string_round_trip(self):
         for spec in ("uniform", "exponential:rate=2", "power:theta=0.5",
-                     "pareto:theta=3", "normal:mu=0,sigma=1"):
+                     "pareto:theta=3", "normal:mu=0,sigma=1", "laplace:mu=1,b=2",
+                     "logistic:mu=-1,s=0.5"):
             d = make_distribution(spec)
             again = make_distribution(d.spec_string())
             assert again.params == d.params
+
+
+def _out_of_domain():
+    """(law, key, value, message) for every catalog parameter and Scaled's factor."""
+    scales = [("exponential", "rate"), ("power", "theta"), ("pareto", "theta"), ("normal", "sigma"),
+              ("laplace", "b"), ("logistic", "s"), ("scaled", "a")]
+    for law, key in scales:
+        for text in ("0.0", "-1.0", "inf", "nan"):
+            yield pytest.param(law, key, float(text), f"{law}: {key} must be > 0, got {text}",
+                               id=f"{law}.{key}={text}")
+    for law in ("normal", "laplace", "logistic"):
+        for text in ("inf", "nan"):
+            yield pytest.param(law, "mu", float(text), f"{law}: mu must be finite, got {text}",
+                               id=f"{law}.mu={text}")
+
+
+@pytest.mark.parametrize("law, key, value, message", _out_of_domain())
+def test_parameter_check_messages(law, key, value, message):
+    with pytest.raises(DistributionError) as exc:
+        if law == "scaled":
+            scale(Uniform(), value)
+        else:
+            CATALOG[law](**{key: value})
+    assert str(exc.value) == message
 
 
 class TestInvariants:
@@ -181,6 +208,7 @@ class TestGenericQuantileFallback:
                 return min(1.0, max(0.0, x * x))
 
         d = Tri()
+        assert d.params == {} and d.spec_string() == "tri"
         for u in (0.01, 0.3, 0.77, 0.999):
             assert abs(d.quantile(u) - math.sqrt(u)) < 1e-10
 
