@@ -1,9 +1,13 @@
 """Byte snapshot of the CLI over a fixed case list.
 
 Runs ``extrec.cli.main`` in-process on every case and prints one line per
-case: the exit code, the sha256 of stdout, the sha256 of stderr, and the
-argv.  Diffing the output of two checkouts shows every case whose bytes
-moved::
+case: the exit code, the sha256 of stdout, the sha256 of stderr, the
+outcome, and the argv.  The outcome is the ``quad_status`` of a ``measure``,
+the verdict and per-status residual counts of a ``verify``, the ``aborted``
+count of a ``records-sim`` and the decision of a ``symtest`` (``-`` when the
+case exits non-zero), so a case whose hashes moved but whose outcome did not
+moved in value only.  Diffing the output of two checkouts shows every case
+whose bytes moved::
 
     PYTHONPATH=src python scripts/cli_snapshot.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/cli_snapshot.py > old.txt
@@ -15,9 +19,11 @@ seeded ``records-sim`` on uniform and normal, and ``symtest`` on the files
 under ``tests/data/``.  It takes about five seconds on one core.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
+import json
 import os
 from pathlib import Path
 
@@ -53,12 +59,26 @@ def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def outcome(argv: list[str], code: int, out: bytes) -> str:
+    if code != 0:
+        return "-"
+    payload = json.loads(out)
+    if argv[0] == "measure":
+        return payload["quad_status"]
+    if argv[0] == "verify":
+        counts = collections.Counter(row["status"] for row in payload["residuals"])
+        return payload["verdict"] + ":" + ",".join(f"{s}={n}" for s, n in sorted(counts.items()))
+    if argv[0] == "records-sim":
+        return f"aborted={payload['aborted']}"
+    return payload["decision"]
+
+
 def main() -> None:
     os.chdir(ROOT)  # symtest inputs are given relative to the checkout root
     for argv in cases():
         code, out, err = run(argv)
         print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
-              " ".join(argv), flush=True)
+              outcome(argv, code, out), " ".join(argv), flush=True)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ accepted).  Catalog: ``uniform``, ``exponential(rate)``, ``power(theta)``,
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -47,6 +48,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+#: standard normal; its inv_cdf (Wichura's AS 241) is the normal quantile
+_STD_NORMAL = statistics.NormalDist()
 
 
 class DistributionError(ValueError):
@@ -304,47 +307,6 @@ class Pareto(_CatalogLaw):
         return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / self.theta)
 
 
-# Acklam's rational approximation to the standard normal quantile
-# (|relative error| < 1.15e-9), refined below by one Halley step.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_PLOW = 0.02425
-
-
-def _std_normal_tail_x(p: float) -> float:
-    """Lower-tail branch of the rational approximation, p < _ACK_PLOW."""
-    q = math.sqrt(-2.0 * math.log(p))
-    c, d = _ACK_C, _ACK_D
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    return num / den
-
-
-def _std_normal_quantile(p: float) -> float:
-    if p < _ACK_PLOW:
-        x = _std_normal_tail_x(p)
-    elif p > 1.0 - _ACK_PLOW:
-        x = -_std_normal_tail_x(1.0 - p)
-    else:
-        q = p - 0.5
-        r = q * q
-        a, b = _ACK_A, _ACK_B
-        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x = num / den
-    if abs(x) < 8.0:  # Halley polish; skipped in the far tail where exp overflows
-        e = 0.5 * math.erfc(-x / _SQRT2) - p
-        t = e * _SQRT2PI * math.exp(0.5 * x * x)
-        x -= t / (1.0 + 0.5 * x * t)
-    return x
-
-
 @dataclass(frozen=True, repr=False)
 class Normal(_CatalogLaw):
     """Normal law with mean mu and standard deviation sigma."""
@@ -368,7 +330,7 @@ class Normal(_CatalogLaw):
 
     def quantile(self, u: float) -> float:
         _check_unit_open(u)
-        return self.mu + self.sigma * _std_normal_quantile(u)
+        return self.mu + self.sigma * _STD_NORMAL.inv_cdf(u)
 
     def dqf(self, u: float) -> float:
         return self.pdf(self.quantile(u))

@@ -1,14 +1,17 @@
 """Extropy-type information functionals of distributions and their k-records.
 
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
-CLI ``--measure`` id and verify residual family; the functions read it.
+CLI ``--measure`` id and verify residual family; the functions read it.  A
+row's factory returns its kernel K alone, one object per distinct kernel; a
+gap's weight K(u) - K(1-u) is derived from K (:mod:`extrec.symmetry`).
 
 All cdf-based measures are evaluated in quantile form, i.e. as integrals of
 ``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
 uniformly; the direct support-form integrals are provided as independent
 cross-check routines (``*_via_support``).  Plain and generalized, base-level
 and record-level measures share one kernel, so the reduction identities
-(m=2 generalized == plain, n=k=1 record == base) hold exactly.
+(m=2 generalized == plain, n=1 record of order m == base of order k*m) hold
+exactly.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -16,6 +19,7 @@ saturated finite number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -101,43 +105,46 @@ def scaled_result(measure_id: str, qr: QuadResult, scale: float,
     return MeasureValue(measure_id, math.nan, status, math.inf, dict(params or {}))
 
 
-def _with_gap(K):
-    """(K, G) with the usual gap weight G(u) = K(u) - K(1-u)."""
-    return K, lambda u: K(u) - K(1.0 - u)
+# Kernel factories (n, k, m) -> K.  They are cached, so a kernel that several
+# rows or grid points share is one object, and verify integrates it once.
 
 
+@functools.cache
+def _power(p: int):
+    """u^p, the kernel every n = 1 phi kernel below reduces to."""
+    return lambda u: u ** p
+
+
+@functools.cache
 def _phi_power(n: int, k: int, m: int):
-    """phi_{n,k}(u)^m.  phi_{1,1}(u) is u exactly on the integration domain,
-    so (1, 1, m) is u^m, the kernel of gcrj, gcpj and delta3."""
-    if (n, k) == (1, 1):
-        return _with_gap(lambda u: u ** m)
+    """phi_{n,k}(u)^m.  phi_{1,k}(u) is u^k, so n = 1 is the power u^(km), the
+    kernel of gcrj, gcpj, delta1 and delta3."""
+    if n == 1:
+        return _power(k * m)
     ev = PhiKernel(n, k)._eval
-    return _with_gap(lambda u: ev(u) ** m)
+    return lambda u: ev(u) ** m
 
 
+@functools.cache
 def _u_phi(n: int, k: int, m: int):
+    """u * phi_{n,k}(u); u^(k+1) at n = 1."""
+    if n == 1:
+        return _power(k + 1)
     ev = PhiKernel(n, k)._eval
-    return _with_gap(lambda u: u * ev(u))
+    return lambda u: u * ev(u)
 
 
+@functools.cache
 def _record_weight(n: int, k: int, m: int):
     """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
-    in log space past n = 20); its gap, at k = 1, applies 1/(n-1)! once."""
+    in log space past n = 20)."""
     inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
 
     def K(u: float) -> float:
         lam = -k * math.log(u)
         return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
 
-    def G(u: float) -> float:
-        return ((-math.log(u)) ** (n - 1) - (-math.log(1.0 - u)) ** (n - 1)) * inv_fact
-
-    return K, G
-
-
-def _linear(n: int, k: int, m: int):
-    """Gap 2u - 1 of crj - cpj; it is u^2 - (1-u)^2 only algebraically, not bitwise."""
-    return None, lambda u: 2.0 * u - 1.0
+    return K
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,8 @@ class KernelRow:
     id: str | None             # CLI --measure id; None if the CLI does not offer it
     measure_id: str            # MeasureValue.measure_id
     params: tuple[str, ...]    # free parameters; the others are ``fixed`` or n=1, k=1, m=2
-    kernel: Callable | None    # (n, k, m) -> (K, G): K(u) on (0, 1), the gap's G(u) on (0, 1/2)
+    kernel: Callable | None    # (n, k, m) -> K(u) on (0, 1), one object per distinct kernel;
+                               # a gap row's weight K(u) - K(1-u) is derived from it
     form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf, "f^2": pdf^2 on the support
     side: str | None           # "upper" takes dqf(1-u), "lower" dqf(u); None: the side param
     prefactor: float
@@ -177,7 +185,7 @@ KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
               "crij_upper_via_support"),
     KernelRow("cpij_lower", "cpij_lower", ("n", "k"), _u_phi, "K/dqf", "lower", -0.5,
               "cpij_lower_via_support"),
-    KernelRow("delta1", "delta1", (), _linear, "K/dqf", None, -0.5, family="crj_cpj"),
+    KernelRow("delta1", "delta1", (), _phi_power, "K/dqf", None, -0.5, family="crj_cpj"),
     KernelRow("delta2", "delta2", ("n", "k"), _phi_power, "K/dqf", None, -0.5,
               family="record_crj_cpj"),
     KernelRow("delta3", "delta3", ("m",), _phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj"),
@@ -213,7 +221,7 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
         qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
                         "kernel tends to 1 at an infinite end of the support")
     else:
-        K, _ = row.kernel(*nkm)
+        K = row.kernel(*nkm)
         den = d.dqf_c if upper else d.dqf
         if row.form == "K/dqf":
             qr = integrate_unit(lambda u: K(u) / den(u), tol)

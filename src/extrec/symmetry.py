@@ -16,9 +16,10 @@ spacings estimators and calibrates it against a symmetrized bootstrap null.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,23 +105,27 @@ def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     return ClassC.NOT_MEMBER
 
 
-def _gap_integral(row: KernelRow, d: Distribution, n: int, k: int, m: int, tol: float) -> QuadResult:
-    """Integral over (0, 1/2) of G(u) * eta(u), or of G(u) * (dqf_c - dqf)(u) for ``w*dqf``."""
-    _, G = row.kernel(n, k, m)
-    if row.form == "K/dqf":
-        return integrate_support(lambda u: G(u) * eta(d, u), (0.0, 0.5), tol)
-    return integrate_support(lambda u: G(u) * (d.dqf_c(u) - d.dqf(u)), (0.0, 0.5), tol)
+def _gap_integral(K: Callable[[float], float], form: str, d: Distribution,
+                  tol: float) -> QuadResult:
+    """Integral over (0, 1/2) of the gap weight K(u) - K(1-u) times eta(u), or
+    times (dqf_c - dqf)(u) for the ``w*dqf`` form."""
+    if form == "K/dqf":
+        against = functools.partial(eta, d)
+    else:
+        against = lambda u: d.dqf_c(u) - d.dqf(u)
+    return integrate_support(lambda u: (K(u) - K(1.0 - u)) * against(u), (0.0, 0.5), tol)
 
 
 def gap_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
               side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate a gap row (one with a verify ``family``) of the kernel table."""
     params, nkm = resolve(row, n, k, m, side)
-    return scaled_result(row.measure_id, _gap_integral(row, d, *nkm, tol), row.prefactor, params)
+    qr = _gap_integral(row.kernel(*nkm), row.form, d, tol)
+    return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
 def delta1(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(2u-1) du."""
+    """Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(u^2 - (1-u)^2) du."""
     return gap_value(KERNELS["delta1"], d, tol=tol)
 
 
@@ -138,8 +143,9 @@ def delta2_generalized(d: Distribution, n: int, k: int, m: int,
 def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Past-minus-residual gap gcpj - gcrj, as +1/2 * int eta(u)(u^m - (1-u)^m) du.
 
-    The sign convention makes delta3 equal gcpj - gcrj whenever both converge
-    (so delta3(d, 2) == -delta1(d)).
+    The sign convention makes delta3 equal gcpj - gcrj whenever both converge.
+    At m = 2 the weight is delta1's u^2 - (1-u)^2, so delta3(d, 2) == -delta1(d)
+    exactly.
     """
     return gap_value(KERNELS["delta3"], d, m=m, tol=tol)
 
@@ -211,19 +217,20 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
         raise ValueError(f"tol must be positive, got {tol}")
     cls = class_c_check(d)
     limits = {"n": max_n, "k": max_k, "m": max_m}
-    # a gap integral depends only on its kernel and (n, k, m): delta2 reuses
-    # delta2_generalized at m=2, delta3 at n=k=1, each with its own prefactor
-    integrals: dict[tuple, QuadResult] = {}
+    # the factories return one object per distinct kernel, so each is integrated
+    # once (delta2 reuses delta2_generalized at m=2, delta1 and delta3 the n=1
+    # powers) and every row applies its own prefactor
+    integrals: dict[Callable, QuadResult] = {}
     entries: list[ResidualEntry] = []
     for row in KERNELS.values():
         if row.family is None:
             continue
         for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
             params, nkm = resolve(row, **dict(zip(row.params, values)))
-            key = (row.kernel, *nkm)
-            if key not in integrals:
-                integrals[key] = _gap_integral(row, d, *nkm, quad_tol)
-            mv = scaled_result(row.measure_id, integrals[key], row.prefactor)
+            K = row.kernel(*nkm)
+            if K not in integrals:
+                integrals[K] = _gap_integral(K, row.form, d, quad_tol)
+            mv = scaled_result(row.measure_id, integrals[K], row.prefactor)
             shown = {**row.fixed, **params}
             entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
                                          mv.value, mv.quad_status))

@@ -271,3 +271,9 @@ def test_power_quantile_round_trip_property(u, theta):
 def test_normal_quantile_inverse_property(u):
     d = Normal()
     assert abs(d.cdf(d.quantile(u)) - u) < 1e-9
+
+
+@pytest.mark.parametrize("u", [1e-16, 1e-20, 1e-50, 1e-100, 1e-300])
+def test_normal_quantile_far_tail_round_trip(u):
+    d = Normal(mu=0.5, sigma=2.0)
+    assert abs(d.cdf(d.quantile(u)) - u) <= 1e-12 * u

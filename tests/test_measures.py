@@ -110,6 +110,22 @@ class TestInaccuracy:
         assert_close(M.kij_record(E1, 1, 1, "upper").value, -0.25, 1e-9, "upper")
         assert_close(M.kij_record(E1, 1, 1, "lower").value, -0.25, 1e-9, "lower")
 
+    # -1/2 * theta * int (-log u)^(n-1)/(n-1)! * u^(1-1/theta) du
+    # = -(theta/2) * (theta/(2 theta - 1))^n, finite for theta > 1/2
+    def test_kij_power_lower_closed_form(self):
+        t = 0.777
+        assert_close(M.kij_record(PowerFunction(theta=t), 2, 1, "lower").value,
+                     -(t / 2) * (t / (2 * t - 1)) ** 2, 5e-10, "kij n=2")
+
+    @pytest.mark.xfail(strict=True, reason="the (-log u)^(n-1) factor keeps the trim "
+                       "ladder from settling this integrable endpoint")
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kij_power_lower_closed_form_high_order(self, n):
+        t = 0.777
+        mv = M.kij_record(PowerFunction(theta=t), n, 1, "lower")
+        assert mv.is_finite
+        assert_close(mv.value, -(t / 2) * (t / (2 * t - 1)) ** n, 1e-8, f"kij n={n}")
+
     def test_kij_side_validation(self):
         with pytest.raises(ValueError):
             M.kij_record(U, 1, 1, "both")

@@ -263,13 +263,43 @@ class TestVerify:
             assert a.status is flip.get(b.status, b.status), m
             if b.status is not QuadStatus.NO_CONVERGENCE:
                 assert bits(a.value) == bits(-b.value), (m, a.value, b.value)
+        # n = 1 record kernels are powers of u: phi_{1,k}^m = u^(km), u*phi_{1,k} = u^(k+1)
+        a = by_key["crj_cpj"]
+        for key in ("record_crj_cpj:n=1:k=1", "record_gcrj_gcpj:n=1:k=1:m=2"):
+            assert (bits(a.value), a.status) == (bits(by_key[key].value), by_key[key].status), key
+        a, b = by_key["gcrj_gcpj:m=4"], by_key["record_gcrj_gcpj:n=1:k=2:m=2"]
+        assert a.status is flip.get(b.status, b.status)
+        if b.status is not QuadStatus.NO_CONVERGENCE:
+            assert bits(a.value) == bits(-b.value), (a.value, b.value)
+        for k in range(1, 4):
+            a, b = by_key[f"crij_cpij:n=1:k={k}"], by_key[f"record_gcrj_gcpj:n=1:k=1:m={k + 1}"]
+            assert (bits(a.value), a.status) == (bits(b.value), b.status), k
         # the public functions, evaluated apart, agree bit for bit as well
+        for k in range(1, 4):
+            for a, b in ((M.record_crj_upper(d, 1, k), M.gcrj(d, 2 * k)),
+                         (M.crij_upper(d, 1, k), M.gcrj(d, k + 1))):
+                assert (bits(a.value), a.quad_status) == (bits(b.value), b.quad_status), k
         a, b = S.delta2(d, 2, 3), S.delta2_generalized(d, 2, 3, 2)
         assert (bits(a.value), a.quad_status) == (bits(b.value), b.quad_status)
         a, b = S.delta3(d, 3), S.delta2_generalized(d, 1, 1, 3)
         assert a.quad_status is flip.get(b.quad_status, b.quad_status)
         if b.quad_status is not QuadStatus.NO_CONVERGENCE:
             assert bits(a.value) == bits(-b.value)
+
+    def test_distinct_kernels_integrated_once(self, monkeypatch):
+        # 105 residuals over 74 distinct kernels: the 48 record kernels at n >= 2,
+        # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights
+        seen = []
+        integrate = S._gap_integral
+
+        def counting(K, *args):
+            seen.append(K)
+            return integrate(K, *args)
+
+        monkeypatch.setattr(S, "_gap_integral", counting)
+        rep = S.verify_characterizations(U)
+        assert len(rep.residuals) == 105
+        assert len(seen) == len(set(seen)) == 74
 
     def test_report_invariant(self):
         for d in (U, E1, PA2):
