@@ -7,11 +7,12 @@ gap's weight K(u) - K(1-u) is derived from K (:mod:`extrec.symmetry`).
 
 All cdf-based measures are evaluated in quantile form, i.e. as integrals of
 ``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
-uniformly; the direct support-form integrals are provided as independent
-cross-check routines (``*_via_support``).  Plain and generalized, base-level
-and record-level measures share one kernel, so the reduction identities
-(m=2 generalized == plain, n=1 record of order m == base of order k*m) hold
-exactly.
+uniformly; :func:`oracle_value` generates each measure row's other form from
+the same kernel as an independent cross-check (``*_via_support``,
+``extropy_via_quantile``), so no row names an oracle.  Plain and generalized,
+base-level and record-level measures share one kernel, so the reduction
+identities (m=2 generalized == plain, n=1 record of order m == base of order
+k*m) hold exactly.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -26,12 +27,13 @@ from typing import Callable, Mapping
 
 from .dist import Distribution
 from .quad import DEFAULT_TOL, QuadResult, QuadStatus, integrate_support, integrate_unit
-from .records import PhiKernel, RecordLaw, check_params
+from .records import PhiKernel, _record_weight, check_params
 
 __all__ = [
     "MeasureValue",
     "KERNELS",
     "measure_value",
+    "oracle_value",
     "extropy",
     "crj",
     "cpj",
@@ -134,19 +136,6 @@ def _u_phi(n: int, k: int, m: int):
     return lambda u: u * ev(u)
 
 
-@functools.cache
-def _record_weight(n: int, k: int, m: int):
-    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
-    in log space past n = 20)."""
-    inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
-
-    def K(u: float) -> float:
-        lam = -k * math.log(u)
-        return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
-
-    return K
-
-
 @dataclass(frozen=True)
 class KernelRow:
     """A measure or gap: ``prefactor`` times the integral of its kernel."""
@@ -159,32 +148,28 @@ class KernelRow:
     form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf, "f^2": pdf^2 on the support
     side: str | None           # "upper" takes dqf(1-u), "lower" dqf(u); None: the side param
     prefactor: float
-    oracle: str | None = None  # name of the support-form cross-check in this module
     family: str | None = None  # verify residual family, set on gap rows
     fixed: Mapping[str, int] = field(default_factory=dict)
 
 
 #: The kernel table, keyed by ``measure_id``; gap rows in verify order.
 KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
-    KernelRow("extropy", "extropy", (), None, "f^2", None, -0.5, "extropy_via_quantile"),
-    KernelRow("crj", "crj", (), _phi_power, "K/dqf", "upper", -0.5, "crj_via_support"),
-    KernelRow("cpj", "cpj", (), _phi_power, "K/dqf", "lower", -0.5, "cpj_via_support"),
-    KernelRow("gcrj", "gcrj", ("m",), _phi_power, "K/dqf", "upper", -0.5, "gcrj_via_support"),
-    KernelRow("gcpj", "gcpj", ("m",), _phi_power, "K/dqf", "lower", -0.5, "gcpj_via_support"),
+    KernelRow("extropy", "extropy", (), None, "f^2", None, -0.5),
+    KernelRow("crj", "crj", (), _phi_power, "K/dqf", "upper", -0.5),
+    KernelRow("cpj", "cpj", (), _phi_power, "K/dqf", "lower", -0.5),
+    KernelRow("gcrj", "gcrj", ("m",), _phi_power, "K/dqf", "upper", -0.5),
+    KernelRow("gcpj", "gcpj", ("m",), _phi_power, "K/dqf", "lower", -0.5),
     KernelRow("record_crj_upper", "record_crj_upper", ("n", "k"), _phi_power, "K/dqf",
-              "upper", -0.5, "record_crj_upper_via_support"),
+              "upper", -0.5),
     KernelRow("record_cpj_lower", "record_cpj_lower", ("n", "k"), _phi_power, "K/dqf",
-              "lower", -0.5, "record_cpj_lower_via_support"),
+              "lower", -0.5),
     KernelRow("record_gcrj_upper", "record_gcrj_upper", ("n", "k", "m"), _phi_power, "K/dqf",
               "upper", -0.5),
     KernelRow("record_gcpj_lower", "record_gcpj_lower", ("n", "k", "m"), _phi_power, "K/dqf",
               "lower", -0.5),
-    KernelRow("kij", "kij_record", ("n", "k", "side"), _record_weight, "w*dqf", None, -0.5,
-              "kij_record_via_support"),
-    KernelRow("crij_upper", "crij_upper", ("n", "k"), _u_phi, "K/dqf", "upper", -0.5,
-              "crij_upper_via_support"),
-    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), _u_phi, "K/dqf", "lower", -0.5,
-              "cpij_lower_via_support"),
+    KernelRow("kij", "kij_record", ("n", "k", "side"), _record_weight, "w*dqf", None, -0.5),
+    KernelRow("crij_upper", "crij_upper", ("n", "k"), _u_phi, "K/dqf", "upper", -0.5),
+    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), _u_phi, "K/dqf", "lower", -0.5),
     KernelRow("delta1", "delta1", (), _phi_power, "K/dqf", None, -0.5, family="crj_cpj"),
     KernelRow("delta2", "delta2", ("n", "k"), _phi_power, "K/dqf", None, -0.5,
               family="record_crj_cpj"),
@@ -227,6 +212,31 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
             qr = integrate_unit(lambda u: K(u) / den(u), tol)
         else:
             qr = integrate_unit(lambda u: K(u) * den(u), tol)
+    return scaled_result(row.measure_id, qr, row.prefactor, params)
+
+
+def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
+                 side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
+    """Evaluate a measure row of :data:`KERNELS` on ``d`` in its other form.
+
+    A quantile-form row integrates over the support with u = p(x), where p is
+    ``d.sf`` on the upper side and ``d.cdf`` on the lower: K(p(x)) for
+    ``K/dqf``, K(p(x)) * pdf(x)^2 for ``w*dqf``.  The ``f^2`` row integrates
+    dqf over (0, 1).
+    """
+    params, nkm = resolve(row, n, k, m, side)
+    if row.form == "f^2":
+        qr = integrate_unit(d.dqf, tol)
+    else:
+        K = row.kernel(*nkm)
+        p = d.sf if params.get("side", row.side) == "upper" else d.cdf
+        if row.form == "K/dqf":
+            qr = integrate_support(lambda x: K(p(x)), d.support, tol)
+        else:
+            def f(x: float) -> float:  # K takes log u, so the integrand is 0 where p(x) is
+                u = p(x)
+                return K(u) * d.pdf(x) ** 2 if u > 0.0 else 0.0
+            qr = integrate_support(f, d.support, tol)
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
@@ -301,67 +311,49 @@ def cpij_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> Mea
 
 
 # ---------------------------------------------------------------------------
-# Support-form cross-checks.  These integrate over the x-axis directly and are
-# kept as independent oracles for the quantile-form primaries above.
+# The other form of each measure, a cross-check of the primaries above.
 
 
 def extropy_via_quantile(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    qr = integrate_unit(lambda u: d.dqf(u), tol)
-    return scaled_result("extropy", qr, -0.5)
-
-
-def _support_power(d: Distribution, g: Callable[[float], float], m: int, tol: float) -> QuadResult:
-    return integrate_support(lambda x: g(x) ** m, d.support, tol)
+    return oracle_value(KERNELS["extropy"], d, tol=tol)
 
 
 def crj_via_support(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return scaled_result("crj", _support_power(d, d.sf, 2, tol), -0.5)
+    return oracle_value(KERNELS["crj"], d, tol=tol)
 
 
 def cpj_via_support(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return scaled_result("cpj", _support_power(d, d.cdf, 2, tol), -0.5)
+    return oracle_value(KERNELS["cpj"], d, tol=tol)
 
 
 def gcrj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    check_params(m=m)
-    return scaled_result("gcrj", _support_power(d, d.sf, m, tol), -0.5, {"m": m})
+    return oracle_value(KERNELS["gcrj"], d, m=m, tol=tol)
 
 
 def gcpj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    check_params(m=m)
-    return scaled_result("gcpj", _support_power(d, d.cdf, m, tol), -0.5, {"m": m})
+    return oracle_value(KERNELS["gcpj"], d, m=m, tol=tol)
 
 
 def record_crj_upper_via_support(d: Distribution, n: int, k: int,
                                  tol: float = DEFAULT_TOL) -> MeasureValue:
-    law = RecordLaw(d, n, k, "upper")
-    qr = integrate_support(lambda x: (1.0 - law.cdf(x)) ** 2, d.support, tol)
-    return scaled_result("record_crj_upper", qr, -0.5, {"n": n, "k": k})
+    return oracle_value(KERNELS["record_crj_upper"], d, n, k, tol=tol)
 
 
 def record_cpj_lower_via_support(d: Distribution, n: int, k: int,
                                  tol: float = DEFAULT_TOL) -> MeasureValue:
-    law = RecordLaw(d, n, k, "lower")
-    qr = integrate_support(lambda x: law.cdf(x) ** 2, d.support, tol)
-    return scaled_result("record_cpj_lower", qr, -0.5, {"n": n, "k": k})
+    return oracle_value(KERNELS["record_cpj_lower"], d, n, k, tol=tol)
 
 
 def kij_record_via_support(d: Distribution, n: int, k: int, side: str,
                            tol: float = DEFAULT_TOL) -> MeasureValue:
-    law = RecordLaw(d, n, k, side)
-    qr = integrate_support(lambda x: law.pdf(x) * d.pdf(x), d.support, tol)
-    return scaled_result("kij_record", qr, -0.5, {"n": n, "k": k, "side": side})
+    return oracle_value(KERNELS["kij_record"], d, n, k, side=side, tol=tol)
 
 
 def crij_upper_via_support(d: Distribution, n: int, k: int,
                            tol: float = DEFAULT_TOL) -> MeasureValue:
-    law = RecordLaw(d, n, k, "upper")
-    qr = integrate_support(lambda x: (1.0 - law.cdf(x)) * d.sf(x), d.support, tol)
-    return scaled_result("crij_upper", qr, -0.5, {"n": n, "k": k})
+    return oracle_value(KERNELS["crij_upper"], d, n, k, tol=tol)
 
 
 def cpij_lower_via_support(d: Distribution, n: int, k: int,
                            tol: float = DEFAULT_TOL) -> MeasureValue:
-    law = RecordLaw(d, n, k, "lower")
-    qr = integrate_support(lambda x: law.cdf(x) * d.cdf(x), d.support, tol)
-    return scaled_result("cpij_lower", qr, -0.5, {"n": n, "k": k})
+    return oracle_value(KERNELS["cpij_lower"], d, n, k, tol=tol)

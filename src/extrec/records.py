@@ -7,8 +7,9 @@ i.e. their minimum).  Lower k-records mirror with the running bottom-k.
 
 The analytic cdf of either record is a composition of the base cdf with the
 kernel ``phi_n(u) = u^k * sum_{i<n} (-k log u)^i / i!``, which is also the
-lower tail of a Poisson(-k log u) variable at n-1; all record-level measure
-integrals downstream are built from that kernel.
+lower tail of a Poisson(-k log u) variable at n-1; the record density is
+``phi_n'(p) * f`` with p the base sf (upper) or cdf (lower).  All record-level
+measure integrals downstream are built from these two kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -91,11 +92,17 @@ class PhiKernel:
         return self._eval(u)
 
 
-def _record_coefficient(n: int, k: int) -> float:
-    # k^n / (n-1)!, in log space once the factorial leaves exact-double range
-    if n <= 20:
-        return k ** n / math.factorial(n - 1)
-    return math.exp(n * math.log(k) - math.lgamma(n))
+@cache
+def _record_weight(n: int, k: int, m: int):
+    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
+    in log space past n = 20).  m is unused: (n, k, m) is the kernel table's signature."""
+    inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
+
+    def K(u: float) -> float:
+        lam = -k * math.log(u)
+        return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+
+    return K
 
 
 @dataclass(frozen=True)
@@ -120,13 +127,11 @@ class RecordLaw:
         if not lo < x < hi:
             return 0.0
         p = self.base.sf(x) if self.side == "upper" else self.base.cdf(x)
-        coef = _record_coefficient(self.n, self.k)
         if p <= 0.0:
-            # sf/cdf underflow deep in a tail; the n=1 record is X_{1:k} whose
-            # density k * p^(k-1) * f is still meaningful there (0^0 == 1)
-            return coef * p ** (self.k - 1) * self.base.pdf(x) if self.n == 1 else 0.0
-        lam = max(0.0, -math.log(p))
-        return coef * lam ** (self.n - 1) * p ** (self.k - 1) * self.base.pdf(x)
+            # sf/cdf underflow deep in a tail, where the weight's log is undefined:
+            # the (1, 1) record is the base law itself, any other density is 0 there
+            return self.base.pdf(x) if self.n == self.k == 1 else 0.0
+        return _record_weight(self.n, self.k, 1)(p) * self.base.pdf(x)
 
     def cdf(self, x: float) -> float:
         if self.side == "upper":

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,17 @@ CATALOG_MEMBERS = [
 ]
 
 SYMMETRIC_MEMBERS = [Uniform(), Normal(), Laplace(), Logistic()]
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def cli_env(**extra) -> dict:
+    """Environment for a CLI subprocess, which imports the checkout's extrec as
+    the pytest process does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
 
 
 @pytest.fixture(params=CATALOG_MEMBERS, ids=lambda d: d.spec_string())

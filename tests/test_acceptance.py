@@ -6,11 +6,9 @@ lines; every tolerance and runtime bound is pinned here.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +20,7 @@ from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFun
 from extrec.quad import QuadStatus
 from extrec.records import RecordLaw, simulate_records
 
-from conftest import ks_distance
-
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, cli_env, ks_distance
 
 # Golden seeds, frozen after first measurement (see tests for the values the
 # batches produced when pinned).
@@ -172,7 +168,7 @@ def test_criterion_10_determinism():
     for case in cases:
         outs = []
         for threads in ("1", "4"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONHASHSEED=threads)
+            env = cli_env(OMP_NUM_THREADS=threads, PYTHONHASHSEED=threads)
             proc = subprocess.run([sys.executable, "-m", "extrec.cli", *case],
                                   capture_output=True, text=True, env=env, cwd=REPO)
             assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,19 +7,15 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, cli_env
+
 SCHEMA_DIR = REPO / "docs" / "schemas"
 DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args, env_extra=None, check_json=None):
-    env = dict(os.environ)
-    # the child imports the checkout's extrec, as the pytest process does
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "extrec.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=REPO)
+    proc = subprocess.run([sys.executable, "-m", "extrec.cli", *args], capture_output=True,
+                          text=True, env=cli_env(**(env_extra or {})), cwd=REPO)
     payload = None
     if check_json is not None and proc.returncode == 0:
         payload = json.loads(proc.stdout)
