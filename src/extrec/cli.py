@@ -60,7 +60,7 @@ def _seed_default() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: environment variable {_SEED_ENV}={raw!r} is not an integer")
+        raise ValueError(f"environment variable {_SEED_ENV}={raw!r} is not an integer") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,8 +125,7 @@ def _finite_or_none(v: float) -> float | None:
 def _cmd_measure(args) -> int:
     d = make_distribution(args.dist)
     row = _MEASURES[args.measure]
-    evaluate = S.gap_value if row.family else M.measure_value
-    mv = evaluate(row, d, args.n, args.k, args.m, args.side, args.tol)
+    mv = M.measure_value(row, d, args.n, args.k, args.m, args.side, args.tol)
     if mv.quad_status is QuadStatus.NO_CONVERGENCE:
         sys.stderr.write(f"error: quadrature did not settle for {args.measure} of {args.dist}\n")
         return EXIT_NUMERICAL
@@ -214,7 +213,7 @@ def _read_sample(path: str) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read input file {path!r}: {exc.strerror}")
+        raise ValueError(f"cannot read input file {path!r}: {exc.strerror}") from None
     values = []
     start = 0
     if lines:
@@ -229,12 +228,12 @@ def _read_sample(path: str) -> np.ndarray:
         try:
             v = float(text)
         except ValueError:
-            raise SystemExit(f"error: {path}:{ln}: not a decimal value: {text!r}")
+            raise ValueError(f"{path}:{ln}: not a decimal value: {text!r}") from None
         if not math.isfinite(v):
-            raise SystemExit(f"error: {path}:{ln}: non-finite value: {text!r}")
+            raise ValueError(f"{path}:{ln}: non-finite value: {text!r}")
         values.append(v)
     if len(values) < 20:
-        raise SystemExit(f"error: {path}: need at least 20 data rows, found {len(values)}")
+        raise ValueError(f"{path}: need at least 20 data rows, found {len(values)}")
     return np.asarray(values, dtype=float)
 
 
@@ -276,11 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            sys.stderr.write(exc.code + "\n")
-            return EXIT_USAGE
-        return int(exc.code or 0)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

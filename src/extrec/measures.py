@@ -1,9 +1,9 @@
 """Extropy-type information functionals of distributions and their k-records.
 
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
-CLI ``--measure`` id and verify residual family; the functions read it.  A
-row's factory returns its kernel K alone, one object per distinct kernel; a
-gap's weight K(u) - K(1-u) is derived from K (:mod:`extrec.symmetry`).
+CLI ``--measure`` id and verify residual family; :func:`measure_value`
+evaluates every row, gaps included, for the public functions and the CLI.  A
+row's factory returns its kernel K alone, one object per distinct kernel.
 
 All cdf-based measures are evaluated in quantile form, i.e. as integrals of
 ``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
@@ -12,7 +12,8 @@ the same kernel as an independent cross-check (``*_via_support``,
 ``extropy_via_quantile``), so no row names an oracle.  Plain and generalized,
 base-level and record-level measures share one kernel, so the reduction
 identities (m=2 generalized == plain, n=1 record of order m == base of order
-k*m) hold exactly.
+k*m) hold exactly.  A gap row (one with a verify ``family``) integrates
+K(u) - K(1-u) against :func:`eta` over (0, 1/2) and has no support form.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -192,12 +193,33 @@ def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upp
     return params, (point["n"], point["k"], point["m"])
 
 
+def eta(d: Distribution, u: float) -> float:
+    """Reciprocal density-quantile gap 1/dqf(1-u) - 1/dqf(u); zero iff symmetric."""
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"eta is defined on open (0, 1), got u={u!r}")
+    return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
+
+
+def _gap_integral(K: Callable[[float], float], form: str, d: Distribution,
+                  tol: float) -> QuadResult:
+    """Integral over (0, 1/2) of the gap weight K(u) - K(1-u) times eta(u), or
+    times (dqf_c - dqf)(u) for the ``w*dqf`` form."""
+    if form == "K/dqf":
+        against = functools.partial(eta, d)
+    else:
+        against = lambda u: d.dqf_c(u) - d.dqf(u)
+    return integrate_support(lambda u: (K(u) - K(1.0 - u)) * against(u), (0.0, 0.5), tol)
+
+
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Evaluate a measure row of :data:`KERNELS` on ``d``."""
+    """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
+    over (0, 1/2), every other row in quantile form."""
     params, nkm = resolve(row, n, k, m, side)
     upper = params.get("side", row.side) == "upper"
-    if row.form == "f^2":
+    if row.family is not None:
+        qr = _gap_integral(row.kernel(*nkm), row.form, d, tol)
+    elif row.form == "f^2":
         qr = integrate_support(lambda x: d.pdf(x) ** 2, d.support, tol)
     elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
         # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
@@ -222,8 +244,10 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
     A quantile-form row integrates over the support with u = p(x), where p is
     ``d.sf`` on the upper side and ``d.cdf`` on the lower: K(p(x)) for
     ``K/dqf``, K(p(x)) * pdf(x)^2 for ``w*dqf``.  The ``f^2`` row integrates
-    dqf over (0, 1).
+    dqf over (0, 1).  A gap row has no other form: ValueError.
     """
+    if row.family is not None:
+        raise ValueError(f"{row.measure_id} is a gap and has no support form")
     params, nkm = resolve(row, n, k, m, side)
     if row.form == "f^2":
         qr = integrate_unit(d.dqf, tol)

@@ -162,19 +162,14 @@ def _scan_one(base: Distribution, n: int, k: int, upper: bool, rng: np.random.Ge
         m = min(batch, max_draws - drawn)
         xs = sign * draw(base, rng, m)
         drawn += m
-        threshold = top[0]
-        pos = 0
-        while pos < m:
-            hits = xs[pos:] > threshold
-            if not hits.any():
-                break
-            j = pos + int(np.argmax(hits))
-            heapq.heapreplace(top, float(xs[j]))
-            threshold = top[0]
-            seen += 1
-            if seen == n:
-                return sign * threshold
-            pos = j + 1
+        # top[0] only rises, so the batch's candidates are the draws above its
+        # value at batch start; each is rechecked in stream order
+        for x in xs[xs > top[0]].tolist():
+            if x > top[0]:
+                heapq.heapreplace(top, x)
+                seen += 1
+                if seen == n:
+                    return sign * top[0]
         batch = min(batch * 2, 65536)
     return None
 

@@ -7,7 +7,9 @@ its k-records, plain, generalized, and inaccuracy-type) all reduce to
 weighted integrals of ``eta`` over (0, 1/2); those antisymmetrized forms are
 how every residual here is computed, because they stay finite in cases where
 the individual measures diverge.  The gaps and their kernels are the rows of
-:data:`extrec.measures.KERNELS` that name a verify family.
+:data:`extrec.measures.KERNELS` that name a verify family, and
+:func:`extrec.measures.measure_value` evaluates them as it does every row;
+``eta`` is defined there and re-exported here.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -16,7 +18,6 @@ spacings estimators and calibrates it against a symmetrized bootstrap null.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -24,8 +25,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus, integrate_support
-from .measures import KERNELS, KernelRow, MeasureValue, resolve, scaled_result
+from .quad import DEFAULT_TOL, QuadResult, QuadStatus
+from .measures import (KERNELS, MeasureValue, _gap_integral, eta, measure_value, resolve,
+                       scaled_result)
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -37,7 +39,6 @@ __all__ = [
     "eta",
     "eta_profile",
     "class_c_check",
-    "gap_value",
     "delta1",
     "delta2",
     "delta3",
@@ -66,13 +67,6 @@ class ClassC(str, enum.Enum):
     @property
     def is_member(self) -> bool:
         return self is not ClassC.NOT_MEMBER
-
-
-def eta(d: Distribution, u: float) -> float:
-    """Reciprocal density-quantile gap 1/dqf(1-u) - 1/dqf(u); zero iff symmetric."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"eta is defined on open (0, 1), got u={u!r}")
-    return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
 
 
 @dataclass(frozen=True)
@@ -105,39 +99,20 @@ def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     return ClassC.NOT_MEMBER
 
 
-def _gap_integral(K: Callable[[float], float], form: str, d: Distribution,
-                  tol: float) -> QuadResult:
-    """Integral over (0, 1/2) of the gap weight K(u) - K(1-u) times eta(u), or
-    times (dqf_c - dqf)(u) for the ``w*dqf`` form."""
-    if form == "K/dqf":
-        against = functools.partial(eta, d)
-    else:
-        against = lambda u: d.dqf_c(u) - d.dqf(u)
-    return integrate_support(lambda u: (K(u) - K(1.0 - u)) * against(u), (0.0, 0.5), tol)
-
-
-def gap_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
-              side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Evaluate a gap row (one with a verify ``family``) of the kernel table."""
-    params, nkm = resolve(row, n, k, m, side)
-    qr = _gap_integral(row.kernel(*nkm), row.form, d, tol)
-    return scaled_result(row.measure_id, qr, row.prefactor, params)
-
-
 def delta1(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(u^2 - (1-u)^2) du."""
-    return gap_value(KERNELS["delta1"], d, tol=tol)
+    return measure_value(KERNELS["delta1"], d, tol=tol)
 
 
 def delta2(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Record-level gap crj(upper record) - cpj(lower record), antisymmetrized."""
-    return gap_value(KERNELS["delta2"], d, n, k, tol=tol)
+    return measure_value(KERNELS["delta2"], d, n, k, tol=tol)
 
 
 def delta2_generalized(d: Distribution, n: int, k: int, m: int,
                        tol: float = DEFAULT_TOL) -> MeasureValue:
     """Order-m record-level gap gcrj(upper record) - gcpj(lower record)."""
-    return gap_value(KERNELS["delta2_generalized"], d, n, k, m, tol=tol)
+    return measure_value(KERNELS["delta2_generalized"], d, n, k, m, tol=tol)
 
 
 def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
@@ -147,7 +122,7 @@ def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     At m = 2 the weight is delta1's u^2 - (1-u)^2, so delta3(d, 2) == -delta1(d)
     exactly.
     """
-    return gap_value(KERNELS["delta3"], d, m=m, tol=tol)
+    return measure_value(KERNELS["delta3"], d, m=m, tol=tol)
 
 
 def delta_kij(d: Distribution, n: int, tol: float = DEFAULT_TOL) -> MeasureValue:
@@ -157,12 +132,12 @@ def delta_kij(d: Distribution, n: int, tol: float = DEFAULT_TOL) -> MeasureValue
     density-quantile gap; identical to the difference of the two inaccuracy
     measures whenever both converge, and identically zero at n=1.
     """
-    return gap_value(KERNELS["delta_kij"], d, n, tol=tol)
+    return measure_value(KERNELS["delta_kij"], d, n, tol=tol)
 
 
 def delta_crij(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
     """Cumulative inaccuracy gap crij(upper record) - cpij(lower record)."""
-    return gap_value(KERNELS["delta_crij"], d, n, k, tol=tol)
+    return measure_value(KERNELS["delta_crij"], d, n, k, tol=tol)
 
 
 class Verdict(str, enum.Enum):

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,15 @@ class TestRecordsSimCommand:
         assert pa["values"] == pb["values"]
         assert pa["seed"] == 321
 
+    @pytest.mark.parametrize("argv, raw", [
+        (("records-sim", "--dist", "uniform", "--count", "5"), "1.5"),
+        (("symtest", "--input", str(DATA / "symmetric_20.txt")), "abc"),
+    ], ids=["records-sim", "symtest"])
+    def test_non_integer_env_seed_exits_2(self, argv, raw):
+        proc, _ = run_cli(*argv, env_extra={"EXTROPY_SEED": raw})
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: environment variable EXTROPY_SEED={raw!r} is not an integer\n"
+
 
 class TestSymtestCommand:
     def test_symmetric_toy_fails_to_reject(self):
@@ -163,20 +174,22 @@ class TestSymtestCommand:
     def test_missing_file_exits_2(self):
         proc, _ = run_cli("symtest", "--input", "does/not/exist.txt")
         assert proc.returncode == 2
+        assert proc.stderr == ("error: cannot read input file 'does/not/exist.txt': "
+                               f"{os.strerror(errno.ENOENT)}\n")
 
     def test_corrupt_line_diagnostic(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("\n".join(["1.0"] * 10 + ["oops"] + ["2.0"] * 10))
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
-        assert ":11:" in proc.stderr
+        assert proc.stderr == f"error: {f}:11: not a decimal value: 'oops'\n"
 
     def test_short_file_exits_2(self, tmp_path):
         f = tmp_path / "short.txt"
         f.write_text("\n".join(str(v) for v in range(10)))
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
-        assert "at least 20" in proc.stderr
+        assert proc.stderr == f"error: {f}: need at least 20 data rows, found 10\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--replicates", "100", "error: replicates must be >= 199, got 100"),
@@ -192,6 +205,7 @@ class TestSymtestCommand:
         f.write_text("\n".join(["1.0"] * 20 + ["inf"]))
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
+        assert proc.stderr == f"error: {f}:21: non-finite value: 'inf'\n"
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import pytest
 
 from extrec import measures as M
+from extrec import symmetry as S
 from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import QuadStatus
 
@@ -202,6 +204,27 @@ class TestSupportFormAgreement:
             assert a.quad_status is b.quad_status, (a.measure_id, a.quad_status, b.quad_status)
         if a.is_finite and b.is_finite:
             assert abs(a.value - b.value) < 1e-6, (a.measure_id, a.value, b.value)
+
+
+class TestOneEvaluator:
+    """measure_value evaluates every row of the table, gaps included, exactly
+    as the row's public function does; only measure rows have a support form."""
+
+    @pytest.mark.parametrize("row", list(M.KERNELS.values()), ids=lambda row: row.measure_id)
+    @pytest.mark.parametrize("d", [P2, E1], ids=lambda d: d.spec_string())
+    def test_measure_value_is_the_public_function(self, d, row):
+        point = {"n": 2, "k": 2, "m": 3, "side": "lower"}
+        public = getattr(M, row.measure_id, None) or getattr(S, row.measure_id)
+        a = public(d, **{p: point[p] for p in row.params})
+        b = M.measure_value(row, d, **point)
+        assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
+        assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+
+    @pytest.mark.parametrize("row", [row for row in M.KERNELS.values() if row.family is not None],
+                             ids=lambda row: row.measure_id)
+    def test_gap_rows_have_no_oracle(self, row):
+        with pytest.raises(ValueError, match="no support form"):
+            M.oracle_value(row, P2)
 
 
 def _log_power_integral(n, k, m, a):
