@@ -39,20 +39,6 @@ _SEED_ENV = "EXTROPY_SEED"
 _MEASURES = {row.id: row for row in M.KERNELS.values() if row.id is not None}
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not (v > 0 and math.isfinite(v)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return v
-
-
 def _seed_default() -> int:
     raw = os.environ.get(_SEED_ENV)
     if raw is None:
@@ -75,38 +61,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="compute one measure of a distribution")
     common(p)
     p.add_argument("--measure", required=True, choices=sorted(_MEASURES))
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--m", type=_positive_int, default=2)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--m", type=int, default=2)
     p.add_argument("--side", choices=SIDES, default="upper")
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("verify", help="verify the symmetry characterizations")
     common(p)
-    p.add_argument("--max-n", type=_positive_int, default=4)
-    p.add_argument("--max-k", type=_positive_int, default=4)
-    p.add_argument("--max-m", type=_positive_int, default=4)
-    p.add_argument("--tol", type=_positive_float, default=S.RESIDUAL_TOL)
-    p.add_argument("--quad-tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-m", type=int, default=4)
+    p.add_argument("--tol", type=float, default=S.RESIDUAL_TOL)
+    p.add_argument("--quad-tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("classc", help="one-signed comparison class membership")
     common(p)
-    p.add_argument("--grid-size", type=_positive_int, default=512)
+    p.add_argument("--grid-size", type=int, default=512)
 
     p = sub.add_parser("records-sim", help="simulate n-th upper/lower k-records")
     common(p)
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--k", type=_positive_int, default=1)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--k", type=int, default=1)
     p.add_argument("--side", choices=SIDES, default="upper")
-    p.add_argument("--count", type=_positive_int, default=1000)
+    p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-draws", type=_positive_int, default=10_000_000)
+    p.add_argument("--max-draws", type=int, default=10_000_000)
 
     p = sub.add_parser("symtest", help="bootstrap symmetry test on a data file")
     common(p, dist=False)
     p.add_argument("--input", required=True, help="newline-delimited decimals, optional header line")
-    p.add_argument("--replicates", type=_positive_int, default=999)
-    p.add_argument("--alpha", type=_positive_float, default=0.05)
+    p.add_argument("--replicates", type=int, default=999)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     return ap
 

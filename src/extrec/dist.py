@@ -470,13 +470,13 @@ def make_distribution(spec: str) -> Distribution:
     """
     if not isinstance(spec, str) or not spec.strip():
         raise SpecParseError(f"empty distribution spec {spec!r}")
-    name, _, rest = spec.strip().partition(":")
+    name, sep, rest = spec.strip().partition(":")
     cls = CATALOG.get(name)
     if cls is None:
         known = ", ".join(sorted(CATALOG))
         raise SpecParseError(f"unknown distribution {name!r}; expected one of: {known}")
     kwargs: dict[str, float] = {}
-    if rest:
+    if sep:
         valid = {f.name for f in fields(cls)}
         for item in rest.split(","):
             key, eq, raw = item.partition("=")
@@ -492,8 +492,6 @@ def make_distribution(spec: str) -> Distribution:
                 val = float(raw.strip())
             except ValueError:
                 raise SpecParseError(f"parameter {key!r} has non-decimal value {raw.strip()!r}") from None
-            if not math.isfinite(val):
-                raise SpecParseError(f"parameter {key!r} must be finite, got {raw.strip()!r}")
             kwargs[key] = val
     try:
         return cls(**kwargs)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus, integrate_support, integrate_unit
+from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support, integrate_unit
 from .records import PhiKernel, _record_weight, check_params
 
 __all__ = [
@@ -185,10 +185,11 @@ KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
 
 
 def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upper") -> tuple:
-    """The row's free parameters, checked, and its kernel's (n, k, m)."""
+    """The row's free parameters and its kernel's (n, k, m); all four arguments
+    are checked, whether or not the row uses them."""
     given = {"n": n, "k": k, "m": m, "side": side}
+    check_params(**given)
     params = {p: given[p] for p in row.params}
-    check_params(**params)
     point = {"n": 1, "k": 1, "m": 2, **row.fixed, **params}
     return params, (point["n"], point["k"], point["m"])
 
@@ -215,6 +216,7 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
     over (0, 1/2), every other row in quantile form."""
+    check_tol(tol=tol)
     params, nkm = resolve(row, n, k, m, side)
     upper = params.get("side", row.side) == "upper"
     if row.family is not None:

@@ -35,6 +35,7 @@ __all__ = [
     "MAGNITUDE_CAP",
     "QuadStatus",
     "QuadResult",
+    "check_tol",
     "integrate_unit",
     "integrate_support",
 ]
@@ -48,6 +49,13 @@ MAGNITUDE_CAP = 1e12
 _AITKEN_MAX_RATIO = 0.95
 _DIVERGENCE_MIN_RATIO = 0.98
 _FAST_GROWTH_RATIO = 5.0
+
+
+def check_tol(**values) -> None:
+    """The one check of tolerances: each must be finite and > 0."""
+    for label, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{label} must be a positive finite number, got {v!r}")
 
 
 class QuadStatus(str, enum.Enum):
@@ -128,8 +136,7 @@ def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:
     resolved by extrapolating the trim ladder, non-integrable ones are
     reported as divergence with the sign of the growth.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol=tol)
     rung_tol = tol / 50.0
 
     vals: list[float] = []

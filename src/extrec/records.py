@@ -33,7 +33,8 @@ _LAM_DIRECT_MAX = 680.0
 
 
 def check_params(**values) -> None:
-    """The one check of record parameters: n, k, m integers >= 1, side in SIDES."""
+    """The one check of record parameters and counts: ``side`` in SIDES, every
+    other label (n, k, m, a grid bound, a count) an integer >= 1."""
     for label, v in values.items():
         if label == "side":
             if v not in SIDES:
@@ -185,9 +186,7 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     execution schedule.  A realization whose stream exceeds ``max_draws`` is
     aborted and counted in ``aborted``.
     """
-    check_params(n=n, k=k, side=side)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_params(n=n, k=k, side=side, count=count)
     if max_draws < k:
         raise ValueError(f"max_draws must be >= k, got {max_draws}")
     upper = side == "upper"

@@ -25,7 +25,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus
+from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol
+from .records import check_params
 from .measures import (KERNELS, MeasureValue, _gap_integral, eta, measure_value, resolve,
                        scaled_result)
 
@@ -186,10 +187,8 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     ``tol``; anything else (non-membership, or only divergent/unsettled
     comparisons) is ``inconclusive``.
     """
-    if min(max_n, max_k, max_m) < 1:
-        raise ValueError("max_n, max_k, max_m must all be >= 1")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_params(max_n=max_n, max_k=max_k, max_m=max_m)
+    check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
     limits = {"n": max_n, "k": max_k, "m": max_m}
     # the factories return one object per distinct kernel, so each is integrated

@@ -208,6 +208,42 @@ class TestSymtestCommand:
         assert proc.stderr == f"error: {f}:21: non-finite value: 'inf'\n"
 
 
+SYM20 = str(DATA / "symmetric_20.txt")
+
+#: (argv ending in the offending option, the library's message)
+OUT_OF_RANGE = [
+    (("measure", "--dist", "uniform", "--measure", "crj", "--n", "0"),
+     "n must be an integer >= 1, got 0"),
+    (("measure", "--dist", "normal", "--measure", "crj", "--tol", "0"),
+     "tol must be a positive finite number, got 0.0"),
+    (("measure", "--dist", "uniform", "--measure", "crj", "--tol", "inf"),
+     "tol must be a positive finite number, got inf"),
+    (("verify", "--dist", "uniform", "--max-n", "0"),
+     "max_n must be an integer >= 1, got 0"),
+    (("verify", "--dist", "uniform", "--tol", "inf"),
+     "tol must be a positive finite number, got inf"),
+    (("verify", "--dist", "uniform", "--quad-tol", "inf"),
+     "quad_tol must be a positive finite number, got inf"),
+    (("classc", "--dist", "uniform", "--grid-size", "0"), "grid_size must be >= 64, got 0"),
+    (("records-sim", "--dist", "uniform", "--count", "0"), "count must be an integer >= 1, got 0"),
+    (("records-sim", "--dist", "uniform", "--max-draws", "0"), "max_draws must be >= k, got 0"),
+    (("symtest", "--input", SYM20, "--alpha", "nan"), "alpha must lie in (0, 1), got nan"),
+    (("symtest", "--input", SYM20, "--replicates", "0"), "replicates must be >= 199, got 0"),
+    (("measure", "--measure", "crj", "--dist", "normal:mu=inf"),
+     "bad parameters in spec 'normal:mu=inf': normal: mu must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[f"{argv[0]} {argv[-2]} {argv[-1]}" for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_value_is_the_library_error(argv, message, capsys):
+    # the CLI parses plain int/float; the library's own check reports the range
+    from extrec import cli
+
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestDeterminism:
     def test_byte_identical_json_across_runs_and_threads(self):
         cases = [

@@ -61,6 +61,8 @@ class TestSpecGrammar:
         "power:theta=abc",         # non-decimal
         "power:theta=inf",         # non-finite
         "power:theta=1,theta=2",   # duplicate
+        "normal:",                 # empty parameter list
+        "uniform:",
         "",
     ])
     def test_parse_errors(self, bad):

@@ -189,19 +189,41 @@ class TestSignAndStatus:
 MEASURE_ROWS = [row for row in M.KERNELS.values() if row.family is None]
 
 
+#: (n, k, m, side) points of the agreement test; cases at the first carry no point suffix
+AGREEMENT_POINTS = ((2, 2, 3, "upper"), (2, 1, 3, "lower"))
+AGREEMENT_LAWS = [U, E1, P2, PA2, NM, Laplace(), Logistic(),
+                  PowerFunction(theta=0.777), Pareto(theta=0.5)]
+#: (measure_id, law, point) -> why the two forms disagree on status there
+FORM_DISAGREEMENTS = {
+    ("kij_record", "power:theta=0.777", AGREEMENT_POINTS[1]):
+        "kij defect: the primary settles on the closed form, the oracle's log-singular end does not",
+    ("record_gcrj_upper", "pareto:theta=0.5", AGREEMENT_POINTS[1]):
+        "the primary settles on the closed form -16, the oracle's log-singular end does not",
+    ("crij_upper", "pareto:theta=0.5", AGREEMENT_POINTS[0]):
+        "the primary settles on the closed form -3, the support-form oracle does not",
+}
+
+
+def _agreement_cases():
+    for point in AGREEMENT_POINTS:
+        suffix = "" if point == AGREEMENT_POINTS[0] else "-" + "-".join(map(str, point))
+        for d in AGREEMENT_LAWS:
+            for row in MEASURE_ROWS:
+                reason = FORM_DISAGREEMENTS.get((row.measure_id, d.spec_string(), point))
+                marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+                yield pytest.param(d, row, dict(zip(("n", "k", "m", "side"), point)), marks=marks,
+                                   id=f"{d.spec_string()}-{row.measure_id}{suffix}")
+
+
 class TestSupportFormAgreement:
-    @pytest.mark.parametrize("row", MEASURE_ROWS, ids=lambda row: row.measure_id)
-    @pytest.mark.parametrize("d", [U, E1, P2, PA2, NM, Laplace(), Logistic()],
-                             ids=lambda d: d.spec_string())
-    def test_quantile_vs_support(self, d, row):
-        # every row's public function and its oracle, at one (n, k, m, side) point
-        point = {"n": 2, "k": 2, "m": 3, "side": "upper"}
+    @pytest.mark.parametrize("d, row, point", _agreement_cases())
+    def test_quantile_vs_support(self, d, row, point):
+        # every row's public function and its oracle agree on status, and on value when finite
         args = [point[p] for p in row.params]
         a = getattr(M, row.measure_id)(d, *args)
         b = M.oracle_value(row, d, **point)
         assert (a.measure_id, a.params) == (b.measure_id, b.params)
-        if b.quad_status is not QuadStatus.NO_CONVERGENCE:
-            assert a.quad_status is b.quad_status, (a.measure_id, a.quad_status, b.quad_status)
+        assert a.quad_status is b.quad_status, (a.measure_id, a.quad_status, b.quad_status)
         if a.is_finite and b.is_finite:
             assert abs(a.value - b.value) < 1e-6, (a.measure_id, a.value, b.value)
 
@@ -225,6 +247,24 @@ class TestOneEvaluator:
     def test_gap_rows_have_no_oracle(self, row):
         with pytest.raises(ValueError, match="no support form"):
             M.oracle_value(row, P2)
+
+
+class TestInputChecks:
+    """Every input is checked before any shortcut, used by the row or not."""
+
+    def test_tol_checked_before_structural_divergence(self):
+        # crj of the normal is divergent by structure, without integrating
+        with pytest.raises(ValueError, match="tol must be a positive finite number, got 0"):
+            M.crj(NM, tol=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0}, "n must be an integer >= 1, got 0"),
+        ({"m": 0}, "m must be an integer >= 1, got 0"),
+        ({"side": "middle"}, "side must be one of"),
+    ], ids=["n", "m", "side"])
+    def test_unused_parameters_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            M.measure_value(M.KERNELS["crj"], U, **kwargs)
 
 
 def _log_power_integral(n, k, m, a):

@@ -51,6 +51,12 @@ class TestIntegrateUnit:
         with pytest.raises(ValueError):
             integrate_unit(lambda u: u, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # at tol=inf the raw ladder criterion would accept the first rung of u^-1/2
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            integrate_unit(lambda u: u ** -0.5, tol=tol)
+
     def test_linearity_spot_check(self):
         tol = 1e-8
         f = lambda u: u ** 2

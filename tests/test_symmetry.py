@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -42,6 +43,35 @@ class TiltedCubic(Distribution):
             return 1.0
         t = x - 0.5
         return x + 0.25 * t * t - t ** 4
+
+
+class Kumaraswamy(Distribution):
+    """cdf 1 - (1 - x^a)^b on (0, 1), defined by pdf and cdf only, so every
+    quantile, dqf and dqf_c comes from the generic bisection path."""
+
+    name = "kumaraswamy"
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    @property
+    def support(self):
+        return (0.0, 1.0)
+
+    def pdf(self, x):
+        if not 0.0 < x < 1.0:
+            return 0.0
+        return self.a * self.b * x ** (self.a - 1.0) * (1.0 - x ** self.a) ** (self.b - 1.0)
+
+    def cdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        return -math.expm1(self.b * math.log1p(-x ** self.a))
+
+
+KUMA = Kumaraswamy(2.2, 2.7)
 
 
 class TestEta:
@@ -157,6 +187,23 @@ class TestDelta3:
         assert abs(a - b) < 1e-6
 
 
+class TestPdfCdfOnlyLaw:
+    def test_crj_cpj_converge(self):
+        assert_close(M.crj(KUMA).value, -0.19417706386, 1e-9, "crj kumaraswamy")
+        assert_close(M.cpj(KUMA).value, -0.188884464352, 1e-9, "cpj kumaraswamy")
+
+    @pytest.mark.xfail(strict=True, reason="eta near u = 0 carries more power components than "
+                       "two Aitken levels remove, so the gap ladder does not settle")
+    @pytest.mark.parametrize("gap, measures", [
+        (S.delta1, lambda d: M.crj(d).value - M.cpj(d).value),
+        (lambda d: S.delta3(d, 3), lambda d: M.gcpj(d, 3).value - M.gcrj(d, 3).value),
+    ], ids=["delta1", "delta3_m3"])
+    def test_gap_equals_measure_difference(self, gap, measures):
+        mv = gap(KUMA)
+        assert mv.is_finite, mv.quad_status
+        assert abs(mv.value - measures(KUMA)) < 1e-6
+
+
 class TestDeltaKij:
     def test_identically_zero_at_n1(self):
         for d in (U, E1, P2, PA2, NM):
@@ -224,6 +271,15 @@ class TestVerify:
         assert rep.verdict is S.Verdict.ASYMMETRIC
         # every comparison of this bounded-support law stays finite
         assert all(e.is_finite for e in rep.residuals)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": math.inf}, "tol must be a positive finite number, got inf"),
+        ({"quad_tol": math.inf}, "quad_tol must be a positive finite number, got inf"),
+        ({"max_n": 0}, "max_n must be an integer >= 1, got 0"),
+    ], ids=["tol", "quad_tol", "max_n"])
+    def test_rejects_bad_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            S.verify_characterizations(U, **kwargs)
 
     def test_not_member_is_inconclusive(self):
         rep = S.verify_characterizations(TiltedCubic(), 1, 1, 1)
