@@ -15,8 +15,8 @@ whose bytes moved::
 
 The cases are ``verify`` on every spec of ``verify_catalog.py``, ``measure``
 for every ``--measure`` id on those specs at three (n, k, m, side) points,
-seeded ``records-sim`` on uniform and normal, and ``symtest`` on the files
-under ``tests/data/``.  It takes about five seconds on one core.
+seeded ``records-sim`` over ``RECORD_CASES``, and ``symtest`` on the files
+under ``tests/data/``.  It takes about three seconds on one core.
 """
 
 import collections
@@ -35,6 +35,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 POINTS = (("1", "1", "2", "upper"), ("2", "3", "1", "lower"), ("4", "4", "4", "upper"))
 
+#: records-sim cases (spec, n, k, extra options): vectorised and per-draw
+#: quantiles, both sides, and one case whose streams hit the draw guard.
+RECORD_CASES = (
+    ("uniform", "2", "2"),
+    ("normal", "3", "2"),
+    ("exponential:rate=2", "2", "2", "--side", "lower"),
+    ("laplace", "4", "1"),
+    ("pareto:theta=0.7", "2", "2"),
+    ("uniform", "6", "1", "--max-draws", "1000"),
+)
+
 
 def cases() -> list[list[str]]:
     out = [["verify", "--dist", spec, "--output", "json"] for spec in SPECS]
@@ -43,8 +54,8 @@ def cases() -> list[list[str]]:
             for n, k, m, side in POINTS:
                 out.append(["measure", "--dist", spec, "--measure", measure, "--n", n, "--k", k,
                             "--m", m, "--side", side, "--output", "json"])
-    for spec, n, k in (("uniform", "2", "2"), ("normal", "3", "2")):
-        out.append(["records-sim", "--dist", spec, "--n", n, "--k", k, "--count", "200",
+    for spec, n, k, *extra in RECORD_CASES:
+        out.append(["records-sim", "--dist", spec, "--n", n, "--k", k, *extra, "--count", "200",
                     "--seed", "7", "--output", "json"])
     for data in sorted((ROOT / "tests" / "data").glob("*.txt")):
         out.append(["symtest", "--input", str(data.relative_to(ROOT)), "--replicates", "199",

@@ -177,6 +177,11 @@ def _cmd_records_sim(args) -> int:
     d = make_distribution(args.dist)
     seed = args.seed if args.seed is not None else _seed_default()
     rs = simulate_records(d, args.n, args.k, args.side, args.count, seed, args.max_draws)
+    if rs.aborted:
+        # an aborted stream is one whose n-th record is slow to come, so the
+        # records that would be most extreme are the ones missing
+        sys.stderr.write(f"warning: {rs.aborted} of {args.count} realizations hit --max-draws "
+                         f"{args.max_draws}; the sample omits the most extreme records\n")
     payload = {
         "command": "records-sim",
         "dist": d.spec_string(),

@@ -50,6 +50,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 #: standard normal; its inv_cdf (Wichura's AS 241) is the normal quantile
 _STD_NORMAL = statistics.NormalDist()
+#: Floor of every uniform fed to an inverse transform: a generator's uniforms
+#: lie in [0, 1), and quantile takes only the open (0, 1).
+U_FLOOR = 2.0 ** -53
 
 
 class DistributionError(ValueError):
@@ -499,16 +502,10 @@ def make_distribution(spec: str) -> Distribution:
         raise SpecParseError(f"bad parameters in spec {spec!r}: {exc}") from None
 
 
-def draw(d: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` iid draws from ``d`` by inverse transform of ``rng``'s uniforms."""
-    u = rng.random(count)
-    # keep draws strictly inside (0, 1) for quantile safety
-    np.maximum(u, 2.0 ** -53, out=u)
-    return d.quantile_array(u)
-
-
 def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return draw(d, np.random.default_rng(seed), count)
+    u = np.random.default_rng(seed).random(count)
+    np.maximum(u, U_FLOOR, out=u)
+    return d.quantile_array(u)

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .dist import Distribution, draw
+from .dist import U_FLOOR, Distribution
 
 __all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES"]
 
@@ -30,6 +30,9 @@ SIDES = ("upper", "lower")
 #: Largest -k*log(u) for which the plain ascending recurrence is safe; above
 #: this the terms can overflow for large n and we switch to the log domain.
 _LAM_DIRECT_MAX = 680.0
+
+#: Largest batch of the record scan's stream, and the length of its one buffer.
+_MAX_BATCH = 65536
 
 
 def check_params(**values) -> None:
@@ -148,30 +151,37 @@ class RecordSample:
     aborted: int
 
 
-def _scan_one(base: Distribution, n: int, k: int, upper: bool, rng: np.random.Generator,
-              max_draws: int) -> float | None:
-    """Literal definitional scan of one iid stream until the n-th k-record."""
-    sign = 1.0 if upper else -1.0
-    top = list(sign * draw(base, rng, k))  # min-heap of the k largest (sign-flipped for lower)
+def _scan_one(n: int, k: int, upper: bool, rng: np.random.Generator, max_draws: int,
+              buf: np.ndarray) -> float | None:
+    """Literal definitional scan of one iid uniform stream until the n-th k-record;
+    returns that record's uniform.  ``buf`` holds each batch of the stream."""
+    first = np.maximum(rng.random(k), U_FLOOR)
+    # min-heap of the k largest uniforms (sign-flipped for lower)
+    top = (first if upper else -first).tolist()
     heapq.heapify(top)
     drawn = k
     seen = 1
     if seen == n:
-        return sign * top[0]
+        return top[0] if upper else -top[0]
     batch = 128
     while drawn < max_draws:
         m = min(batch, max_draws - drawn)
-        xs = sign * draw(base, rng, m)
+        us = rng.random(m, out=buf[:m])
         drawn += m
-        # top[0] only rises, so the batch's candidates are the draws above its
-        # value at batch start; each is rechecked in stream order
-        for x in xs[xs > top[0]].tolist():
+        # top[0] only rises, so the batch's candidates are the draws beyond its
+        # value at batch start; each is rechecked in stream order.  Upper
+        # candidates exceed top[0] >= U_FLOOR, so only lower ones need the floor.
+        if upper:
+            cand = us[us > top[0]]
+        else:
+            cand = -np.maximum(us[us < -top[0]], U_FLOOR)
+        for x in cand.tolist():
             if x > top[0]:
                 heapq.heapreplace(top, x)
                 seen += 1
                 if seen == n:
-                    return sign * top[0]
-        batch = min(batch * 2, 65536)
+                    return top[0] if upper else -top[0]
+        batch = min(batch * 2, _MAX_BATCH)
     return None
 
 
@@ -179,24 +189,27 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
                      seed: int, max_draws: int = 10_000_000) -> RecordSample:
     """``count`` independent realizations of the n-th (upper|lower) k-record.
 
-    Each realization scans its own iid stream, maintaining the running top-k
-    (bottom-k) and emitting the k-th extreme each time it changes, exactly as
-    the record process is defined.  Realizations use seeds derived from
-    ``(seed, index)``, so results are deterministic and independent of any
-    execution schedule.  A realization whose stream exceeds ``max_draws`` is
-    aborted and counted in ``aborted``.
+    Each realization scans its own iid stream of the uniforms that drive the
+    inverse transform, maintaining the running top-k (bottom-k) and emitting
+    the k-th extreme each time it changes, exactly as the record process is
+    defined.  The quantile is nondecreasing, so the records of F^-1(U) are
+    F^-1 of the records of U: every record uniform goes through one
+    ``quantile_array`` call at the end, one quantile per realization rather
+    than one per draw.  Realizations use seeds derived from ``(seed, index)``,
+    so results are deterministic and independent of any execution schedule.
+    A realization whose stream exceeds ``max_draws`` is aborted and counted in
+    ``aborted``.
     """
     check_params(n=n, k=k, side=side, count=count)
     if max_draws < k:
         raise ValueError(f"max_draws must be >= k, got {max_draws}")
     upper = side == "upper"
-    out = []
-    aborted = 0
+    buf = np.empty(_MAX_BATCH)
+    us = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        v = _scan_one(base, n, k, upper, rng, max_draws)
-        if v is None:
-            aborted += 1
-        else:
-            out.append(v)
-    return RecordSample(values=np.asarray(out, dtype=float), aborted=aborted)
+        u = _scan_one(n, k, upper, rng, max_draws, buf)
+        if u is not None:
+            us.append(u)
+    return RecordSample(values=base.quantile_array(np.asarray(us, dtype=float)),
+                        aborted=count - len(us))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from extrec.dist import (
+    Distribution,
     Exponential,
     Laplace,
     Logistic,
@@ -26,6 +27,33 @@ CATALOG_MEMBERS = [
 ]
 
 SYMMETRIC_MEMBERS = [Uniform(), Normal(), Laplace(), Logistic()]
+
+
+class Kumaraswamy(Distribution):
+    """cdf 1 - (1 - x^a)^b on (0, 1), defined by pdf and cdf only, so every
+    quantile, dqf and dqf_c comes from the generic bisection path."""
+
+    name = "kumaraswamy"
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    @property
+    def support(self):
+        return (0.0, 1.0)
+
+    def pdf(self, x):
+        if not 0.0 < x < 1.0:
+            return 0.0
+        return self.a * self.b * x ** (self.a - 1.0) * (1.0 - x ** self.a) ** (self.b - 1.0)
+
+    def cdf(self, x):
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        return -math.expm1(self.b * math.log1p(-x ** self.a))
+
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -136,6 +136,16 @@ class TestRecordsSimCommand:
         assert proc.returncode == 0
         assert len(payload["values"]) + payload["aborted"] == 50
         assert all(0.0 <= v <= 1.0 for v in payload["values"])
+        assert proc.stderr == ""
+
+    def test_aborted_streams_warn_on_stderr(self):
+        proc, payload = run_cli("records-sim", "--dist", "uniform", "--n", "3", "--max-draws", "4",
+                                "--count", "50", "--seed", "1",
+                                "--output", "json", check_json="records-sim")
+        assert proc.returncode == 0
+        assert payload["aborted"] == 38 and len(payload["values"]) == 12
+        assert proc.stderr == ("warning: 38 of 50 realizations hit --max-draws 4; "
+                               "the sample omits the most extreme records\n")
 
     def test_env_seed_fallback(self):
         a, pa = run_cli("records-sim", "--dist", "uniform", "--count", "10",

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,13 +6,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extrec.dist import Exponential, Normal, Uniform
+from extrec.dist import Exponential, Normal, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import PhiKernel, RecordLaw, simulate_records
+from extrec.records import PhiKernel, RecordLaw, _scan_one, simulate_records
 
-from conftest import assert_close, ks_distance
+from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
 KS_CRIT_99 = 1.63 / math.sqrt(10_000)
+
+#: every catalog law, a Scaled law and a law defined by pdf and cdf only
+SCAN_LAWS = [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5), Kumaraswamy(2.2, 2.7)]
+
+
+def _scan_x(base, n, k, upper, rng, max_draws):
+    """The scan on X that simulate_records replaced: each batch of uniforms is
+    floored at 2^-53 and mapped through the quantile before the comparison."""
+    sign = 1.0 if upper else -1.0
+
+    def draw(m):
+        return sign * base.quantile_array(np.maximum(rng.random(m), 2.0 ** -53))
+
+    top = list(draw(k))
+    heapq.heapify(top)
+    drawn, seen, batch = k, 1, 128
+    if seen == n:
+        return sign * top[0]
+    while drawn < max_draws:
+        m = min(batch, max_draws - drawn)
+        xs = draw(m)
+        drawn += m
+        for x in xs[xs > top[0]].tolist():
+            if x > top[0]:
+                heapq.heapreplace(top, x)
+                seen += 1
+                if seen == n:
+                    return sign * top[0]
+        batch = min(batch * 2, 65536)
+    return None
+
+
+class _Replay:
+    """Generator stand-in that replays a fixed stream of uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+
+    def random(self, m, out=None):
+        r = self.values[self.pos:self.pos + m]
+        self.pos += m
+        if out is None:
+            return r.copy()
+        out[:] = r
+        return out
+
+
+def _simulate_x(base, n, k, side, count, seed, max_draws=10_000_000):
+    out = [_scan_x(base, n, k, side == "upper", np.random.default_rng([seed, i]), max_draws)
+           for i in range(count)]
+    kept = [v for v in out if v is not None]
+    return np.asarray(kept, dtype=float), count - len(kept)
 
 
 class TestPhiKernel:
@@ -183,6 +237,47 @@ class TestSimulateRecords:
         rs = simulate_records(Uniform(), 3, 1, "upper", 50, seed=1, max_draws=4)
         assert rs.aborted > 0
         assert rs.values.size == 50 - rs.aborted
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("base", SCAN_LAWS, ids=lambda d: d.spec_string())
+    def test_bytes_match_scan_on_x(self, base, n, k, side):
+        # the uniform-space scan keeps every sample byte of the scan on X
+        rs = simulate_records(base, n, k, side, 20, seed=3)
+        values, aborted = _simulate_x(base, n, k, side, 20, seed=3)
+        assert rs.values.tobytes() == values.tobytes()
+        assert rs.aborted == aborted == 0
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_aborted_bytes_match_scan_on_x(self, side):
+        rs = simulate_records(Normal(), 3, 1, side, 50, seed=1, max_draws=4)
+        values, aborted = _simulate_x(Normal(), 3, 1, side, 50, seed=1, max_draws=4)
+        assert rs.values.tobytes() == values.tobytes()
+        assert rs.aborted == aborted > 0
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1)])
+    def test_exact_zero_draws_match_scan_on_x(self, n, k, side):
+        # a generator can return exact 0.0; both scans floor it at 2^-53
+        tiny = 2.0 ** -53
+        stream = [0.0, 0.0, 0.5, 0.0, tiny, 0.25, 0.75, 0.0, tiny, 0.125] * 13
+        d = Exponential(rate=1.0)
+        u = _scan_one(n, k, side == "upper", _Replay(stream), len(stream), np.empty(65536))
+        x = _scan_x(d, n, k, side == "upper", _Replay(stream), len(stream))
+        assert (u is None and x is None) or d.quantile_array(np.array([u]))[0] == x
+
+    def test_one_quantile_call_per_realization(self, monkeypatch):
+        calls = []
+        quantile = Normal.quantile
+
+        def counted(self, u):
+            calls.append(u)
+            return quantile(self, u)
+
+        monkeypatch.setattr(Normal, "quantile", counted)
+        rs = simulate_records(Normal(), 4, 3, "upper", 50, seed=1)
+        assert rs.aborted == 0
+        assert len(calls) == 50
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from extrec import symmetry as S
 from extrec.dist import Distribution, Exponential, Normal, Pareto, PowerFunction, Uniform
 from extrec.quad import QuadStatus
 
-from conftest import CATALOG_MEMBERS, SYMMETRIC_MEMBERS, assert_close
+from conftest import CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, assert_close
 
 U, E1, P2, PA2, NM = Uniform(), Exponential(rate=1.0), PowerFunction(theta=2.0), Pareto(theta=2.0), Normal()
 
@@ -43,32 +43,6 @@ class TiltedCubic(Distribution):
             return 1.0
         t = x - 0.5
         return x + 0.25 * t * t - t ** 4
-
-
-class Kumaraswamy(Distribution):
-    """cdf 1 - (1 - x^a)^b on (0, 1), defined by pdf and cdf only, so every
-    quantile, dqf and dqf_c comes from the generic bisection path."""
-
-    name = "kumaraswamy"
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    @property
-    def support(self):
-        return (0.0, 1.0)
-
-    def pdf(self, x):
-        if not 0.0 < x < 1.0:
-            return 0.0
-        return self.a * self.b * x ** (self.a - 1.0) * (1.0 - x ** self.a) ** (self.b - 1.0)
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return -math.expm1(self.b * math.log1p(-x ** self.a))
 
 
 KUMA = Kumaraswamy(2.2, 2.7)
