@@ -6,6 +6,10 @@ density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
 provide closed forms (for symmetric laws it coincides with ``dqf`` exactly).
+``dqf`` and ``dqf_c`` take one u or an array of them: the quadrature
+evaluates them once per array of nodes.  Catalog laws write each formula
+once in numpy; a law defined by ``pdf``/``cdf`` alone gets both lifted from
+its scalar methods by :func:`lift`.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -42,6 +46,7 @@ __all__ = [
     "Scaled",
     "CATALOG",
     "make_distribution",
+    "lift",
     "sample",
     "scale",
 ]
@@ -134,19 +139,18 @@ class Distribution:
                 step *= 2.0
         return lo, hi
 
-    def dqf(self, u: float) -> float:
-        """Density-quantile function f(F^-1(u)), u in (0, 1)."""
+    def dqf(self, u):
+        """Density-quantile function f(F^-1(u)), u in (0, 1); one u or an array."""
         _check_unit_open(u)
-        return self.pdf(self.quantile(u))
+        return lift(lambda v: self.pdf(self.quantile(v)), u)
 
-    def dqf_c(self, u: float) -> float:
+    def dqf_c(self, u):
         """Complement form f(F^-1(1-u)); override with a stable closed form."""
         _check_unit_open(u)
         return self.dqf(1.0 - u)
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.quantile(float(v)) for v in np.ravel(u)),
-                           dtype=float, count=np.size(u))
+        return lift(self.quantile, np.asarray(u, dtype=float))
 
     def spec_string(self) -> str:
         if not self.params:
@@ -158,9 +162,24 @@ class Distribution:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
 
-def _check_unit_open(u: float) -> None:
-    if not 0.0 < u < 1.0:
-        raise DistributionError(f"u must lie strictly inside (0, 1), got {u!r}")
+def _check_unit_open(u) -> None:
+    """Every u, one value or an array, lies strictly inside (0, 1)."""
+    if not isinstance(u, np.ndarray):  # np.ndim would cost more than the scalar check
+        if not 0.0 < u < 1.0:
+            raise DistributionError(f"u must lie strictly inside (0, 1), got {u!r}")
+        return
+    inside = (u > 0.0) & (u < 1.0)
+    if not inside.all():
+        raise DistributionError(
+            f"u must lie strictly inside (0, 1), got {float(u[~inside].flat[0])!r}")
+
+
+def lift(fn, x):
+    """``fn`` of one value, applied to each element of an array ``x``; a plain
+    call when ``x`` is a single value."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True, repr=False)
@@ -202,9 +221,9 @@ class Uniform(_CatalogLaw):
         _check_unit_open(u)
         return u
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
-        return 1.0
+        return 1.0 + 0.0 * u  # 1, in the shape of u
 
     dqf_c = dqf
 
@@ -233,11 +252,11 @@ class Exponential(_CatalogLaw):
         _check_unit_open(u)
         return -math.log1p(-u) / self.rate
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
         return self.rate * (1.0 - u)
 
-    def dqf_c(self, u: float) -> float:
+    def dqf_c(self, u):
         _check_unit_open(u)
         return self.rate * u
 
@@ -265,11 +284,11 @@ class PowerFunction(_CatalogLaw):
         _check_unit_open(u)
         return u ** (1.0 / self.theta)
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
         return self.theta * u ** ((self.theta - 1.0) / self.theta)
 
-    def dqf_c(self, u: float) -> float:
+    def dqf_c(self, u):
         _check_unit_open(u)
         return self.theta * (1.0 - u) ** ((self.theta - 1.0) / self.theta)
 
@@ -298,11 +317,11 @@ class Pareto(_CatalogLaw):
         _check_unit_open(u)
         return (1.0 - u) ** (-1.0 / self.theta)
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
         return self.theta * (1.0 - u) ** ((self.theta + 1.0) / self.theta)
 
-    def dqf_c(self, u: float) -> float:
+    def dqf_c(self, u):
         _check_unit_open(u)
         return self.theta * u ** ((self.theta + 1.0) / self.theta)
 
@@ -335,8 +354,10 @@ class Normal(_CatalogLaw):
         _check_unit_open(u)
         return self.mu + self.sigma * _STD_NORMAL.inv_cdf(u)
 
-    def dqf(self, u: float) -> float:
-        return self.pdf(self.quantile(u))
+    def dqf(self, u):
+        _check_unit_open(u)
+        z = lift(_STD_NORMAL.inv_cdf, u)
+        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
     dqf_c = dqf  # symmetric about mu: f(F^-1(1-u)) == f(F^-1(u))
 
@@ -369,9 +390,9 @@ class Laplace(_CatalogLaw):
             return self.mu - self.b * math.log(2.0 * (1.0 - u))
         return self.mu
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
-        return min(u, 1.0 - u) / self.b
+        return np.minimum(u, 1.0 - u) / self.b
 
     dqf_c = dqf
 
@@ -403,7 +424,7 @@ class Logistic(_CatalogLaw):
         _check_unit_open(u)
         return self.mu + self.s * (math.log(u) - math.log1p(-u))
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         _check_unit_open(u)
         return u * (1.0 - u) / self.s
 
@@ -445,10 +466,10 @@ class Scaled(Distribution):
     def quantile(self, u: float) -> float:
         return self.a * self.base.quantile(u)
 
-    def dqf(self, u: float) -> float:
+    def dqf(self, u):
         return self.base.dqf(u) / self.a
 
-    def dqf_c(self, u: float) -> float:
+    def dqf_c(self, u):
         return self.base.dqf_c(u) / self.a
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ identities (m=2 generalized == plain, n=1 record of order m == base of order
 k*m) hold exactly.  A gap row (one with a verify ``family``) integrates
 K(u) - K(1-u) against :func:`eta` over (0, 1/2) and has no support form.
 
+Kernels, ``eta`` and every integrand here take an array of nodes, so the
+quadrature evaluates each once per array; :func:`_gap_integral` integrates
+a whole stack of kernels against one ``eta`` evaluation per node.
+
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
 """
@@ -26,8 +30,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support, integrate_unit
+import numpy as np
+
+from .dist import Distribution, lift
+from .quad import (DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack,
+                   integrate_unit_stack)
 from .records import PhiKernel, _record_weight, check_params
 
 __all__ = [
@@ -194,22 +201,28 @@ def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upp
     return params, (point["n"], point["k"], point["m"])
 
 
-def eta(d: Distribution, u: float) -> float:
-    """Reciprocal density-quantile gap 1/dqf(1-u) - 1/dqf(u); zero iff symmetric."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"eta is defined on open (0, 1), got u={u!r}")
+def eta(d: Distribution, u):
+    """Reciprocal density-quantile gap 1/dqf(1-u) - 1/dqf(u); zero iff symmetric.
+    ``u`` is one value or an array of them, each in (0, 1)."""
+    w = np.asarray(u)
+    inside = (w > 0.0) & (w < 1.0)
+    if not inside.all():
+        raise ValueError(f"eta is defined on open (0, 1), got u={float(w[~inside].flat[0])!r}")
     return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
 
 
-def _gap_integral(K: Callable[[float], float], form: str, d: Distribution,
-                  tol: float) -> QuadResult:
-    """Integral over (0, 1/2) of the gap weight K(u) - K(1-u) times eta(u), or
-    times (dqf_c - dqf)(u) for the ``w*dqf`` form."""
-    if form == "K/dqf":
-        against = functools.partial(eta, d)
-    else:
-        against = lambda u: d.dqf_c(u) - d.dqf(u)
-    return integrate_support(lambda u: (K(u) - K(1.0 - u)) * against(u), (0.0, 0.5), tol)
+def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
+                  tol: float) -> list[QuadResult]:
+    """Integrals over (0, 1/2) of each gap weight K(u) - K(1-u) times eta(u), or
+    times (dqf_c - dqf)(u) for the ``w*dqf`` form, one per kernel; all share
+    the nodes, and eta is evaluated once per node."""
+    def F(u: np.ndarray) -> np.ndarray:
+        against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
+        both = np.concatenate([u, 1.0 - u])  # one kernel call per node pair
+        w = np.stack([K(both) for K in kernels])
+        return (w[:, :u.size] - w[:, u.size:]) * against
+
+    return integrate_support_stack(F, (0.0, 0.5), tol)
 
 
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
@@ -220,9 +233,9 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
     params, nkm = resolve(row, n, k, m, side)
     upper = params.get("side", row.side) == "upper"
     if row.family is not None:
-        qr = _gap_integral(row.kernel(*nkm), row.form, d, tol)
+        qr = _gap_integral([row.kernel(*nkm)], row.form, d, tol)[0]
     elif row.form == "f^2":
-        qr = integrate_support(lambda x: d.pdf(x) ** 2, d.support, tol)
+        qr = integrate_support_stack(lambda x: lift(d.pdf, x) ** 2, d.support, tol)[0]
     elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
         # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
         # of the support and F^-1(u) (lower) the upper end: past an infinite end
@@ -233,9 +246,9 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
         K = row.kernel(*nkm)
         den = d.dqf_c if upper else d.dqf
         if row.form == "K/dqf":
-            qr = integrate_unit(lambda u: K(u) / den(u), tol)
+            qr = integrate_unit_stack(lambda u: K(u) / den(u), tol)[0]
         else:
-            qr = integrate_unit(lambda u: K(u) * den(u), tol)
+            qr = integrate_unit_stack(lambda u: K(u) * den(u), tol)[0]
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
@@ -252,17 +265,18 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
     params, nkm = resolve(row, n, k, m, side)
     if row.form == "f^2":
-        qr = integrate_unit(d.dqf, tol)
+        qr = integrate_unit_stack(d.dqf, tol)[0]
     else:
         K = row.kernel(*nkm)
         p = d.sf if params.get("side", row.side) == "upper" else d.cdf
         if row.form == "K/dqf":
-            qr = integrate_support(lambda x: K(p(x)), d.support, tol)
+            qr = integrate_support_stack(lambda x: K(lift(p, x)), d.support, tol)[0]
         else:
-            def f(x: float) -> float:  # K takes log u, so the integrand is 0 where p(x) is
-                u = p(x)
-                return K(u) * d.pdf(x) ** 2 if u > 0.0 else 0.0
-            qr = integrate_support(f, d.support, tol)
+            def f(x: np.ndarray) -> np.ndarray:
+                # K takes log u, so the integrand is 0 where p(x) is
+                u = lift(p, x)
+                return np.where(u > 0.0, K(u) * lift(d.pdf, x) ** 2, 0.0)
+            qr = integrate_support_stack(f, d.support, tol)[0]
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 

@@ -62,30 +62,30 @@ class PhiKernel:
     def __call__(self, u: float) -> float:
         if not 0.0 < u < 1.0:
             raise ValueError(f"phi is defined on open (0, 1), got u={u!r}")
-        return self._eval(u)
+        return float(self._eval(u))
 
-    def _eval(self, u: float) -> float:
+    def _eval(self, x):
+        """phi at one u or at each u of an array, in [0, 1]."""
         # partial sums accumulated ascending in i; log-domain fallback keeps
         # u^k * sum from turning into 0 * inf near u = 0
-        if u < 1e-300:
-            return 0.0
-        lam = -self.k * math.log(u)
-        if lam <= _LAM_DIRECT_MAX:
-            term = 1.0
-            total = 1.0
+        u = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = -self.k * np.log(u)
+            term = total = 1.0
             for i in range(1, self.n):
-                term *= lam / i
-                total += term
-            return min(1.0, u ** self.k * total)
-        log_lam = math.log(lam)
-        m = -math.inf
-        logs = []
-        for i in range(self.n):
-            g = i * log_lam - math.lgamma(i + 1)
-            logs.append(g)
-            m = max(m, g)
-        s = sum(math.exp(g - m) for g in logs)
-        return min(1.0, math.exp(-lam + m + math.log(s)))
+                term = term * (lam / i)
+                total = total + term
+            out = np.minimum(1.0, u ** self.k * total)
+        if not lam.max() <= _LAM_DIRECT_MAX:
+            far = (lam > _LAM_DIRECT_MAX) & (u >= 1e-300)
+            lam_far = lam[far]
+            g = (np.arange(self.n)[:, None] * np.log(lam_far)
+                 - np.array([math.lgamma(i + 1) for i in range(self.n)])[:, None])
+            m = g.max(axis=0, initial=-math.inf)
+            s = np.exp(g - m).sum(axis=0)
+            out[far] = np.minimum(1.0, np.exp(-lam_far + m + np.log(s)))
+            out[u < 1e-300] = 0.0
+        return out if np.ndim(x) else out[0]
 
     def at(self, u: float) -> float:
         """Closed-interval extension used by record cdfs: 0 at u<=0, 1 at u>=1."""
@@ -93,7 +93,7 @@ class PhiKernel:
             return 0.0
         if u >= 1.0:
             return 1.0
-        return self._eval(u)
+        return float(self._eval(u))
 
 
 @cache
@@ -102,8 +102,8 @@ def _record_weight(n: int, k: int, m: int):
     in log space past n = 20).  m is unused: (n, k, m) is the kernel table's signature."""
     inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
 
-    def K(u: float) -> float:
-        lam = -k * math.log(u)
+    def K(u):
+        lam = -k * np.log(u)
         return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
 
     return K

@@ -81,7 +81,7 @@ class EtaProfile:
 
 def eta_profile(d: Distribution, grid_size: int = 512) -> EtaProfile:
     grid = np.linspace(1e-4, 0.5 - 1e-4, grid_size)
-    values = np.fromiter((eta(d, float(u)) for u in grid), dtype=float, count=grid_size)
+    values = eta(d, grid)
     return EtaProfile(base=d, grid=grid, values=values)
 
 
@@ -193,21 +193,27 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     limits = {"n": max_n, "k": max_k, "m": max_m}
     # the factories return one object per distinct kernel, so each is integrated
     # once (delta2 reuses delta2_generalized at m=2, delta1 and delta3 the n=1
-    # powers) and every row applies its own prefactor
-    integrals: dict[Callable, QuadResult] = {}
-    entries: list[ResidualEntry] = []
+    # powers), all kernels of one form in one stack on shared nodes, and every
+    # row applies its own prefactor
+    points = []
+    stacks: dict[str, dict[Callable, None]] = {}
     for row in KERNELS.values():
         if row.family is None:
             continue
         for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
             params, nkm = resolve(row, **dict(zip(row.params, values)))
             K = row.kernel(*nkm)
-            if K not in integrals:
-                integrals[K] = _gap_integral(K, row.form, d, quad_tol)
-            mv = scaled_result(row.measure_id, integrals[K], row.prefactor)
-            shown = {**row.fixed, **params}
-            entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
-                                         mv.value, mv.quad_status))
+            stacks.setdefault(row.form, {})[K] = None
+            points.append((row, params, K))
+    integrals: dict[Callable, QuadResult] = {}
+    for form, kernels in stacks.items():
+        integrals.update(zip(kernels, _gap_integral(list(kernels), form, d, quad_tol)))
+    entries: list[ResidualEntry] = []
+    for row, params, K in points:
+        mv = scaled_result(row.measure_id, integrals[K], row.prefactor)
+        shown = {**row.fixed, **params}
+        entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
+                                     mv.value, mv.quad_status))
 
     finite = [e for e in entries if e.is_finite]
     if not cls.is_member:

@@ -27,6 +27,14 @@ def run_cli(*args, env_extra=None, check_json=None):
     return proc, payload
 
 
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the runtime needs numpy alone
+    proc = subprocess.run([sys.executable, "-c", "import sys, extrec.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, env=cli_env(), cwd=REPO, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestMeasureCommand:
     def test_crj_exponential(self):
         proc, payload = run_cli("measure", "--dist", "exponential:rate=1",
@@ -57,7 +65,7 @@ class TestMeasureCommand:
         assert proc.returncode == 2
 
     def test_no_convergence_exits_3(self):
-        # a tol below QUADPACK's own error estimates: the ladder cannot settle
+        # a tol below the quadrature's own error estimates: the ladder cannot settle
         proc, _ = run_cli("measure", "--dist", "power:theta=2", "--measure", "crj",
                           "--tol", "1e-16")
         assert proc.returncode == 3

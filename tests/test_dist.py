@@ -152,6 +152,21 @@ class TestInvariants:
                 catalog_member.dqf(bad)
 
 
+    def test_dqf_array_matches_scalar(self, catalog_member):
+        # one formula serves both: the array call equals the scalar calls
+        d = catalog_member
+        for method in (d.dqf, d.dqf_c):
+            values = method(GRID)
+            assert values.shape == GRID.shape
+            worst = max(abs(v - method(u)) / method(u) for u, v in zip(GRID.tolist(), values))
+            assert worst <= 1e-14
+
+    def test_dqf_array_rejects_boundary(self, catalog_member):
+        for bad in (0.0, 1.0):
+            with pytest.raises(DistributionError):
+                catalog_member.dqf(np.array([0.5, bad]))
+
+
 class TestClosedFormsAgainstScipy:
     """scipy.stats as an independent oracle for pdf/cdf/quantile."""
 
@@ -213,6 +228,11 @@ class TestGenericQuantileFallback:
         assert d.params == {} and d.spec_string() == "tri"
         for u in (0.01, 0.3, 0.77, 0.999):
             assert abs(d.quantile(u) - math.sqrt(u)) < 1e-10
+        # the base class lifts the scalar methods over an array
+        u = np.array([0.01, 0.3, 0.77])
+        assert np.array_equal(d.dqf(u), [d.dqf(float(v)) for v in u])
+        assert np.array_equal(d.dqf_c(u), [d.dqf(1.0 - float(v)) for v in u])
+        assert np.array_equal(d.quantile_array(u), [d.quantile(float(v)) for v in u])
 
 
 class TestSampling:
@@ -246,6 +266,11 @@ class TestSampling:
 
 
 class TestScaled:
+    def test_dqf_arrays_follow_the_base(self):
+        d = scale(Normal(), 2.0)
+        assert np.array_equal(d.dqf(GRID), Normal().dqf(GRID) / 2.0)
+        assert np.array_equal(d.dqf_c(GRID[:5]), np.array([d.dqf_c(u) for u in GRID[:5]]))
+
     def test_scaled_exponential_matches_rate_change(self):
         d = scale(Exponential(rate=1.0), 2.0)
         ref = Exponential(rate=0.5)

@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad as quadpack
 
-from extrec.quad import QuadStatus, integrate_support, integrate_unit
+from extrec import quad as Q
+from extrec.dist import Laplace
+from extrec.quad import (QuadStatus, integrate_support, integrate_support_stack, integrate_unit,
+                         integrate_unit_stack)
 
 from conftest import assert_close
 
@@ -109,3 +114,117 @@ def test_quantile_support_duality(catalog_member):
     r_quantile = integrate_unit(lambda u: u * u / d.dqf_c(u), 1e-8)
     if r_support.status is QuadStatus.CONVERGED and r_quantile.status is QuadStatus.CONVERGED:
         assert abs(r_support.value - r_quantile.value) < 1e-6
+
+
+class TestCore:
+    def test_rows_match_one_at_a_time(self):
+        rows = (lambda u: u ** -0.5, lambda u: np.exp(u), lambda u: 1.0 / (1.0 - u),
+                lambda u: -1.0 / u)
+        stacked = integrate_unit_stack(lambda u: np.stack([f(u) for f in rows]))
+        for f, r in zip(rows, stacked):
+            alone = integrate_unit(lambda u: float(f(np.float64(u))))
+            assert r.status is alone.status
+            if r.converged:
+                assert abs(r.value - alone.value) <= 1e-8
+
+    def test_non_finite_row_leaves_the_others_alone(self):
+        def F(u):
+            bad = np.where((0.3 < u) & (u < 0.4), np.nan, 1.0)
+            return np.stack([u * u, bad])
+        good, bad = integrate_unit_stack(F)
+        assert good.status is QuadStatus.CONVERGED
+        assert_close(good.value, 1.0 / 3.0, 1e-10, "int u^2 du")
+        assert bad.status is QuadStatus.NO_CONVERGENCE
+        assert "non-finite" in bad.detail
+
+    def test_one_row_may_come_back_flat(self):
+        (r,) = integrate_support_stack(lambda x: np.exp(-x), (0.0, math.inf))
+        assert_close(r.value, 1.0, 1e-8, "int e^-x")
+
+    def test_non_finite_past_an_early_divergence_exit(self):
+        # the cap fires on the first strip pair; the NaN strips lie deeper
+        r = integrate_unit(lambda u: math.nan if u < 1e-8 else u ** -5.0)
+        assert r.status is QuadStatus.DIVERGED_POSITIVE
+        assert "magnitude cap" in r.detail
+
+    def test_overflow_past_an_early_divergence_exit(self):
+        # math's OverflowError in the deepest strips reads as a non-finite value
+        r = integrate_unit(lambda u: u ** -40.0)
+        assert r.status is QuadStatus.DIVERGED_POSITIVE
+
+    def test_division_by_zero_is_a_non_finite_value(self):
+        r = integrate_unit(lambda u: 1.0 / (u - 0.5))  # 0.5 is a node of the middle piece
+        assert r.status is QuadStatus.NO_CONVERGENCE
+        assert "non-finite integrand value at an interior point (u=0.5)" in r.detail
+
+    def test_subdivision_limit_is_named_in_detail(self):
+        # about 130 periods per subinterval even at the limit: the middle piece
+        # stops far above its budget, and its error estimate keeps the ladder
+        # from settling
+        r = integrate_unit(lambda u: math.sin(1e5 * u))
+        assert "piece (0.0001, 0.9999) stopped above its error budget at 120 subintervals" \
+            in r.detail
+        assert r.status is QuadStatus.NO_CONVERGENCE
+
+    def test_converged_detail_is_empty(self):
+        assert integrate_unit(lambda u: u * u).detail == ""
+
+
+def test_rule_is_exact_on_polynomials():
+    # K21 integrates x^j over [-1, 1] exactly up to j = 31, its embedded G10 up to j = 19
+    for j in range(32):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(Q._WK @ Q._NODES ** j - exact) <= 1e-15, j
+        if j < 20:
+            assert abs(Q._WG10 @ Q._NODES ** j - exact) <= 1e-15, j
+    assert abs(Q._WG10 @ Q._NODES ** 20 - 2.0 / 21) > 1e-6
+
+
+def _quadpack_ladder(f, tol):
+    """The ladder fed with QUADPACK's QAGS on each piece, one piece at a time,
+    with the budget the core gives a piece; returns the piece sums and the
+    ladder's result."""
+    rung_tol = tol / 50.0
+    vals, errs, bad = [], [], []
+    for lo, hi in zip(Q._LO, Q._HI):
+        where = []
+
+        def guarded(x):
+            y = f(x)
+            if math.isfinite(y):
+                return y
+            where.append(x)
+            return 0.0
+
+        v, e = quadpack(guarded, lo, hi, epsabs=rung_tol, epsrel=1e-10, limit=120,
+                        full_output=1)[:2]
+        vals.append(v)
+        errs.append(e)
+        bad.append(where[0] if where else math.nan)
+    n = len(vals)
+    return vals, Q._ladder(vals, errs, bad, [False] * n, [1] * n, tol)
+
+
+QUADPACK_CASES = {
+    "smooth": lambda u: math.exp(u) * math.cos(3.0 * u),
+    "u^-a endpoints": lambda u: u ** -0.4 + 0.5 * (1.0 - u) ** -0.3,
+    "log-singular": lambda u: u ** -0.3 * (-math.log(u)) ** 3,
+    "laplace kink": Laplace(b=0.7).dqf,
+    "divergent": lambda u: u ** -1.5,
+}
+
+
+@pytest.mark.parametrize("name", QUADPACK_CASES)
+def test_core_against_quadpack(name):
+    """QUADPACK is the oracle of the Gauss-Kronrod core: each piece agrees
+    within its tolerance, and the ladder reaches the same status."""
+    f = QUADPACK_CASES[name]
+    tol = Q.DEFAULT_TOL
+    ref_pieces, ref = _quadpack_ladder(f, tol)
+    pieces = Q._gk_pieces(Q._lift(f), Q._LO, Q._HI, tol / 50.0)[0][0]
+    for p, (v, w) in enumerate(zip(pieces, ref_pieces)):
+        assert abs(v - w) <= max(tol / 50.0, 1e-10 * abs(w)), (p, v, w)
+    r = integrate_unit(f, tol)
+    assert r.status is ref.status
+    if r.converged:
+        assert abs(r.value - ref.value) <= tol

@@ -73,6 +73,25 @@ class TestEta:
         with pytest.raises(ValueError):
             S.eta(U, 0.0)
 
+    @pytest.mark.parametrize("d", CATALOG_MEMBERS + [KUMA, TiltedCubic()], ids=repr)
+    def test_array_matches_scalar(self, d):
+        grid = np.linspace(0.001, 0.999, 257)
+        values = S.eta(d, grid)
+        assert values.shape == grid.shape
+        for u, v in zip(grid.tolist(), values.tolist()):
+            assert abs(v - S.eta(d, u)) <= 1e-12 * max(1.0, abs(v)), u
+
+    def test_array_domain_error(self):
+        with pytest.raises(ValueError):
+            S.eta(E1, np.array([0.25, 1.0]))
+
+    def test_profile_is_one_call(self, monkeypatch):
+        calls = []
+        eta = S.eta
+        monkeypatch.setattr(S, "eta", lambda d, u: calls.append(np.shape(u)) or eta(d, u))
+        S.class_c_check(E1)
+        assert calls == [(512,)]
+
     def test_profile_shape(self):
         prof = S.eta_profile(E1, 128)
         assert prof.grid.shape == (128,) and prof.values.shape == (128,)
@@ -318,18 +337,32 @@ class TestVerify:
 
     def test_distinct_kernels_integrated_once(self, monkeypatch):
         # 105 residuals over 74 distinct kernels: the 48 record kernels at n >= 2,
-        # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights
-        seen = []
+        # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights;
+        # one stacked call per integrand form, each kernel in exactly one stack
+        calls = []
         integrate = S._gap_integral
 
-        def counting(K, *args):
-            seen.append(K)
-            return integrate(K, *args)
+        def counting(kernels, form, *args):
+            calls.append((form, list(kernels)))
+            return integrate(kernels, form, *args)
 
         monkeypatch.setattr(S, "_gap_integral", counting)
         rep = S.verify_characterizations(U)
         assert len(rep.residuals) == 105
+        assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
+        seen = [K for _, kernels in calls for K in kernels]
         assert len(seen) == len(set(seen)) == 74
+
+    @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
+    def test_stacked_residuals_match_one_row_at_a_time(self, d):
+        # each residual of the shared-node stack against its row integrated alone
+        rep = S.verify_characterizations(d, 3, 3, 3)
+        by_id = {row.family: row for row in M.KERNELS.values() if row.family}
+        for e in rep.residuals:
+            alone = M.measure_value(by_id[e.family], d, e.n or 1, e.k or 1, e.m or 2)
+            assert e.status is alone.quad_status, e.key()
+            if e.is_finite:
+                assert abs(e.value - alone.value) <= 1e-9 * max(1.0, abs(alone.value)), e.key()
 
     def test_report_invariant(self):
         for d in (U, E1, PA2):
