@@ -6,10 +6,10 @@ density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
 provide closed forms (for symmetric laws it coincides with ``dqf`` exactly).
-``dqf`` and ``dqf_c`` take one u or an array of them: the quadrature
-evaluates them once per array of nodes.  Catalog laws write each formula
-once in numpy; a law defined by ``pdf``/``cdf`` alone gets both lifted from
-its scalar methods by :func:`lift`.
+``quantile``, ``dqf`` and ``dqf_c`` take one u or an array of them, so the
+quadrature and the samplers make one call per array.  Catalog laws write
+each formula, the quantile included, once in numpy; a law defined by
+``pdf``/``cdf`` alone gets all three lifted by :func:`lift`.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -73,8 +73,9 @@ class Distribution:
 
     Subclasses provide ``pdf``/``cdf`` and the support; ``quantile`` falls
     back to bracketed bisection on the cdf with a Newton polish (tolerance
-    1e-12, at most 200 bisections), so user-defined laws only need the two
-    basics.  All instances are immutable and safe for concurrent use.
+    1e-12, at most 200 bisections), one u at a time, so user-defined laws
+    only need the two basics; an override of ``quantile`` takes one u or an
+    array.  All instances are immutable and safe for concurrent use.
     """
 
     name: ClassVar[str] = "distribution"
@@ -97,8 +98,11 @@ class Distribution:
         """Survival function; override when 1 - cdf loses the right tail."""
         return 1.0 - self.cdf(x)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
+        """F^-1(u), u in (0, 1); one u or an array."""
         _check_unit_open(u)
+        if isinstance(u, np.ndarray):
+            return lift(self.quantile, u)
         lo, hi = self._bracket(u)
         # Bisection to ~1e-12 relative bracket width, then Newton polish.
         for _ in range(200):
@@ -141,16 +145,12 @@ class Distribution:
 
     def dqf(self, u):
         """Density-quantile function f(F^-1(u)), u in (0, 1); one u or an array."""
-        _check_unit_open(u)
-        return lift(lambda v: self.pdf(self.quantile(v)), u)
+        return lift(self.pdf, self.quantile(u))
 
     def dqf_c(self, u):
         """Complement form f(F^-1(1-u)); override with a stable closed form."""
         _check_unit_open(u)
         return self.dqf(1.0 - u)
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return lift(self.quantile, np.asarray(u, dtype=float))
 
     def spec_string(self) -> str:
         if not self.params:
@@ -217,18 +217,15 @@ class Uniform(_CatalogLaw):
     def cdf(self, x: float) -> float:
         return min(1.0, max(0.0, x))
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
-        return u
+        return u + 0.0  # a new array, not u
 
     def dqf(self, u):
         _check_unit_open(u)
         return 1.0 + 0.0 * u  # 1, in the shape of u
 
     dqf_c = dqf
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float).copy()
 
 
 @dataclass(frozen=True, repr=False)
@@ -248,9 +245,9 @@ class Exponential(_CatalogLaw):
     def sf(self, x: float) -> float:
         return math.exp(-self.rate * x) if x > 0.0 else 1.0
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
-        return -math.log1p(-u) / self.rate
+        return -np.log1p(-u) / self.rate
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -259,9 +256,6 @@ class Exponential(_CatalogLaw):
     def dqf_c(self, u):
         _check_unit_open(u)
         return self.rate * u
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
 
 
 @dataclass(frozen=True, repr=False)
@@ -280,7 +274,7 @@ class PowerFunction(_CatalogLaw):
             return 0.0
         return min(1.0, x ** self.theta)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
         return u ** (1.0 / self.theta)
 
@@ -291,9 +285,6 @@ class PowerFunction(_CatalogLaw):
     def dqf_c(self, u):
         _check_unit_open(u)
         return self.theta * (1.0 - u) ** ((self.theta - 1.0) / self.theta)
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float) ** (1.0 / self.theta)
 
 
 @dataclass(frozen=True, repr=False)
@@ -313,7 +304,7 @@ class Pareto(_CatalogLaw):
     def sf(self, x: float) -> float:
         return x ** -self.theta if x > 1.0 else 1.0
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
         return (1.0 - u) ** (-1.0 / self.theta)
 
@@ -324,9 +315,6 @@ class Pareto(_CatalogLaw):
     def dqf_c(self, u):
         _check_unit_open(u)
         return self.theta * u ** ((self.theta + 1.0) / self.theta)
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / self.theta)
 
 
 @dataclass(frozen=True, repr=False)
@@ -350,9 +338,9 @@ class Normal(_CatalogLaw):
         z = (x - self.mu) / self.sigma
         return 0.5 * math.erfc(z / _SQRT2)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
-        return self.mu + self.sigma * _STD_NORMAL.inv_cdf(u)
+        return self.mu + self.sigma * lift(_STD_NORMAL.inv_cdf, u)
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -382,13 +370,9 @@ class Laplace(_CatalogLaw):
         z = (x - self.mu) / self.b
         return 0.5 * math.exp(-z) if z > 0.0 else 1.0 - 0.5 * math.exp(z)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
-        if u < 0.5:
-            return self.mu + self.b * math.log(2.0 * u)
-        if u > 0.5:
-            return self.mu - self.b * math.log(2.0 * (1.0 - u))
-        return self.mu
+        return self.mu + self.b * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -420,9 +404,9 @@ class Logistic(_CatalogLaw):
     def sf(self, x: float) -> float:
         return self.cdf(2.0 * self.mu - x)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         _check_unit_open(u)
-        return self.mu + self.s * (math.log(u) - math.log1p(-u))
+        return self.mu + self.s * (np.log(u) - np.log1p(-u))
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -463,7 +447,7 @@ class Scaled(Distribution):
     def sf(self, x: float) -> float:
         return self.base.sf(x / self.a)
 
-    def quantile(self, u: float) -> float:
+    def quantile(self, u):
         return self.a * self.base.quantile(u)
 
     def dqf(self, u):
@@ -471,9 +455,6 @@ class Scaled(Distribution):
 
     def dqf_c(self, u):
         return self.base.dqf_c(u) / self.a
-
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return self.a * self.base.quantile_array(u)
 
 
 def scale(d: Distribution, a: float) -> Scaled:
@@ -529,4 +510,4 @@ def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     u = np.random.default_rng(seed).random(count)
     np.maximum(u, U_FLOOR, out=u)
-    return d.quantile_array(u)
+    return d.quantile(u)

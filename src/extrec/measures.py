@@ -1,9 +1,10 @@
 """Extropy-type information functionals of distributions and their k-records.
 
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
-CLI ``--measure`` id and verify residual family; :func:`measure_value`
-evaluates every row, gaps included, for the public functions and the CLI.  A
-row's factory returns its kernel K alone, one object per distinct kernel.
+CLI ``--measure`` id and verify residual family; :func:`measure_values`
+evaluates every row, gaps included, for verify's grid, and its one-point
+form :func:`measure_value` for the public functions and the CLI.  A row's
+factory returns its kernel K alone, one object per distinct kernel.
 
 All cdf-based measures are evaluated in quantile form, i.e. as integrals of
 ``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
@@ -16,8 +17,9 @@ k*m) hold exactly.  A gap row (one with a verify ``family``) integrates
 K(u) - K(1-u) against :func:`eta` over (0, 1/2) and has no support form.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
-quadrature evaluates each once per array; :func:`_gap_integral` integrates
-a whole stack of kernels against one ``eta`` evaluation per node.
+quadrature evaluates each once per array; :func:`_gap_integral`, called
+by :func:`measure_values` alone, integrates a whole stack of kernels against
+one ``eta`` evaluation per node.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -41,6 +43,7 @@ __all__ = [
     "MeasureValue",
     "KERNELS",
     "measure_value",
+    "measure_values",
     "oracle_value",
     "extropy",
     "crj",
@@ -225,31 +228,47 @@ def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
     return integrate_support_stack(F, (0.0, 0.5), tol)
 
 
+def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
+    """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
+    trailing values take :func:`measure_value`'s defaults.  The gap rows of one
+    form share one stack, in which each distinct kernel is integrated once."""
+    check_tol(tol=tol)
+    resolved = []
+    stacks: dict[str, dict[Callable, None]] = {}  # form -> its distinct gap kernels
+    for row, *rest in points:
+        params, nkm = resolve(row, *rest)
+        K = row.kernel and row.kernel(*nkm)
+        if row.family is not None:
+            stacks.setdefault(row.form, {})[K] = None
+        resolved.append((row, params, K))
+    gaps = {(form, K): qr for form, kernels in stacks.items()
+            for K, qr in zip(kernels, _gap_integral(list(kernels), form, d, tol))}
+    out = []
+    for row, params, K in resolved:
+        upper = params.get("side", row.side) == "upper"
+        if row.family is not None:
+            qr = gaps[row.form, K]
+        elif row.form == "f^2":
+            qr = integrate_support_stack(lambda x: lift(d.pdf, x) ** 2, d.support, tol)[0]
+        elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
+            # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
+            # of the support and F^-1(u) (lower) the upper end: past an infinite end
+            # the integral contains the integral of dx over a half-line.
+            qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
+                            "kernel tends to 1 at an infinite end of the support")
+        else:
+            den = d.dqf_c if upper else d.dqf
+            qr = integrate_unit_stack(
+                lambda u: K(u) / den(u) if row.form == "K/dqf" else K(u) * den(u), tol)[0]
+        out.append(scaled_result(row.measure_id, qr, row.prefactor, params))
+    return out
+
+
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
     over (0, 1/2), every other row in quantile form."""
-    check_tol(tol=tol)
-    params, nkm = resolve(row, n, k, m, side)
-    upper = params.get("side", row.side) == "upper"
-    if row.family is not None:
-        qr = _gap_integral([row.kernel(*nkm)], row.form, d, tol)[0]
-    elif row.form == "f^2":
-        qr = integrate_support_stack(lambda x: lift(d.pdf, x) ** 2, d.support, tol)[0]
-    elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
-        # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
-        # of the support and F^-1(u) (lower) the upper end: past an infinite end
-        # the integral contains the integral of dx over a half-line.
-        qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
-                        "kernel tends to 1 at an infinite end of the support")
-    else:
-        K = row.kernel(*nkm)
-        den = d.dqf_c if upper else d.dqf
-        if row.form == "K/dqf":
-            qr = integrate_unit_stack(lambda u: K(u) / den(u), tol)[0]
-        else:
-            qr = integrate_unit_stack(lambda u: K(u) * den(u), tol)[0]
-    return scaled_result(row.measure_id, qr, row.prefactor, params)
+    return measure_values(d, [(row, n, k, m, side)], tol)[0]
 
 
 def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,

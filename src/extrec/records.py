@@ -99,12 +99,21 @@ class PhiKernel:
 @cache
 def _record_weight(n: int, k: int, m: int):
     """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
-    in log space past n = 20).  m is unused: (n, k, m) is the kernel table's signature."""
+    in log space past n = 20).  Where the direct product is not a positive
+    finite number (at large n it overflows, and 1/(n-1)! underflows past
+    n = 171), the whole product is taken in the log domain.
+    m is unused: (n, k, m) is the kernel table's signature."""
     inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
 
     def K(u):
         lam = -k * np.log(u)
-        return k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+            direct = (w > 0.0) & (w < math.inf)
+            if not direct.all():
+                log_w = math.log(k) - math.lgamma(n) + (k - 1) * np.log(u) + (n - 1) * np.log(lam)
+                w = np.where(direct, w, np.exp(log_w))
+        return w
 
     return K
 
@@ -194,8 +203,8 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     the k-th extreme each time it changes, exactly as the record process is
     defined.  The quantile is nondecreasing, so the records of F^-1(U) are
     F^-1 of the records of U: every record uniform goes through one
-    ``quantile_array`` call at the end, one quantile per realization rather
-    than one per draw.  Realizations use seeds derived from ``(seed, index)``,
+    ``quantile`` call at the end, one quantile per realization rather than
+    one per draw.  Realizations use seeds derived from ``(seed, index)``,
     so results are deterministic and independent of any execution schedule.
     A realization whose stream exceeds ``max_draws`` is aborted and counted in
     ``aborted``.
@@ -211,5 +220,5 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
         u = _scan_one(n, k, upper, rng, max_draws, buf)
         if u is not None:
             us.append(u)
-    return RecordSample(values=base.quantile_array(np.asarray(us, dtype=float)),
+    return RecordSample(values=base.quantile(np.asarray(us, dtype=float)),
                         aborted=count - len(us))

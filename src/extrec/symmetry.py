@@ -7,9 +7,11 @@ its k-records, plain, generalized, and inaccuracy-type) all reduce to
 weighted integrals of ``eta`` over (0, 1/2); those antisymmetrized forms are
 how every residual here is computed, because they stay finite in cases where
 the individual measures diverge.  The gaps and their kernels are the rows of
-:data:`extrec.measures.KERNELS` that name a verify family, and
-:func:`extrec.measures.measure_value` evaluates them as it does every row;
-``eta`` is defined there and re-exported here.
+:data:`extrec.measures.KERNELS` that name a verify family.  Each ``delta*``
+function is one :func:`extrec.measures.measure_value` call, and
+:func:`verify_characterizations` hands its whole (n, k, m) grid to one
+:func:`extrec.measures.measure_values` call, which integrates each distinct
+kernel once; ``eta`` is defined there and re-exported here.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -20,15 +22,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .dist import Distribution
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol
+from .quad import DEFAULT_TOL, QuadStatus, check_tol
 from .records import check_params
-from .measures import (KERNELS, MeasureValue, _gap_integral, eta, measure_value, resolve,
-                       scaled_result)
+from .measures import KERNELS, MeasureValue, eta, measure_value, measure_values
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -191,27 +192,16 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
     limits = {"n": max_n, "k": max_k, "m": max_m}
-    # the factories return one object per distinct kernel, so each is integrated
-    # once (delta2 reuses delta2_generalized at m=2, delta1 and delta3 the n=1
-    # powers), all kernels of one form in one stack on shared nodes, and every
-    # row applies its own prefactor
     points = []
-    stacks: dict[str, dict[Callable, None]] = {}
     for row in KERNELS.values():
         if row.family is None:
             continue
         for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
-            params, nkm = resolve(row, **dict(zip(row.params, values)))
-            K = row.kernel(*nkm)
-            stacks.setdefault(row.form, {})[K] = None
-            points.append((row, params, K))
-    integrals: dict[Callable, QuadResult] = {}
-    for form, kernels in stacks.items():
-        integrals.update(zip(kernels, _gap_integral(list(kernels), form, d, quad_tol)))
+            point = {"n": 1, "k": 1, "m": 2, **dict(zip(row.params, values))}
+            points.append((row, point["n"], point["k"], point["m"]))
     entries: list[ResidualEntry] = []
-    for row, params, K in points:
-        mv = scaled_result(row.measure_id, integrals[K], row.prefactor)
-        shown = {**row.fixed, **params}
+    for (row, *_), mv in zip(points, measure_values(d, points, quad_tol)):
+        shown = {**row.fixed, **mv.params}
         entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
                                      mv.value, mv.quad_status))
 

@@ -1,4 +1,5 @@
 import errno
+import importlib
 import json
 import math
 import os
@@ -281,3 +282,27 @@ class TestDeterminism:
                 assert proc.returncode == 0, proc.stderr
                 outs.append(proc.stdout)
             assert outs[0] == outs[1], case[0]
+
+
+class TestSnapshotStatuses:
+    """Every case of ``scripts/cli_snapshot.py`` keeps its exit code and outcome
+    (quad status, verdict and residual status counts, aborted count, decision);
+    values may move.  After a deliberate status change, regenerate the golden
+    file with::
+
+        PYTHONPATH=src python scripts/cli_snapshot.py | cut -d' ' -f1,4- \\
+            > tests/golden/cli_snapshot_outcomes.txt
+    """
+
+    def test_exit_codes_and_outcomes_match_golden(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "scripts"))
+        monkeypatch.chdir(REPO)  # symtest inputs are given relative to the checkout root
+        snapshot = importlib.import_module("cli_snapshot")
+        got = []
+        for argv in snapshot.cases():
+            code, out, _ = snapshot.run(argv)
+            got.append(f"{code} {snapshot.outcome(argv, code, out)} {' '.join(argv)}")
+        golden = (REPO / "tests" / "golden" / "cli_snapshot_outcomes.txt").read_text().splitlines()
+        assert len(got) == len(golden)
+        assert [line for line in got if line not in golden] == []
+        assert got == golden

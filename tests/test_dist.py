@@ -155,11 +155,13 @@ class TestInvariants:
     def test_dqf_array_matches_scalar(self, catalog_member):
         # one formula serves both: the array call equals the scalar calls
         d = catalog_member
-        for method in (d.dqf, d.dqf_c):
+        for method in (d.dqf, d.dqf_c, d.quantile):
             values = method(GRID)
-            assert values.shape == GRID.shape
-            worst = max(abs(v - method(u)) / method(u) for u, v in zip(GRID.tolist(), values))
-            assert worst <= 1e-14
+            assert isinstance(values, np.ndarray) and values.shape == GRID.shape
+            for u, v in zip(GRID.tolist(), values):
+                one = method(u)
+                assert np.ndim(one) == 0
+                assert abs(v - one) <= 1e-14 * abs(one), (method.__name__, u)
 
     def test_dqf_array_rejects_boundary(self, catalog_member):
         for bad in (0.0, 1.0):
@@ -232,7 +234,7 @@ class TestGenericQuantileFallback:
         u = np.array([0.01, 0.3, 0.77])
         assert np.array_equal(d.dqf(u), [d.dqf(float(v)) for v in u])
         assert np.array_equal(d.dqf_c(u), [d.dqf(1.0 - float(v)) for v in u])
-        assert np.array_equal(d.quantile_array(u), [d.quantile(float(v)) for v in u])
+        assert np.array_equal(d.quantile(u), [d.quantile(float(v)) for v in u])
 
 
 class TestSampling:

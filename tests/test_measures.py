@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from extrec import measures as M
 from extrec import symmetry as S
 from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFunction, Uniform, scale
-from extrec.quad import QuadStatus
+from extrec.quad import DEFAULT_TOL, QuadStatus
 
 from conftest import CATALOG_MEMBERS, assert_close
 
@@ -130,6 +131,15 @@ class TestInaccuracy:
         assert mv.is_finite
         assert_close(mv.value, -(t / 2) * (t / (2 * t - 1)) ** n, 1e-8, f"kij n={n}")
 
+    @pytest.mark.parametrize("n", [230, 300])
+    def test_kij_exponential_upper_large_n(self, n):
+        # exact -2^-(n+1); the direct record weight overflows on most nodes here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mv = M.kij_record(E1, n, 1, "upper")
+        assert mv.is_finite
+        assert abs(mv.value + 2.0 ** -(n + 1)) <= DEFAULT_TOL
+
     def test_kij_side_validation(self):
         with pytest.raises(ValueError):
             M.kij_record(U, 1, 1, "both")
@@ -241,6 +251,17 @@ class TestOneEvaluator:
         b = M.measure_value(row, d, **point)
         assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
         assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+
+    @pytest.mark.parametrize("d", [P2, E1, NM], ids=lambda d: d.spec_string())
+    def test_measure_values_is_measure_value_per_point(self, d):
+        # every row, gaps sharing a stack with each other, short points taking the
+        # defaults, and a kernel that two rows share (delta2 at m = 2)
+        points = [(row, 2, 3, 2, "lower") for row in M.KERNELS.values()]
+        points += [(row,) for row in M.KERNELS.values()] + [(M.KERNELS["delta1"], 1, 1)]
+        for (row, *rest), b in zip(points, M.measure_values(d, points)):
+            a = M.measure_value(row, d, *rest)
+            assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
+            assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
 
     @pytest.mark.parametrize("row", [row for row in M.KERNELS.values() if row.family is not None],
                              ids=lambda row: row.measure_id)

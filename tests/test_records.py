@@ -1,14 +1,16 @@
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from extrec.dist import Exponential, Normal, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import PhiKernel, RecordLaw, _scan_one, simulate_records
+from extrec.records import PhiKernel, RecordLaw, _record_weight, _scan_one, simulate_records
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -24,7 +26,7 @@ def _scan_x(base, n, k, upper, rng, max_draws):
     sign = 1.0 if upper else -1.0
 
     def draw(m):
-        return sign * base.quantile_array(np.maximum(rng.random(m), 2.0 ** -53))
+        return sign * base.quantile(np.maximum(rng.random(m), 2.0 ** -53))
 
     top = list(draw(k))
     heapq.heapify(top)
@@ -195,6 +197,26 @@ class TestRecordLaw:
                 s = upper.cdf(c + t) + lower.cdf(c - t)
                 assert abs(s - 1.0) < 1e-9, (n, k, t, s)
 
+    @pytest.mark.parametrize("n, x", [(130, 129.0), (150, 149.0), (200, 199.0), (180, 50.0)])
+    def test_pdf_large_n_matches_gamma(self, n, x):
+        # the n-th upper 1-record of Exponential(1) is Gamma(n).  From n ~ 140 the
+        # direct weight overflows at the mode (x = n - 1), and past n = 171
+        # 1/(n-1)! underflows, which zeroes the direct weight in the left tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = RecordLaw(Exponential(rate=1.0), n, 1, "upper").pdf(x)
+        exact = stats.gamma(n).pdf(x)
+        assert abs(got - exact) <= 1e-12 * exact, (got, exact)
+
+    def test_weight_array_matches_scalar_past_overflow(self):
+        w = _record_weight(200, 2, 1)
+        u = np.exp(-np.linspace(1.0, 400.0, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = w(u)
+            assert np.isfinite(values).all()
+            assert values.tolist() == [w(float(v)) for v in u]
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             RecordLaw(Uniform(), 0, 1, "upper")
@@ -264,20 +286,20 @@ class TestSimulateRecords:
         d = Exponential(rate=1.0)
         u = _scan_one(n, k, side == "upper", _Replay(stream), len(stream), np.empty(65536))
         x = _scan_x(d, n, k, side == "upper", _Replay(stream), len(stream))
-        assert (u is None and x is None) or d.quantile_array(np.array([u]))[0] == x
+        assert (u is None and x is None) or d.quantile(np.array([u]))[0] == x
 
     def test_one_quantile_call_per_realization(self, monkeypatch):
         calls = []
         quantile = Normal.quantile
 
         def counted(self, u):
-            calls.append(u)
+            calls.append(np.size(u))
             return quantile(self, u)
 
         monkeypatch.setattr(Normal, "quantile", counted)
         rs = simulate_records(Normal(), 4, 3, "upper", 50, seed=1)
         assert rs.aborted == 0
-        assert len(calls) == 50
+        assert sum(calls) == 50  # evaluations, counted by element
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -340,13 +340,13 @@ class TestVerify:
         # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights;
         # one stacked call per integrand form, each kernel in exactly one stack
         calls = []
-        integrate = S._gap_integral
+        integrate = M._gap_integral
 
         def counting(kernels, form, *args):
             calls.append((form, list(kernels)))
             return integrate(kernels, form, *args)
 
-        monkeypatch.setattr(S, "_gap_integral", counting)
+        monkeypatch.setattr(M, "_gap_integral", counting)
         rep = S.verify_characterizations(U)
         assert len(rep.residuals) == 105
         assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
