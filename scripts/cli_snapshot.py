@@ -36,7 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 POINTS = (("1", "1", "2", "upper"), ("2", "3", "1", "lower"), ("4", "4", "4", "upper"))
 
 #: records-sim cases (spec, n, k, extra options): vectorised and per-draw
-#: quantiles, both sides, and one case whose streams hit the draw guard.
+#: quantiles, both sides, and one deep case, which the exact sampler draws in
+#: full and whose streams hit the draw guard under ``--method scan``.
 RECORD_CASES = (
     ("uniform", "2", "2"),
     ("normal", "3", "2"),
@@ -44,6 +45,7 @@ RECORD_CASES = (
     ("laplace", "4", "1"),
     ("pareto:theta=0.7", "2", "2"),
     ("uniform", "6", "1", "--max-draws", "1000"),
+    ("uniform", "6", "1", "--method", "scan", "--max-draws", "1000"),
 )
 
 

@@ -27,7 +27,7 @@ from . import measures as M
 from . import symmetry as S
 from .dist import make_distribution
 from .quad import DEFAULT_TOL, QuadStatus
-from .records import SIDES, simulate_records
+from .records import METHODS, SIDES, simulate_records
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=SIDES, default="upper")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-draws", type=int, default=10_000_000)
+    p.add_argument("--method", choices=METHODS, default="exact",
+                   help="exact: one Gamma draw and one inversion per realization; "
+                        "scan: the definitional stream scan")
+    p.add_argument("--max-draws", type=int, default=10_000_000,
+                   help="stream length at which a scan realization is aborted")
 
     p = sub.add_parser("symtest", help="bootstrap symmetry test on a data file")
     common(p, dist=False)
@@ -176,7 +180,8 @@ def _cmd_classc(args) -> int:
 def _cmd_records_sim(args) -> int:
     d = make_distribution(args.dist)
     seed = args.seed if args.seed is not None else _seed_default()
-    rs = simulate_records(d, args.n, args.k, args.side, args.count, seed, args.max_draws)
+    rs = simulate_records(d, args.n, args.k, args.side, args.count, seed, args.max_draws,
+                          args.method)
     if rs.aborted:
         # an aborted stream is one whose n-th record is slow to come, so the
         # records that would be most extreme are the ones missing
@@ -186,12 +191,13 @@ def _cmd_records_sim(args) -> int:
         "command": "records-sim",
         "dist": d.spec_string(),
         "n": args.n, "k": args.k, "side": args.side,
-        "count": args.count, "seed": seed, "max_draws": args.max_draws,
+        "count": args.count, "seed": seed, "method": args.method, "max_draws": args.max_draws,
         "aborted": rs.aborted,
         "values": [float(v) for v in rs.values],
     }
     v = rs.values
-    table = [f"records-sim {d.spec_string()} n={args.n} k={args.k} side={args.side} seed={seed}",
+    table = [f"records-sim {d.spec_string()} n={args.n} k={args.k} side={args.side} seed={seed} "
+             f"method={args.method}",
              f"realizations={v.size} aborted={rs.aborted}"]
     if v.size:
         table.append(f"mean={v.mean():.6g} min={v.min():.6g} max={v.max():.6g}")

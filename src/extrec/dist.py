@@ -1,15 +1,15 @@
 """Catalog of analytic continuous distributions.
 
-Each law exposes ``pdf``/``cdf``/``sf``/``quantile`` together with the
+Each law exposes ``pdf``/``cdf``/``sf``/``quantile``/``isf`` together with the
 density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 ``dqf_c(u) = f(F^-1(1-u))``.  The complement is a first-class method because
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
 provide closed forms (for symmetric laws it coincides with ``dqf`` exactly).
-``quantile``, ``dqf`` and ``dqf_c`` take one u or an array of them, so the
-quadrature and the samplers make one call per array.  Catalog laws write
-each formula, the quantile included, once in numpy; a law defined by
-``pdf``/``cdf`` alone gets all three lifted by :func:`lift`.
+``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of them, so
+the quadrature and the samplers make one call per array.  Catalog laws write
+each formula, the quantile and isf included, once in numpy; a law defined by
+``pdf``/``cdf`` alone gets all four lifted by :func:`lift`.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -71,11 +71,12 @@ class SpecParseError(DistributionError):
 class Distribution:
     """Continuous law over an open interval support.
 
-    Subclasses provide ``pdf``/``cdf`` and the support; ``quantile`` falls
-    back to bracketed bisection on the cdf with a Newton polish (tolerance
-    1e-12, at most 200 bisections), one u at a time, so user-defined laws
-    only need the two basics; an override of ``quantile`` takes one u or an
-    array.  All instances are immutable and safe for concurrent use.
+    Subclasses provide ``pdf``/``cdf`` and the support; ``quantile`` and
+    ``isf`` fall back to one bracketed bisection, on the cdf and on the sf,
+    with a Newton polish (tolerance 1e-12, at most 200 bisections), one value
+    at a time, so user-defined laws only need the two basics; an override of
+    ``quantile`` or ``isf`` takes one value or an array.  All instances are
+    immutable and safe for concurrent use.
     """
 
     name: ClassVar[str] = "distribution"
@@ -103,11 +104,24 @@ class Distribution:
         _check_unit_open(u)
         if isinstance(u, np.ndarray):
             return lift(self.quantile, u)
-        lo, hi = self._bracket(u)
-        # Bisection to ~1e-12 relative bracket width, then Newton polish.
+        return self._invert(self.cdf, u)
+
+    def isf(self, p):
+        """Inverse survival function: the x with sf(x) = p, p in (0, 1); one p or
+        an array.  Catalog laws give a closed form that keeps small p exact."""
+        _check_unit_open(p)
+        if isinstance(p, np.ndarray):
+            return lift(self.isf, p)
+        # -sf is nondecreasing with derivative pdf, as cdf is
+        return self._invert(lambda x: -self.sf(x), -p)
+
+    def _invert(self, g, t: float) -> float:
+        """The x with g(x) = t, for g nondecreasing on the support with derivative
+        pdf: bisection to ~1e-12 relative bracket width, then Newton polish."""
+        lo, hi = self._bracket(g, t)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
+            if g(mid) < t:
                 lo = mid
             else:
                 hi = mid
@@ -118,7 +132,7 @@ class Distribution:
             fx = self.pdf(x)
             if fx <= 0.0:
                 break
-            step = (self.cdf(x) - u) / fx
+            step = (g(x) - t) / fx
             x_new = x - step
             if not lo <= x_new <= hi:
                 break
@@ -127,18 +141,18 @@ class Distribution:
                 break
         return x
 
-    def _bracket(self, u: float) -> tuple[float, float]:
+    def _bracket(self, g, t: float) -> tuple[float, float]:
         lo, hi = self.support
         if math.isinf(lo):
             lo = min(hi, 0.0) - 1.0 if math.isinf(hi) else hi - 1.0
             step = 1.0
-            while self.cdf(lo) > u:
+            while g(lo) > t:
                 lo -= step
                 step *= 2.0
         if math.isinf(hi):
             hi = max(lo, 0.0) + 1.0
             step = 1.0
-            while self.cdf(hi) < u:
+            while g(hi) < t:
                 hi += step
                 step *= 2.0
         return lo, hi
@@ -221,6 +235,10 @@ class Uniform(_CatalogLaw):
         _check_unit_open(u)
         return u + 0.0  # a new array, not u
 
+    def isf(self, p):
+        _check_unit_open(p)
+        return 1.0 - p
+
     def dqf(self, u):
         _check_unit_open(u)
         return 1.0 + 0.0 * u  # 1, in the shape of u
@@ -249,6 +267,10 @@ class Exponential(_CatalogLaw):
         _check_unit_open(u)
         return -np.log1p(-u) / self.rate
 
+    def isf(self, p):
+        _check_unit_open(p)
+        return -np.log(p) / self.rate
+
     def dqf(self, u):
         _check_unit_open(u)
         return self.rate * (1.0 - u)
@@ -274,9 +296,18 @@ class PowerFunction(_CatalogLaw):
             return 0.0
         return min(1.0, x ** self.theta)
 
+    def sf(self, x: float) -> float:
+        if x <= 0.0:
+            return 1.0
+        return -math.expm1(self.theta * math.log(x)) if x < 1.0 else 0.0
+
     def quantile(self, u):
         _check_unit_open(u)
         return u ** (1.0 / self.theta)
+
+    def isf(self, p):
+        _check_unit_open(p)
+        return np.exp(np.log1p(-p) / self.theta)
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -307,6 +338,10 @@ class Pareto(_CatalogLaw):
     def quantile(self, u):
         _check_unit_open(u)
         return (1.0 - u) ** (-1.0 / self.theta)
+
+    def isf(self, p):
+        _check_unit_open(p)
+        return np.power(p, -1.0 / self.theta)  # the same pow for one p and an array
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -342,6 +377,10 @@ class Normal(_CatalogLaw):
         _check_unit_open(u)
         return self.mu + self.sigma * lift(_STD_NORMAL.inv_cdf, u)
 
+    def isf(self, p):
+        _check_unit_open(p)
+        return self.mu - self.sigma * lift(_STD_NORMAL.inv_cdf, p)
+
     def dqf(self, u):
         _check_unit_open(u)
         z = lift(_STD_NORMAL.inv_cdf, u)
@@ -373,6 +412,10 @@ class Laplace(_CatalogLaw):
     def quantile(self, u):
         _check_unit_open(u)
         return self.mu + self.b * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+    def isf(self, p):
+        _check_unit_open(p)
+        return self.mu - self.b * np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -407,6 +450,10 @@ class Logistic(_CatalogLaw):
     def quantile(self, u):
         _check_unit_open(u)
         return self.mu + self.s * (np.log(u) - np.log1p(-u))
+
+    def isf(self, p):
+        _check_unit_open(p)
+        return self.mu - self.s * (np.log(p) - np.log1p(-p))
 
     def dqf(self, u):
         _check_unit_open(u)
@@ -449,6 +496,9 @@ class Scaled(Distribution):
 
     def quantile(self, u):
         return self.a * self.base.quantile(u)
+
+    def isf(self, p):
+        return self.a * self.base.isf(p)
 
     def dqf(self, u):
         return self.base.dqf(u) / self.a

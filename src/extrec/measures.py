@@ -19,7 +19,8 @@ K(u) - K(1-u) against :func:`eta` over (0, 1/2) and has no support form.
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array; :func:`_gap_integral`, called
 by :func:`measure_values` alone, integrates a whole stack of kernels against
-one ``eta`` evaluation per node.
+one ``eta`` evaluation per node, and evaluates each ``phi_{n,k}`` the stack
+derives kernels from once per node array.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -128,14 +129,25 @@ def _power(p: int):
     return lambda u: u ** p
 
 
+@dataclass(frozen=True, eq=False)
+class _OfPhi:
+    """A kernel ``of(u, phi_{n,k}(u))``: a stack of kernels evaluates each
+    distinct ``phi`` once per node array and passes its values to ``of``."""
+
+    phi: PhiKernel
+    of: Callable
+
+    def __call__(self, u):
+        return self.of(u, self.phi._eval(u))
+
+
 @functools.cache
 def _phi_power(n: int, k: int, m: int):
     """phi_{n,k}(u)^m.  phi_{1,k}(u) is u^k, so n = 1 is the power u^(km), the
     kernel of gcrj, gcpj, delta1 and delta3."""
     if n == 1:
         return _power(k * m)
-    ev = PhiKernel(n, k)._eval
-    return lambda u: ev(u) ** m
+    return _OfPhi(PhiKernel(n, k), lambda u, ph: ph ** m)
 
 
 @functools.cache
@@ -143,8 +155,7 @@ def _u_phi(n: int, k: int, m: int):
     """u * phi_{n,k}(u); u^(k+1) at n = 1."""
     if n == 1:
         return _power(k + 1)
-    ev = PhiKernel(n, k)._eval
-    return lambda u: u * ev(u)
+    return _OfPhi(PhiKernel(n, k), lambda u, ph: u * ph)
 
 
 @dataclass(frozen=True)
@@ -218,11 +229,15 @@ def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
                   tol: float) -> list[QuadResult]:
     """Integrals over (0, 1/2) of each gap weight K(u) - K(1-u) times eta(u), or
     times (dqf_c - dqf)(u) for the ``w*dqf`` form, one per kernel; all share
-    the nodes, and eta is evaluated once per node."""
+    the nodes, and eta and each distinct phi_{n,k} are evaluated once per node."""
+    phis = list({K.phi: None for K in kernels if isinstance(K, _OfPhi)})
+
     def F(u: np.ndarray) -> np.ndarray:
         against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
         both = np.concatenate([u, 1.0 - u])  # one kernel call per node pair
-        w = np.stack([K(both) for K in kernels])
+        at = {ph: ph._eval(both) for ph in phis}
+        w = np.stack([K.of(both, at[K.phi]) if isinstance(K, _OfPhi) else K(both)
+                      for K in kernels])
         return (w[:, :u.size] - w[:, u.size:]) * against
 
     return integrate_support_stack(F, (0.0, 0.5), tol)

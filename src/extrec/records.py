@@ -10,6 +10,11 @@ kernel ``phi_n(u) = u^k * sum_{i<n} (-k log u)^i / i!``, which is also the
 lower tail of a Poisson(-k log u) variable at n-1; the record density is
 ``phi_n'(p) * f`` with p the base sf (upper) or cdf (lower).  All record-level
 measure integrals downstream are built from these two kernels.
+
+The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
+G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
+inversion give a record exactly (Dziubdziela & Kopocinski 1976; Arnold,
+Balakrishnan & Nagaraja, *Records*, 1998).
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ import numpy as np
 
 from .dist import U_FLOOR, Distribution
 
-__all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES"]
+__all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
 SIDES = ("upper", "lower")
+#: simulate_records methods: the exact Gamma inversion, and the definitional scan
+METHODS = ("exact", "scan")
 
 #: Largest -k*log(u) for which the plain ascending recurrence is safe; above
 #: this the terms can overflow for large n and we switch to the log domain.
@@ -98,24 +105,26 @@ class PhiKernel:
 
 @cache
 def _record_weight(n: int, k: int, m: int):
-    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space (1/(n-1)!
-    in log space past n = 20).  Where the direct product is not a positive
-    finite number (at large n it overflows, and 1/(n-1)! underflows past
-    n = 171), the whole product is taken in the log domain.
+    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space.
     m is unused: (n, k, m) is the kernel table's signature."""
+    return lambda u: _weight(n, k, u, -np.log(u))
+
+
+def _weight(n: int, k: int, u, L):
+    """The record weight at u, with ``L`` = -log u given, so a caller can take it
+    from the complement of u where u rounds to 1.  1/(n-1)! is taken in log
+    space past n = 20; where the direct product is not a positive finite
+    number (at large n it overflows, and 1/(n-1)! underflows past n = 171),
+    the whole product is taken in the log domain."""
     inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
-
-    def K(u):
-        lam = -k * np.log(u)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
-            direct = (w > 0.0) & (w < math.inf)
-            if not direct.all():
-                log_w = math.log(k) - math.lgamma(n) + (k - 1) * np.log(u) + (n - 1) * np.log(lam)
-                w = np.where(direct, w, np.exp(log_w))
-        return w
-
-    return K
+    lam = k * L
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+        direct = (w > 0.0) & (w < math.inf)
+        if not direct.all():
+            log_w = math.log(k) - math.lgamma(n) + (k - 1) * np.log(u) + (n - 1) * np.log(lam)
+            w = np.where(direct, w, np.exp(log_w))
+    return w
 
 
 @dataclass(frozen=True)
@@ -139,12 +148,15 @@ class RecordLaw:
         lo, hi = self.base.support
         if not lo < x < hi:
             return 0.0
-        p = self.base.sf(x) if self.side == "upper" else self.base.cdf(x)
+        sf, cdf = self.base.sf(x), self.base.cdf(x)
+        p, q = (sf, cdf) if self.side == "upper" else (cdf, sf)
         if p <= 0.0:
             # sf/cdf underflow deep in a tail, where the weight's log is undefined:
             # the (1, 1) record is the base law itself, any other density is 0 there
             return self.base.pdf(x) if self.n == self.k == 1 else 0.0
-        return _record_weight(self.n, self.k, 1)(p) * self.base.pdf(x)
+        # -log p from the complement q where p > 1/2: p itself rounds to 1 once q < 2^-53
+        L = -np.log1p(-q) if p > 0.5 else -np.log(p)
+        return _weight(self.n, self.k, p, L) * self.base.pdf(x)
 
     def cdf(self, x: float) -> float:
         if self.side == "upper":
@@ -194,25 +206,64 @@ def _scan_one(n: int, k: int, upper: bool, rng: np.random.Generator, max_draws: 
     return None
 
 
+def _invert_gamma(base: Distribution, n: int, k: int, upper: bool, count: int,
+                  seed: int) -> np.ndarray:
+    """``count`` exact records: G ~ Gamma(n, 1) from ``default_rng(seed)``, and
+    each record the inverse of whichever of p = exp(-G/k) and its complement
+    q = -expm1(-G/k) is below 1/2."""
+    t = np.random.default_rng(seed).standard_gamma(n, count) / k
+    p, q = np.exp(-t), -np.expm1(-t)
+    if not (p > 0.0).all():
+        raise ValueError(f"the record probability exp(-G/k) underflows to 0 at n={n}, k={k}: "
+                         f"the record lies beyond double precision")
+    small = p < 0.5
+    # p is the record's sf (upper) or cdf (lower), so a small p is inverted by
+    # isf (upper) or quantile (lower), and a small q by the other one
+    via_p, via_q = (base.isf, base.quantile) if upper else (base.quantile, base.isf)
+    values = np.empty(count)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        values[small] = via_p(p[small])
+        values[~small] = via_q(q[~small])
+    if not np.isfinite(values).all():
+        raise ValueError(f"a record value is not finite at n={n}, k={k}: it overflows "
+                         f"double precision")
+    return values
+
+
 def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
-                     seed: int, max_draws: int = 10_000_000) -> RecordSample:
+                     seed: int, max_draws: int = 10_000_000,
+                     method: str = "exact") -> RecordSample:
     """``count`` independent realizations of the n-th (upper|lower) k-record.
 
-    Each realization scans its own iid stream of the uniforms that drive the
-    inverse transform, maintaining the running top-k (bottom-k) and emitting
-    the k-th extreme each time it changes, exactly as the record process is
-    defined.  The quantile is nondecreasing, so the records of F^-1(U) are
-    F^-1 of the records of U: every record uniform goes through one
-    ``quantile`` call at the end, one quantile per realization rather than
-    one per draw.  Realizations use seeds derived from ``(seed, index)``,
-    so results are deterministic and independent of any execution schedule.
-    A realization whose stream exceeds ``max_draws`` is aborted and counted in
-    ``aborted``.
+    ``method="exact"`` (the default) draws G ~ Gamma(n, 1) once per
+    realization from ``default_rng(seed)``: the record's p (sf upper, cdf
+    lower) has the law of exp(-G/k).  Each realization inverts whichever of
+    p = exp(-G/k) and q = -expm1(-G/k) is below 1/2, through ``isf`` or
+    ``quantile``, so both tails stay exact and no probability is rounded to
+    0 or 1.  It never aborts; where p underflows to 0 or a record value is
+    not finite it raises ValueError rather than clip.  ``max_draws`` is only
+    checked.
+
+    ``method="scan"`` is the definitional oracle.  Each realization scans its
+    own iid stream of the uniforms that drive the inverse transform,
+    maintaining the running top-k (bottom-k) and emitting the k-th extreme
+    each time it changes.  The quantile is nondecreasing, so the records of
+    F^-1(U) are F^-1 of the records of U: every record uniform goes through
+    one ``quantile`` call at the end.  Realizations use seeds derived from
+    ``(seed, index)``.  A realization whose stream exceeds ``max_draws`` is
+    aborted and counted in ``aborted``; it is the most extreme records that
+    are lost.
+
+    Both methods are deterministic in ``seed``.
     """
     check_params(n=n, k=k, side=side, count=count)
     if max_draws < k:
         raise ValueError(f"max_draws must be >= k, got {max_draws}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     upper = side == "upper"
+    if method == "exact":
+        return RecordSample(values=_invert_gamma(base, n, k, upper, count, seed), aborted=0)
     buf = np.empty(_MAX_BATCH)
     us = []
     for i in range(count):

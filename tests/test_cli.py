@@ -149,12 +149,28 @@ class TestRecordsSimCommand:
 
     def test_aborted_streams_warn_on_stderr(self):
         proc, payload = run_cli("records-sim", "--dist", "uniform", "--n", "3", "--max-draws", "4",
-                                "--count", "50", "--seed", "1",
+                                "--method", "scan", "--count", "50", "--seed", "1",
                                 "--output", "json", check_json="records-sim")
         assert proc.returncode == 0
         assert payload["aborted"] == 38 and len(payload["values"]) == 12
+        assert payload["method"] == "scan"
         assert proc.stderr == ("warning: 38 of 50 realizations hit --max-draws 4; "
                                "the sample omits the most extreme records\n")
+
+    def test_exact_method_never_aborts(self):
+        # the default draws every record; --max-draws is accepted and echoed
+        proc, payload = run_cli("records-sim", "--dist", "uniform", "--n", "3", "--max-draws", "4",
+                                "--count", "50", "--seed", "1",
+                                "--output", "json", check_json="records-sim")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert payload["method"] == "exact" and payload["max_draws"] == 4
+        assert payload["aborted"] == 0 and len(payload["values"]) == 50
+
+    def test_underflow_exits_2(self):
+        proc, _ = run_cli("records-sim", "--dist", "exponential", "--n", "800", "--count", "10",
+                          "--seed", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "n=800, k=1" in proc.stderr
 
     def test_env_seed_fallback(self):
         a, pa = run_cli("records-sim", "--dist", "uniform", "--count", "10",

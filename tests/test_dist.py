@@ -23,7 +23,7 @@ from extrec.dist import (
 )
 from extrec.quad import QuadStatus, integrate_support
 
-from conftest import assert_close
+from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close
 
 GRID = np.linspace(0.001, 0.999, 1024)
 
@@ -187,6 +187,9 @@ class TestClosedFormsAgainstScipy:
             assert abs(x - oracle.ppf(u)) < 1e-8 * max(1.0, abs(x))
             assert abs(ours.pdf(x) - oracle.pdf(x)) < 1e-10
             assert abs(ours.cdf(x) - oracle.cdf(x)) < 1e-12
+            assert abs(ours.sf(x) - oracle.sf(x)) < 1e-12
+            y = ours.isf(u)
+            assert abs(y - oracle.isf(u)) < 1e-8 * max(1.0, abs(y))
 
     def test_laplace_logistic(self):
         from extrec.dist import Laplace, Logistic
@@ -235,6 +238,49 @@ class TestGenericQuantileFallback:
         assert np.array_equal(d.dqf(u), [d.dqf(float(v)) for v in u])
         assert np.array_equal(d.dqf_c(u), [d.dqf(1.0 - float(v)) for v in u])
         assert np.array_equal(d.quantile(u), [d.quantile(float(v)) for v in u])
+        for p in (0.01, 0.3, 0.77, 0.999):
+            assert abs(d.isf(p) - math.sqrt(1.0 - p)) < 1e-10
+
+
+ISF_PS = (0.3, 1e-5, 1e-20, 1e-100, 1e-300)
+#: every catalog law, Scaled laws and a law defined by pdf and cdf only
+ISF_LAWS = [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5), scale(Normal(), 0.5),
+            Kumaraswamy(2.2, 2.7)]
+
+
+class TestIsf:
+    @pytest.mark.parametrize("p", ISF_PS)
+    @pytest.mark.parametrize("d", [d for d in ISF_LAWS if math.isinf(d.support[1])],
+                             ids=lambda d: d.spec_string())
+    def test_round_trip(self, d, p):
+        # an infinite upper end: sf carries every tail probability to full precision
+        x = d.isf(p)
+        assert abs(d.sf(x) - p) <= 1e-12 * p, (x, d.sf(x))
+
+    @pytest.mark.parametrize("p", ISF_PS)
+    @pytest.mark.parametrize("d", ISF_LAWS, ids=lambda d: d.spec_string())
+    def test_brackets_the_crossing_of_sf(self, d, p):
+        # on a support bounded above at 1 the tail 1 - x is resolved only to
+        # 2^-53, so there sf(isf(p)) cannot return p; isf(p) still lies within
+        # 1e-12 (relative) of where the law's own sf crosses p
+        x = float(d.isf(p))
+        dx = 1e-12 * max(1.0, abs(x))
+        assert d.sf(x - dx) >= p >= d.sf(x + dx), x
+
+    @pytest.mark.parametrize("d", ISF_LAWS, ids=lambda d: d.spec_string())
+    def test_array_matches_scalar(self, d):
+        ps = np.array([*ISF_PS, 0.5, 0.7, 1.0 - 1e-9])
+        values = d.isf(ps)
+        assert isinstance(values, np.ndarray) and values.shape == ps.shape
+        for p, v in zip(ps.tolist(), values):
+            one = d.isf(p)
+            assert np.ndim(one) == 0
+            assert np.float64(one).tobytes() == v.tobytes(), p
+
+    def test_rejects_boundary(self, catalog_member):
+        for bad in (0.0, 1.0, np.array([0.5, 1.0])):
+            with pytest.raises(DistributionError):
+                catalog_member.isf(bad)
 
 
 class TestSampling:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from extrec.dist import Exponential, Normal, Uniform, scale
+from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
 from extrec.records import PhiKernel, RecordLaw, _record_weight, _scan_one, simulate_records
 
@@ -217,6 +217,20 @@ class TestRecordLaw:
             assert np.isfinite(values).all()
             assert values.tolist() == [w(float(v)) for v in u]
 
+    def test_pdf_where_sf_rounds_to_one(self):
+        # sf(1e-30) rounds to 1, so -log sf must come from cdf = 1e-30; the exact
+        # density of the 2nd upper record of Exponential(1) is x e^-x
+        got = RecordLaw(Exponential(rate=1.0), 2, 1, "upper").pdf(1e-30)
+        assert abs(got - 1e-30) <= 1e-12 * 1e-30, got
+
+    def test_lower_pdf_where_cdf_rounds_near_one(self):
+        # lower mirror: cdf(x) = x^2 near x = 1, where -log cdf must come from sf;
+        # the 2nd lower record of power(2) has density -2 log(x^2) * x = -4 x log x
+        for x in (1.0 - 1e-10, 1.0 - 3e-13):
+            got = RecordLaw(PowerFunction(theta=2.0), 2, 1, "lower").pdf(x)
+            exact = -4.0 * x * math.log(x)
+            assert abs(got - exact) <= 1e-12 * exact, (x, got, exact)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             RecordLaw(Uniform(), 0, 1, "upper")
@@ -256,7 +270,7 @@ class TestSimulateRecords:
 
     def test_abort_guard_counts(self):
         # a tiny draw budget cannot reach the 3rd record most of the time
-        rs = simulate_records(Uniform(), 3, 1, "upper", 50, seed=1, max_draws=4)
+        rs = simulate_records(Uniform(), 3, 1, "upper", 50, seed=1, max_draws=4, method="scan")
         assert rs.aborted > 0
         assert rs.values.size == 50 - rs.aborted
 
@@ -265,14 +279,14 @@ class TestSimulateRecords:
     @pytest.mark.parametrize("base", SCAN_LAWS, ids=lambda d: d.spec_string())
     def test_bytes_match_scan_on_x(self, base, n, k, side):
         # the uniform-space scan keeps every sample byte of the scan on X
-        rs = simulate_records(base, n, k, side, 20, seed=3)
+        rs = simulate_records(base, n, k, side, 20, seed=3, method="scan")
         values, aborted = _simulate_x(base, n, k, side, 20, seed=3)
         assert rs.values.tobytes() == values.tobytes()
         assert rs.aborted == aborted == 0
 
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_aborted_bytes_match_scan_on_x(self, side):
-        rs = simulate_records(Normal(), 3, 1, side, 50, seed=1, max_draws=4)
+        rs = simulate_records(Normal(), 3, 1, side, 50, seed=1, max_draws=4, method="scan")
         values, aborted = _simulate_x(Normal(), 3, 1, side, 50, seed=1, max_draws=4)
         assert rs.values.tobytes() == values.tobytes()
         assert rs.aborted == aborted > 0
@@ -297,12 +311,82 @@ class TestSimulateRecords:
             return quantile(self, u)
 
         monkeypatch.setattr(Normal, "quantile", counted)
-        rs = simulate_records(Normal(), 4, 3, "upper", 50, seed=1)
+        rs = simulate_records(Normal(), 4, 3, "upper", 50, seed=1, method="scan")
         assert rs.aborted == 0
         assert sum(calls) == 50  # evaluations, counted by element
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_one_inversion_per_realization(self, monkeypatch, side):
+        calls = {"quantile": [], "isf": []}
+        for name, fn in ((name, getattr(Normal, name)) for name in calls):
+            def counted(self, u, name=name, fn=fn):
+                calls[name].append(np.size(u))
+                return fn(self, u)
+            monkeypatch.setattr(Normal, name, counted)
+        rs = simulate_records(Normal(), 4, 3, side, 50, seed=1)
+        assert rs.aborted == 0 and rs.values.size == 50
+        # evaluations counted by element; both tails are used at (4, 3)
+        assert sum(calls["quantile"]) + sum(calls["isf"]) == 50
+        assert sum(calls["quantile"]) > 0 and sum(calls["isf"]) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_records(Uniform(), 1, 1, "upper", 0, seed=1)
         with pytest.raises(ValueError):
             simulate_records(Uniform(), 1, 3, "upper", 5, seed=1, max_draws=2)
+        with pytest.raises(ValueError, match="method"):
+            simulate_records(Uniform(), 1, 1, "upper", 5, seed=1, method="stream")
+
+
+#: exact-sampler sweep: 24 one-sample KS tests, so each runs at the 0.1% level
+KS_CRIT_999 = 1.95 / math.sqrt(10_000)
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (8, 1), (20, 5)])
+    @pytest.mark.parametrize("base", [Exponential(rate=1.0), Normal(), Pareto(theta=0.7)],
+                             ids=lambda d: d.spec_string())
+    def test_matches_record_law(self, base, n, k, side):
+        rs = simulate_records(base, n, k, side, 10_000, seed=17)
+        assert rs.aborted == 0
+        assert ks_distance(rs.values, RecordLaw(base, n, k, side).cdf) < KS_CRIT_999
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("base", [Exponential(rate=1.0), Normal()],
+                             ids=lambda d: d.spec_string())
+    def test_matches_scan(self, base, n, k, side):
+        exact = simulate_records(base, n, k, side, 2000, seed=5)
+        scan = simulate_records(base, n, k, side, 2000, seed=6, method="scan")
+        assert scan.aborted == 0
+        assert stats.ks_2samp(exact.values, scan.values).pvalue > 1e-3
+
+    def test_deep_records_unbiased(self):
+        # -log(1 - R) of the 8th upper 1-record of the uniform is Gamma(8, 1).  The
+        # exact sampler keeps the streams a scan aborts, which hold the highest
+        # records; the scan at the same size, with a million-draw guard, loses
+        # about 3% of them and falls below the mean by more than 3 standard errors
+        se = math.sqrt(8.0 / 3000)
+        exact = simulate_records(Uniform(), 8, 1, "upper", 3000, seed=2)
+        assert exact.aborted == 0
+        assert abs(np.mean(-np.log1p(-exact.values)) - 8.0) < 3.0 * se
+        scan = simulate_records(Uniform(), 8, 1, "upper", 3000, seed=2, max_draws=1_000_000,
+                                method="scan")
+        assert scan.aborted > 0
+        assert np.mean(-np.log1p(-scan.values)) < 8.0 - 3.0 * se
+
+    def test_underflow_raises(self):
+        # p = exp(-G), G ~ Gamma(800) near 800, is below the least subnormal
+        with pytest.raises(ValueError, match="n=800, k=1"):
+            simulate_records(Exponential(rate=1.0), 800, 1, "upper", 10, seed=1)
+
+    def test_overflow_raises(self):
+        # R = exp(G / theta) with G near 10 and theta = 0.01 is past the largest double
+        with pytest.raises(ValueError, match="n=10, k=1"):
+            simulate_records(Pareto(theta=0.01), 10, 1, "upper", 10, seed=1)
+
+    def test_deterministic_and_max_draws_unused(self):
+        a = simulate_records(Normal(), 3, 2, "lower", 64, seed=5)
+        b = simulate_records(Normal(), 3, 2, "lower", 64, seed=5, max_draws=4)
+        assert a.values.tobytes() == b.values.tobytes() and a.aborted == b.aborted == 0

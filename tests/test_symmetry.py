@@ -11,6 +11,7 @@ from extrec import measures as M
 from extrec import symmetry as S
 from extrec.dist import Distribution, Exponential, Normal, Pareto, PowerFunction, Uniform
 from extrec.quad import QuadStatus
+from extrec.records import PhiKernel
 
 from conftest import CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, assert_close
 
@@ -352,6 +353,32 @@ class TestVerify:
         assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
         seen = [K for _, kernels in calls for K in kernels]
         assert len(seen) == len(set(seen)) == 74
+
+    def test_each_phi_evaluated_once_per_round(self, monkeypatch):
+        # the K/dqf stack derives its 48 phi^m and 12 u*phi kernels from the 12
+        # distinct phi_{n,k} with n >= 2: one evaluation of each per bisection
+        # round, not one per kernel; the w*dqf stack's kij weights use no phi
+        evals, rounds = [], []
+        phi_eval, integrate = PhiKernel._eval, M.integrate_support_stack
+
+        def counted_eval(self, u):
+            evals.append((self.n, self.k))
+            return phi_eval(self, u)
+
+        def counting(F, *args):
+            def G(u):
+                start = len(evals)
+                out = F(u)
+                rounds.append(evals[start:])
+                return out
+            return integrate(G, *args)
+
+        monkeypatch.setattr(PhiKernel, "_eval", counted_eval)
+        monkeypatch.setattr(M, "integrate_support_stack", counting)
+        S.verify_characterizations(E1)
+        distinct = sorted((n, k) for n in range(2, 5) for k in range(1, 5))
+        assert {len(r) for r in rounds} == {0, 12}
+        assert all(sorted(r) == distinct for r in rounds if r)
 
     @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
     def test_stacked_residuals_match_one_row_at_a_time(self, d):
