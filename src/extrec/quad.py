@@ -16,19 +16,27 @@ for them once per node.  An interval is bisected while some row's
 120 subintervals per piece; a piece that stops above its budget is named in
 ``QuadResult.detail``.
 
-Each row's piece sums are then replayed through the ladder, in ladder order,
-and its tail decides the outcome:
+Each row's piece sums are then replayed through the ladder, in ladder order.
+The first check that holds decides the row.  At each rung, in order:
 
-* successive rung values settle below ``tol``, or their Aitken-extrapolated
-  tail settles (two extrapolation levels, which is exact for algebraic
-  endpoint singularities) -> ``converged``;
-* rung values march off monotonically without contracting, or blow past the
-  magnitude cap -> ``diverged_positive`` / ``diverged_negative``;
-* anything else, including a non-finite integrand value at an interior
-  point of a piece the ladder reaches -> ``no_convergence`` with a
-  diagnostic.
+1. a non-finite integrand value at an interior point of a piece the rung
+   adds -> ``no_convergence``;
+2. past rung 0, a rung value beyond the magnitude cap -> ``diverged_*``;
+3. fast growth: the last three ladder diffs share a sign and each is at
+   least five times the one before -> ``diverged_*``.
 
-Divergence is reported, never silently saturated into a finite number.
+At the last rung, in order:
+
+4. raw: successive rung values settle below ``tol`` -> ``converged``;
+5. Aitken-1, then Aitken-2: the Aitken-extrapolated tail settles at one, then
+   at two extrapolation levels -> ``converged``;
+6. monotone: the last three diffs share a sign and none contracts by more
+   than 2% -> ``diverged_*``;
+7. otherwise -> ``no_convergence``, naming the last three diffs.
+
+Divergence is reported with the sign of the growth
+(``diverged_positive`` / ``diverged_negative``), never silently saturated
+into a finite number.
 """
 
 from __future__ import annotations
@@ -234,21 +242,24 @@ def _mark_non_finite(bad: np.ndarray, finite: np.ndarray, x: np.ndarray,
         bad[new, p] = first[new]
 
 
-def _aitken_column(seq: list[float]) -> list[float | None]:
-    """One Aitken delta-squared pass; None where the step is inapplicable."""
-    out: list[float | None] = []
-    for i in range(2, len(seq)):
-        d1 = seq[i - 1] - seq[i - 2]
-        d2 = seq[i] - seq[i - 1]
-        if d1 == 0.0 or d2 == 0.0:
-            out.append(None)
-            continue
-        r = d2 / d1
-        if not abs(r) < _AITKEN_MAX_RATIO:
-            out.append(None)
-            continue
-        out.append(seq[i] + d2 * r / (1.0 - r))
+def _aitken_column(seq: list[float]) -> list[float]:
+    """One Aitken delta-squared pass, keeping only the applicable steps: those
+    whose two differences are nonzero and contract by a ratio below
+    ``_AITKEN_MAX_RATIO``."""
+    out = []
+    for a, b, c in zip(seq, seq[1:], seq[2:]):
+        d1, d2 = b - a, c - b
+        if d1 and d2 and abs(r := d2 / d1) < _AITKEN_MAX_RATIO:
+            out.append(c + d2 * r / (1.0 - r))
     return out
+
+
+def _growing(d: list[float], floor: float, ratio: float) -> bool:
+    """The last three ladder diffs share a sign, the last is above ``floor``,
+    and each is at least ``ratio`` times the one before it."""
+    a, b, c = d[-3:]
+    return (abs(c) > floor and (a > 0 and b > 0 and c > 0 or a < 0 and b < 0 and c < 0)
+            and abs(c) >= ratio * abs(b) and abs(b) >= ratio * abs(a))
 
 
 def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool],
@@ -260,16 +271,8 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
     """
     notes: list[str] = []
     vals: list[float] = []
-    qerr = 0.0
-
-    def reached(*pieces: int) -> str | None:
-        for p in pieces:
-            if not math.isnan(bad[p]):
-                return f"non-finite integrand value at an interior point (u={bad[p]:.6g})"
-            if stopped[p]:
-                notes.append(f"piece ({_LO[p]:.10g}, {_HI[p]:.10g}) stopped above its error budget "
-                             f"at {count[p]} subintervals")
-        return None
+    d: list[float] = []
+    total = qerr = 0.0
 
     def result(value, error, status, detail="") -> QuadResult:
         return QuadResult(value, error, status, "; ".join(filter(None, [detail, *notes])),
@@ -279,63 +282,49 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
         status = QuadStatus.DIVERGED_POSITIVE if sign > 0 else QuadStatus.DIVERGED_NEGATIVE
         return result(math.copysign(math.inf, sign), math.inf, status, detail)
 
-    failure = reached(0)
-    if failure:
-        return result(math.nan, math.inf, QuadStatus.NO_CONVERGENCE, failure)
-    vals.append(v[0])
-    qerr += e[0]
-    for j in range(1, len(EPS_LADDER)):
-        lo, hi = 2 * j - 1, 2 * j
-        failure = reached(lo, hi)
-        if failure:
-            return result(math.nan, math.inf, QuadStatus.NO_CONVERGENCE, failure)
-        vals.append(vals[-1] + v[lo] + v[hi])
-        qerr += e[lo] + e[hi]
-        if abs(vals[-1]) > MAGNITUDE_CAP:
-            return diverged(vals[-1], f"magnitude cap {MAGNITUDE_CAP:g} exceeded "
-                                      f"at eps={EPS_LADDER[j]:g}")
-        d = np.diff(vals)
+    for j, eps in enumerate(EPS_LADDER):
+        # rung 0 is the middle piece; each deeper rung adds its low and high
+        # strip, and their error estimates join qerr as one sum
+        rung_err = 0.0
+        for p in (2 * j - 1, 2 * j) if j else (0,):
+            if not math.isnan(bad[p]):
+                return result(math.nan, math.inf, QuadStatus.NO_CONVERGENCE,
+                              f"non-finite integrand value at an interior point (u={bad[p]:.6g})")
+            if stopped[p]:
+                notes.append(f"piece ({_LO[p]:.10g}, {_HI[p]:.10g}) stopped above its error budget "
+                             f"at {count[p]} subintervals")
+            total += v[p]
+            rung_err += e[p]
+        qerr += rung_err
+        if vals:
+            d.append(total - vals[-1])
+        vals.append(total)
+        if j and abs(total) > MAGNITUDE_CAP:
+            return diverged(total, f"magnitude cap {MAGNITUDE_CAP:g} exceeded at eps={eps:g}")
         # Fast-growing tails are classified early; the deepest strips of a
         # strongly divergent integrand are numerically meaningless anyway.
-        if (
-            len(d) >= 3
-            and abs(d[-1]) > max(1e3 * tol, 10.0 * qerr)
-            and np.sign(d[-1]) == np.sign(d[-2]) == np.sign(d[-3])
-            and abs(d[-1]) >= _FAST_GROWTH_RATIO * abs(d[-2])
-            and abs(d[-2]) >= _FAST_GROWTH_RATIO * abs(d[-3])
-        ):
-            return diverged(d[-1], f"unbounded growth detected at eps={EPS_LADDER[j]:g}")
-
-    d = list(np.diff(vals))
+        if len(d) >= 3 and _growing(d, max(1e3 * tol, 10.0 * qerr), _FAST_GROWTH_RATIO):
+            return diverged(d[-1], f"unbounded growth detected at eps={eps:g}")
 
     # Raw ladder criterion: successive rung values settled below tol.
     if abs(d[-1]) + qerr <= tol:
-        col = _aitken_column(vals[-3:])
-        value = col[-1] if col and col[-1] is not None else vals[-1]
-        return result(value, abs(d[-1]) + qerr, QuadStatus.CONVERGED)
+        return result((_aitken_column(vals[-3:]) or vals)[-1], abs(d[-1]) + qerr,
+                      QuadStatus.CONVERGED)
 
     # Extrapolated tail: one, then two Aitken levels.  Two levels remove two
     # geometric components, which covers mixed algebraic singularities.
-    lvl1 = [w for w in _aitken_column(vals) if w is not None]
-    if len(lvl1) >= 2 and abs(lvl1[-1] - lvl1[-2]) + qerr <= tol:
-        return result(lvl1[-1], abs(lvl1[-1] - lvl1[-2]) + qerr, QuadStatus.CONVERGED)
-    if len(lvl1) >= 3:
-        lvl2 = [z for z in _aitken_column(lvl1) if z is not None]
-        if len(lvl2) >= 2 and abs(lvl2[-1] - lvl2[-2]) + qerr <= tol:
-            return result(lvl2[-1], abs(lvl2[-1] - lvl2[-2]) + qerr, QuadStatus.CONVERGED)
+    col = vals
+    for _ in range(2):
+        col = _aitken_column(col)
+        if len(col) >= 2 and abs(col[-1] - col[-2]) + qerr <= tol:
+            return result(col[-1], abs(col[-1] - col[-2]) + qerr, QuadStatus.CONVERGED)
 
     # Monotone non-contracting growth with a consistent sign: divergent.
-    if (
-        d[-1] != 0.0
-        and np.sign(d[-1]) == np.sign(d[-2]) == np.sign(d[-3])
-        and abs(d[-1]) > max(tol, 10.0 * qerr)
-        and abs(d[-1]) >= _DIVERGENCE_MIN_RATIO * abs(d[-2])
-        and abs(d[-2]) >= _DIVERGENCE_MIN_RATIO * abs(d[-3])
-    ):
+    if _growing(d, max(tol, 10.0 * qerr), _DIVERGENCE_MIN_RATIO):
         return diverged(d[-1], "monotone non-contracting ladder growth")
 
     return result(vals[-1], abs(d[-1]) + qerr, QuadStatus.NO_CONVERGENCE,
-                  f"ladder did not settle: last diffs {[float(x) for x in d[-3:]]}")
+                  f"ladder did not settle: last diffs {d[-3:]}")
 
 
 def integrate_unit_stack(F, tol: float = DEFAULT_TOL) -> list[QuadResult]:

@@ -221,12 +221,14 @@ def _invert_gamma(base: Distribution, n: int, k: int, upper: bool, count: int,
     # isf (upper) or quantile (lower), and a small q by the other one
     via_p, via_q = (base.isf, base.quantile) if upper else (base.quantile, base.isf)
     values = np.empty(count)
-    with np.errstate(over="ignore"):  # an overflow raises below
+    with np.errstate(over="ignore"):  # a value off the open support raises below
         values[small] = via_p(p[small])
         values[~small] = via_q(q[~small])
-    if not np.isfinite(values).all():
-        raise ValueError(f"a record value is not finite at n={n}, k={k}: it overflows "
-                         f"double precision")
+    lo, hi = base.support
+    if not ((lo < values) & (values < hi)).all():
+        raise ValueError(f"a record value is not inside the open support ({lo:g}, {hi:g}) at "
+                         f"n={n}, k={k}: it overflows or rounds onto an end of the support "
+                         f"in double precision")
     return values
 
 
@@ -240,9 +242,10 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     lower) has the law of exp(-G/k).  Each realization inverts whichever of
     p = exp(-G/k) and q = -expm1(-G/k) is below 1/2, through ``isf`` or
     ``quantile``, so both tails stay exact and no probability is rounded to
-    0 or 1.  It never aborts; where p underflows to 0 or a record value is
-    not finite it raises ValueError rather than clip.  ``max_draws`` is only
-    checked.
+    0 or 1.  It never aborts; where p underflows to 0, or a record value
+    overflows or rounds onto an end of the support (the closed end 1 of the
+    uniform's upper records once p < 2^-54, say), it raises ValueError rather
+    than clip.  ``max_draws`` is only checked.
 
     ``method="scan"`` is the definitional oracle.  Each realization scans its
     own iid stream of the uniforms that drive the inverse transform,

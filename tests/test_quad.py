@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,62 @@ def test_rule_is_exact_on_polynomials():
         if j < 20:
             assert abs(Q._WG10 @ Q._NODES ** j - exact) <= 1e-15, j
     assert abs(Q._WG10 @ Q._NODES ** 20 - 2.0 / 21) > 1e-6
+
+
+def _geometric(a, r):
+    """The six strip sums a r^j, j = 1..6, of a ladder whose tail is exactly geometric."""
+    return [a * r ** j for j in range(1, 7)]
+
+
+def _alternating(a):
+    return [a * (-1) ** j for j in range(1, 7)]
+
+
+#: case -> (rung-0 piece sum, the sum each deeper rung adds, a non-finite piece or
+#: None, a stopped piece or None, status, value, detail pattern).  Each row is
+#: decided by the named criterion and by no earlier one.
+LADDER_CASES = {
+    # steps of ratio -1 leave Aitken nothing to apply, so only the raw test settles
+    "raw settle": (1.0, _alternating(1e-9), None, None, QuadStatus.CONVERGED, 1.0, ""),
+    "aitken-1": (1.0, _geometric(1e-2, 0.5), None, None, QuadStatus.CONVERGED, 1.01, ""),
+    # two geometric components: one Aitken level leaves 5e-8, the second 9e-10
+    "aitken-2": (1.0, [1e-2 * (0.5 ** j + 0.05 ** j) for j in range(1, 7)], None, None,
+                 QuadStatus.CONVERGED, 1.0 + 1e-2 * (1.0 + 0.05 / 0.95), ""),
+    "fast growth": (1.0, _geometric(1.0, 10.0), None, None, QuadStatus.DIVERGED_POSITIVE,
+                    math.inf, r"unbounded growth detected at eps=1e-07"),
+    "monotone growth": (1.0, [-1.0] * 6, None, None, QuadStatus.DIVERGED_NEGATIVE, -math.inf,
+                        r"monotone non-contracting ladder growth"),
+    "magnitude cap": (1.0, [2e12] + [0.0] * 5, None, None, QuadStatus.DIVERGED_POSITIVE,
+                      math.inf, r"magnitude cap 1e\+12 exceeded at eps=1e-05"),
+    "non-finite piece": (1.0, _geometric(1e-2, 0.5), 3, None, QuadStatus.NO_CONVERGENCE,
+                         math.nan, r"non-finite integrand value at an interior point \(u=0.25\)"),
+    "not settled": (1.0, _alternating(1e-3), None, None, QuadStatus.NO_CONVERGENCE, 1.0,
+                    r"ladder did not settle: last diffs \[.*\]"),
+    "stopped piece": (1.0, _geometric(1e-10, 0.5), None, 0, QuadStatus.CONVERGED, 1.0 + 1e-10,
+                      r"piece \(0.0001, 0.9999\) stopped above its error budget at 120 "
+                      r"subintervals"),
+}
+
+
+@pytest.mark.parametrize("case", LADDER_CASES)
+def test_ladder_criteria(case):
+    """Synthetic piece sums, fed straight to the classifier: each way a row is
+    decided gives its status, its value and its detail."""
+    middle, steps, bad_at, stopped_at, status, value, detail = LADDER_CASES[case]
+    # the whole step in the low strip and 0 in the high one, so each rung is
+    # the previous one plus the step
+    v = [middle] + [x for s in steps for x in (s, 0.0)]
+    bad = [0.25 if p == bad_at else math.nan for p in range(13)]
+    stopped = [p == stopped_at for p in range(13)]
+    r = Q._ladder(v, [0.0] * 13, bad, stopped, [120] * 13, Q.DEFAULT_TOL)
+    assert r.status is status
+    if math.isnan(value):
+        assert math.isnan(r.value)
+    elif math.isinf(value):
+        assert r.value == value
+    else:
+        assert abs(r.value - value) <= 1e-9
+    assert re.fullmatch(detail, r.detail), r.detail
 
 
 def _quadpack_ladder(f, tol):

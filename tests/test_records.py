@@ -386,6 +386,19 @@ class TestExactSampler:
         with pytest.raises(ValueError, match="n=10, k=1"):
             simulate_records(Pareto(theta=0.01), 10, 1, "upper", 10, seed=1)
 
+    @pytest.mark.parametrize("base", [Uniform(), PowerFunction(theta=2.0)],
+                             ids=lambda d: d.spec_string())
+    def test_closed_end_raises(self, base):
+        # isf(p) rounds to the upper end 1 once p = exp(-G) < 2^-54, as for most of
+        # these G ~ Gamma(40) draws: the open support's end is not a record value
+        with pytest.raises(ValueError, match=r"open support \(0, 1\) at n=40, k=1"):
+            simulate_records(base, 40, 1, "upper", 1000, seed=1)
+
+    def test_lower_mirror_keeps_full_precision(self):
+        # the lower records of the same draws are quantile(p) = p, which stays in (0, 1)
+        values = simulate_records(Uniform(), 40, 1, "lower", 1000, seed=1).values
+        assert ((0.0 < values) & (values < 1.0)).all()
+
     def test_deterministic_and_max_draws_unused(self):
         a = simulate_records(Normal(), 3, 2, "lower", 64, seed=5)
         b = simulate_records(Normal(), 3, 2, "lower", 64, seed=5, max_draws=4)
