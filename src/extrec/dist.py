@@ -7,9 +7,11 @@ every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
 provide closed forms (for symmetric laws it coincides with ``dqf`` exactly).
 ``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of them, so
-the quadrature and the samplers make one call per array.  Catalog laws write
-each formula, the quantile and isf included, once in numpy; a law defined by
-``pdf``/``cdf`` alone gets all four lifted by :func:`lift`.
+the quadrature and the samplers make one call per array.  Each checks u once,
+on :class:`Distribution`, and calls its hook (``_quantile``, ``_isf``, ``_dqf``,
+``_dqf_c``); closed forms go in the hooks, which receive u already checked.
+Catalog laws write each hook once in numpy; a law defined by ``pdf``/``cdf``
+alone gets all four lifted by :func:`lift`.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -71,12 +73,15 @@ class SpecParseError(DistributionError):
 class Distribution:
     """Continuous law over an open interval support.
 
-    Subclasses provide ``pdf``/``cdf`` and the support; ``quantile`` and
-    ``isf`` fall back to one bracketed bisection, on the cdf and on the sf,
-    with a Newton polish (tolerance 1e-12, at most 200 bisections), one value
-    at a time, so user-defined laws only need the two basics; an override of
-    ``quantile`` or ``isf`` takes one value or an array.  All instances are
-    immutable and safe for concurrent use.
+    Subclasses provide ``pdf``/``cdf`` and the support.  ``quantile``, ``isf``,
+    ``dqf`` and ``dqf_c`` check that u lies strictly inside (0, 1) and call
+    the hooks ``_quantile``, ``_isf``, ``_dqf``, ``_dqf_c``, where closed forms
+    go; a hook gets u, one value or an array, already checked.  The generic
+    ``_quantile`` and ``_isf`` bisect the cdf and the sf with a Newton polish
+    (tolerance 1e-12, at most 200 bisections), one value at a time; unless a
+    law defines ``sf``, it is ``1 - cdf`` and ``isf`` resolves no p below
+    2^-53.  ``_dqf`` is ``pdf(quantile(u))``, ``_dqf_c`` is ``dqf(1 - u)``.
+    All instances are immutable and safe for concurrent use.
     """
 
     name: ClassVar[str] = "distribution"
@@ -102,18 +107,40 @@ class Distribution:
     def quantile(self, u):
         """F^-1(u), u in (0, 1); one u or an array."""
         _check_unit_open(u)
-        if isinstance(u, np.ndarray):
-            return lift(self.quantile, u)
-        return self._invert(self.cdf, u)
+        return self._quantile(u)
 
     def isf(self, p):
         """Inverse survival function: the x with sf(x) = p, p in (0, 1); one p or
         an array.  Catalog laws give a closed form that keeps small p exact."""
         _check_unit_open(p)
+        return self._isf(p)
+
+    def dqf(self, u):
+        """Density-quantile function f(F^-1(u)), u in (0, 1); one u or an array."""
+        _check_unit_open(u)
+        return self._dqf(u)
+
+    def dqf_c(self, u):
+        """Complement form f(F^-1(1-u)), u in (0, 1); one u or an array."""
+        _check_unit_open(u)
+        return self._dqf_c(u)
+
+    def _quantile(self, u):
+        if isinstance(u, np.ndarray):
+            return lift(self._quantile, u)
+        return self._invert(self.cdf, u)
+
+    def _isf(self, p):
         if isinstance(p, np.ndarray):
-            return lift(self.isf, p)
+            return lift(self._isf, p)
         # -sf is nondecreasing with derivative pdf, as cdf is
         return self._invert(lambda x: -self.sf(x), -p)
+
+    def _dqf(self, u):
+        return lift(self.pdf, self.quantile(u))
+
+    def _dqf_c(self, u):
+        return self.dqf(1.0 - u)
 
     def _invert(self, g, t: float) -> float:
         """The x with g(x) = t, for g nondecreasing on the support with derivative
@@ -157,15 +184,6 @@ class Distribution:
                 step *= 2.0
         return lo, hi
 
-    def dqf(self, u):
-        """Density-quantile function f(F^-1(u)), u in (0, 1); one u or an array."""
-        return lift(self.pdf, self.quantile(u))
-
-    def dqf_c(self, u):
-        """Complement form f(F^-1(1-u)); override with a stable closed form."""
-        _check_unit_open(u)
-        return self.dqf(1.0 - u)
-
     def spec_string(self) -> str:
         if not self.params:
             return self.name
@@ -178,14 +196,14 @@ class Distribution:
 
 def _check_unit_open(u) -> None:
     """Every u, one value or an array, lies strictly inside (0, 1)."""
-    if not isinstance(u, np.ndarray):  # np.ndim would cost more than the scalar check
-        if not 0.0 < u < 1.0:
-            raise DistributionError(f"u must lie strictly inside (0, 1), got {u!r}")
+    if isinstance(u, np.ndarray):  # np.ndim would cost more than the scalar check
+        inside = (u > 0.0) & (u < 1.0)
+        if inside.all():
+            return
+        u = float(u[~inside].flat[0])
+    elif 0.0 < u < 1.0:
         return
-    inside = (u > 0.0) & (u < 1.0)
-    if not inside.all():
-        raise DistributionError(
-            f"u must lie strictly inside (0, 1), got {float(u[~inside].flat[0])!r}")
+    raise DistributionError(f"u must lie strictly inside (0, 1), got {u!r}")
 
 
 def lift(fn, x):
@@ -231,19 +249,16 @@ class Uniform(_CatalogLaw):
     def cdf(self, x: float) -> float:
         return min(1.0, max(0.0, x))
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return u + 0.0  # a new array, not u
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return 1.0 - p
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return 1.0 + 0.0 * u  # 1, in the shape of u
 
-    dqf_c = dqf
+    _dqf_c = _dqf
 
 
 @dataclass(frozen=True, repr=False)
@@ -263,20 +278,16 @@ class Exponential(_CatalogLaw):
     def sf(self, x: float) -> float:
         return math.exp(-self.rate * x) if x > 0.0 else 1.0
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return -np.log1p(-u) / self.rate
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return -np.log(p) / self.rate
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return self.rate * (1.0 - u)
 
-    def dqf_c(self, u):
-        _check_unit_open(u)
+    def _dqf_c(self, u):
         return self.rate * u
 
 
@@ -301,20 +312,16 @@ class PowerFunction(_CatalogLaw):
             return 1.0
         return -math.expm1(self.theta * math.log(x)) if x < 1.0 else 0.0
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return u ** (1.0 / self.theta)
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return np.exp(np.log1p(-p) / self.theta)
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return self.theta * u ** ((self.theta - 1.0) / self.theta)
 
-    def dqf_c(self, u):
-        _check_unit_open(u)
+    def _dqf_c(self, u):
         return self.theta * (1.0 - u) ** ((self.theta - 1.0) / self.theta)
 
 
@@ -335,20 +342,16 @@ class Pareto(_CatalogLaw):
     def sf(self, x: float) -> float:
         return x ** -self.theta if x > 1.0 else 1.0
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return (1.0 - u) ** (-1.0 / self.theta)
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return np.power(p, -1.0 / self.theta)  # the same pow for one p and an array
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return self.theta * (1.0 - u) ** ((self.theta + 1.0) / self.theta)
 
-    def dqf_c(self, u):
-        _check_unit_open(u)
+    def _dqf_c(self, u):
         return self.theta * u ** ((self.theta + 1.0) / self.theta)
 
 
@@ -373,20 +376,17 @@ class Normal(_CatalogLaw):
         z = (x - self.mu) / self.sigma
         return 0.5 * math.erfc(z / _SQRT2)
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return self.mu + self.sigma * lift(_STD_NORMAL.inv_cdf, u)
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return self.mu - self.sigma * lift(_STD_NORMAL.inv_cdf, p)
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         z = lift(_STD_NORMAL.inv_cdf, u)
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
-    dqf_c = dqf  # symmetric about mu: f(F^-1(1-u)) == f(F^-1(u))
+    _dqf_c = _dqf  # symmetric about mu: f(F^-1(1-u)) == f(F^-1(u))
 
 
 @dataclass(frozen=True, repr=False)
@@ -409,19 +409,16 @@ class Laplace(_CatalogLaw):
         z = (x - self.mu) / self.b
         return 0.5 * math.exp(-z) if z > 0.0 else 1.0 - 0.5 * math.exp(z)
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return self.mu + self.b * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return self.mu - self.b * np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return np.minimum(u, 1.0 - u) / self.b
 
-    dqf_c = dqf
+    _dqf_c = _dqf
 
 
 @dataclass(frozen=True, repr=False)
@@ -447,19 +444,16 @@ class Logistic(_CatalogLaw):
     def sf(self, x: float) -> float:
         return self.cdf(2.0 * self.mu - x)
 
-    def quantile(self, u):
-        _check_unit_open(u)
+    def _quantile(self, u):
         return self.mu + self.s * (np.log(u) - np.log1p(-u))
 
-    def isf(self, p):
-        _check_unit_open(p)
+    def _isf(self, p):
         return self.mu - self.s * (np.log(p) - np.log1p(-p))
 
-    def dqf(self, u):
-        _check_unit_open(u)
+    def _dqf(self, u):
         return u * (1.0 - u) / self.s
 
-    dqf_c = dqf
+    _dqf_c = _dqf
 
 
 @dataclass(frozen=True, repr=False)
@@ -494,16 +488,16 @@ class Scaled(Distribution):
     def sf(self, x: float) -> float:
         return self.base.sf(x / self.a)
 
-    def quantile(self, u):
+    def _quantile(self, u):
         return self.a * self.base.quantile(u)
 
-    def isf(self, p):
+    def _isf(self, p):
         return self.a * self.base.isf(p)
 
-    def dqf(self, u):
+    def _dqf(self, u):
         return self.base.dqf(u) / self.a
 
-    def dqf_c(self, u):
+    def _dqf_c(self, u):
         return self.base.dqf_c(u) / self.a
 
 

@@ -168,11 +168,9 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
     """
     npieces = lo.size
     width = hi - lo
-    count = np.ones(npieces, dtype=int)
     a, b, owner = lo, hi, np.arange(npieces)
     A = B = np.empty(0)
     OWN = np.empty(0, dtype=int)
-    live = np.empty(0, dtype=bool)
     VAL = ERR = bad = None
     while True:
         half = 0.5 * (b - a)
@@ -191,19 +189,18 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
 
         A, B = np.concatenate([A, a]), np.concatenate([B, b])
         OWN = np.concatenate([OWN, owner])
-        live = np.concatenate([live, np.ones(a.size, dtype=bool)])
         VAL = np.concatenate([VAL, kg[..., 0]], axis=1)
         ERR = np.concatenate([ERR, err], axis=1)
+        count = np.bincount(OWN, minlength=npieces)
 
-        total, errsum = _piece_sums(VAL, OWN, live, npieces), _piece_sums(ERR, OWN, live, npieces)
+        total, errsum = _piece_sums(VAL, OWN, npieces), _piece_sums(ERR, OWN, npieces)
         budget = np.maximum(abs_tol, _EPSREL * np.abs(total))
         over = (errsum > budget) & np.isnan(bad)
         if not over.any():
             break
         share = budget[:, OWN] * ((B - A) / width[OWN])
         mid = 0.5 * (A + B)
-        split = (live & ((ERR > share) & over[:, OWN]).any(axis=0)
-                 & (A < mid) & (mid < B))
+        split = ((ERR > share) & over[:, OWN]).any(axis=0) & (A < mid) & (mid < B)
         room = _LIMIT - count
         for p in np.nonzero(np.bincount(OWN[split], minlength=npieces) > room)[0]:
             idx = np.nonzero(split & (OWN == p))[0]
@@ -212,20 +209,19 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
             split[idx[np.argsort(-worst, kind="stable")[:room[p]]]] = True
         if not split.any():
             break
-        count += np.bincount(OWN[split], minlength=npieces)
-        live &= ~split
         a = np.concatenate([A[split], mid[split]])
         b = np.concatenate([mid[split], B[split]])
         owner = np.concatenate([OWN[split], OWN[split]])
+        keep = ~split
+        A, B, OWN, VAL, ERR = A[keep], B[keep], OWN[keep], VAL[:, keep], ERR[:, keep]
     return total, errsum, bad, over, count
 
 
-def _piece_sums(values: np.ndarray, owner: np.ndarray, live: np.ndarray,
-                npieces: int) -> np.ndarray:
-    """Per row, the sum over each piece's live intervals (an infinite value
-    stays in its own piece)."""
+def _piece_sums(values: np.ndarray, owner: np.ndarray, npieces: int) -> np.ndarray:
+    """Per row, the sum over each piece's intervals (an infinite value stays
+    in its own piece)."""
     out = np.zeros((values.shape[0], npieces))
-    np.add.at(out.T, owner[live], values[:, live].T)
+    np.add.at(out.T, owner, values.T)
     return out
 
 
@@ -311,8 +307,8 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
         return result((_aitken_column(vals[-3:]) or vals)[-1], abs(d[-1]) + qerr,
                       QuadStatus.CONVERGED)
 
-    # Extrapolated tail: one, then two Aitken levels.  Two levels remove two
-    # geometric components, which covers mixed algebraic singularities.
+    # Extrapolated tail: one, then two Aitken levels.  One level is exact for one
+    # geometric component; the second only absorbs a much faster second one.
     col = vals
     for _ in range(2):
         col = _aitken_column(col)
@@ -402,17 +398,12 @@ def integrate_support_stack(F, support: tuple[float, float],
         def g(t: np.ndarray) -> np.ndarray:
             return _stack(F, a + width * t) * width
 
-    elif not a_inf:  # (a, inf)
+    else:  # (a, inf) or (-inf, b)
+        end, sign = (b, -1.0) if a_inf else (a, 1.0)
 
         def g(t: np.ndarray) -> np.ndarray:
             s = 1.0 - t
-            return _stack(F, a + t / s) / (s * s)
-
-    else:  # (-inf, b)
-
-        def g(t: np.ndarray) -> np.ndarray:
-            s = 1.0 - t
-            return _stack(F, b - t / s) / (s * s)
+            return _stack(F, end + sign * (t / s)) / (s * s)
 
     return integrate_unit_stack(g, tol)
 

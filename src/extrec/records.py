@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .dist import U_FLOOR, Distribution
+from .dist import U_FLOOR, Distribution, _check_unit_open
 
 __all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
@@ -67,8 +67,7 @@ class PhiKernel:
         check_params(n=self.n, k=self.k)
 
     def __call__(self, u: float) -> float:
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"phi is defined on open (0, 1), got u={u!r}")
+        _check_unit_open(u)
         return float(self._eval(u))
 
     def _eval(self, x):
@@ -159,9 +158,30 @@ class RecordLaw:
         return _weight(self.n, self.k, p, L) * self.base.pdf(x)
 
     def cdf(self, x: float) -> float:
-        if self.side == "upper":
-            return 1.0 - self._phi.at(self.base.sf(x))
-        return self._phi.at(self.base.cdf(x))
+        """Record cdf.  The upper one is P(N >= n) for N ~ Poisson(-k log sf(x));
+        where that mean is below n, 1 - phi_n(sf) would cancel, so the tail is
+        summed directly, with the mean taken from the cdf where sf > 1/2."""
+        if self.side == "lower":
+            return self._phi.at(self.base.cdf(x))
+        sf = self.base.sf(x)
+        if sf <= 0.0:
+            return 1.0
+        lam = -self.k * (math.log1p(-self.base.cdf(x)) if sf > 0.5 else math.log(sf))
+        if lam >= self.n:
+            return 1.0 - self._phi.at(sf)
+        return _poisson_tail(self.n, lam) if lam > 0.0 else 0.0
+
+
+def _poisson_tail(n: int, lam: float) -> float:
+    """P(N >= n) for N ~ Poisson(lam), 0 < lam < n: the terms from j = n up, each
+    in the log domain so that lam^j / j! cannot overflow, until they stop adding."""
+    total, j, log_lam = 0.0, n, math.log(lam)
+    while True:
+        term = math.exp(j * log_lam - lam - math.lgamma(j + 1))
+        total += term
+        if term <= 1e-17 * total:
+            return total
+        j += 1
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from scipy import stats
 
 from extrec.dist import (
     CATALOG,
+    Distribution,
     DistributionError,
     Exponential,
     Laplace,
@@ -15,6 +16,7 @@ from extrec.dist import (
     Normal,
     Pareto,
     PowerFunction,
+    Scaled,
     SpecParseError,
     Uniform,
     make_distribution,
@@ -311,6 +313,73 @@ class TestSampling:
 
         xs = sample(catalog_member, 10_000, seed=11)
         assert ks_distance(xs, catalog_member.cdf) < 1.63 / 100.0
+
+
+class _Rayleigh(Distribution):
+    """A user law that gives its closed forms through the hooks only."""
+
+    name = "rayleigh"
+    support = (0.0, math.inf)
+
+    def pdf(self, x):
+        return x * math.exp(-0.5 * x * x) if x > 0.0 else 0.0
+
+    def cdf(self, x):
+        return -math.expm1(-0.5 * x * x) if x > 0.0 else 0.0
+
+    def _quantile(self, u):
+        return np.sqrt(-2.0 * np.log1p(-u))
+
+    def _isf(self, p):
+        return np.sqrt(-2.0 * np.log(p))
+
+    def _dqf(self, u):
+        return self._quantile(u) * (1.0 - u)
+
+    def _dqf_c(self, u):
+        return self._isf(u) * u
+
+
+#: every catalog law, a Scaled law, a law defined by pdf and cdf only, and a
+#: user law with closed-form hooks
+HOOK_LAWS = [*CATALOG_MEMBERS, Scaled(Exponential(), 2.0), Kumaraswamy(2.2, 2.7), _Rayleigh()]
+U_METHODS = ("quantile", "isf", "dqf", "dqf_c")
+
+
+class TestOneHomeForTheOpenInterval:
+    @pytest.mark.parametrize("d", HOOK_LAWS, ids=lambda d: d.spec_string())
+    def test_public_methods_are_the_base_class_ones(self, d):
+        for name in U_METHODS:
+            assert getattr(type(d), name) is getattr(Distribution, name), name
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])
+    @pytest.mark.parametrize("name", U_METHODS)
+    @pytest.mark.parametrize("d", HOOK_LAWS, ids=lambda d: d.spec_string())
+    def test_rejects_u_off_the_open_interval(self, d, name, bad):
+        method = getattr(d, name)
+        for u in (bad, np.array([0.3, bad, 0.6])):
+            with pytest.raises(DistributionError, match=r"strictly inside \(0, 1\)"):
+                method(u)
+
+    @pytest.mark.parametrize("name", U_METHODS)
+    @pytest.mark.parametrize("d", HOOK_LAWS, ids=lambda d: d.spec_string())
+    def test_returns_what_the_hook_returns(self, d, name):
+        us = np.array([1e-9, 0.3, 0.5, 0.9])
+        method, hook = getattr(d, name), getattr(d, "_" + name)
+        assert np.array_equal(method(us), hook(us))
+        for u in us.tolist():
+            assert np.float64(method(u)).tobytes() == np.float64(hook(u)).tobytes(), u
+
+    def test_generic_dqf_c_raises_where_one_minus_u_rounds_to_one(self):
+        with pytest.raises(DistributionError):
+            Kumaraswamy(2.2, 2.7).dqf_c(1e-20)
+
+    def test_user_hooks_agree_with_the_generic_path(self):
+        d, us = _Rayleigh(), np.array([1e-6, 0.2, 0.5, 0.8, 1.0 - 1e-6])
+        for name in U_METHODS:
+            closed = getattr(d, "_" + name)(us)
+            generic = getattr(Distribution, "_" + name)(d, us)
+            assert np.allclose(closed, generic, rtol=1e-9, atol=0.0), name
 
 
 class TestScaled:

@@ -208,6 +208,18 @@ class TestRecordLaw:
         exact = stats.gamma(n).pdf(x)
         assert abs(got - exact) <= 1e-12 * exact, (got, exact)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 200])
+    def test_upper_cdf_keeps_the_near_end_tail(self, n):
+        # the n-th upper 1-record of Exponential(1) is Gamma(n); near x = 0 its cdf
+        # is tiny and 1 - phi_n(sf(x)) would cancel it away
+        law = RecordLaw(Exponential(rate=1.0), n, 1, "upper")
+        xs = np.logspace(-30, 1, 311)
+        exact = stats.gamma(n).cdf(xs)
+        assert (exact > 1e-300).sum() >= 5
+        for x, want in zip(xs[exact > 1e-300].tolist(), exact[exact > 1e-300].tolist()):
+            got = law.cdf(x)
+            assert abs(got - want) <= 1e-12 * want, (x, got, want)
+
     def test_weight_array_matches_scalar_past_overflow(self):
         w = _record_weight(200, 2, 1)
         u = np.exp(-np.linspace(1.0, 400.0, 64))
