@@ -79,7 +79,7 @@ class Distribution:
     go; a hook gets u, one value or an array, already checked.  The generic
     ``_quantile`` and ``_isf`` bisect the cdf and the sf with a Newton polish
     (tolerance 1e-12, at most 200 bisections), one value at a time; unless a
-    law defines ``sf``, it is ``1 - cdf`` and ``isf`` resolves no p below
+    law defines ``sf``, it is ``1 - cdf`` and ``isf`` raises on p below
     2^-53.  ``_dqf`` is ``pdf(quantile(u))``, ``_dqf_c`` is ``dqf(1 - u)``.
     All instances are immutable and safe for concurrent use.
     """
@@ -133,6 +133,8 @@ class Distribution:
     def _isf(self, p):
         if isinstance(p, np.ndarray):
             return lift(self._isf, p)
+        if p < U_FLOOR and type(self).sf is Distribution.sf:
+            raise DistributionError(f"isf: {self.name} has no sf, so no p < 2^-53: got {p!r}")
         # -sf is nondecreasing with derivative pdf, as cdf is
         return self._invert(lambda x: -self.sf(x), -p)
 
@@ -140,6 +142,8 @@ class Distribution:
         return lift(self.pdf, self.quantile(u))
 
     def _dqf_c(self, u):
+        if np.any(1.0 - u == 1.0):  # then 1 - u has lost the smallest u
+            raise DistributionError(f"dqf_c: {self.name} has no complement form for u = {float(np.min(u))!r}")
         return self.dqf(1.0 - u)
 
     def _invert(self, g, t: float) -> float:

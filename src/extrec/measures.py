@@ -6,15 +6,16 @@ evaluates every row, gaps included, for verify's grid, and its one-point
 form :func:`measure_value` for the public functions and the CLI.  A row's
 factory returns its kernel K alone, one object per distinct kernel.
 
-All cdf-based measures are evaluated in quantile form, i.e. as integrals of
-``K(u) / dqf`` over (0, 1), which treats bounded and unbounded supports
-uniformly; :func:`oracle_value` generates each measure row's other form from
-the same kernel as an independent cross-check (``*_via_support``,
-``extropy_via_quantile``), so no row names an oracle.  Plain and generalized,
-base-level and record-level measures share one kernel, so the reduction
-identities (m=2 generalized == plain, n=1 record of order m == base of order
-k*m) hold exactly.  A gap row (one with a verify ``family``) integrates
-K(u) - K(1-u) against :func:`eta` over (0, 1/2) and has no support form.
+Every measure, extropy (``kij`` at n = k = 1) included, is evaluated in
+quantile form, as an integral of ``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1),
+which treats bounded and unbounded supports uniformly; :func:`oracle_value`
+generates each measure row's support form from the same kernel as an
+independent cross-check (``*_via_support``, ``extropy_via_quantile``), so no
+row names an oracle.  Plain and generalized, base-level and record-level
+measures share one kernel, so the reduction identities (m=2 generalized ==
+plain, n=1 record of order m == base of order k*m) hold exactly.  A gap row
+(one with a verify ``family``) integrates K(u) - K(1-u) against :func:`eta`
+over (0, 1/2) and has no support form.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array; :func:`_gap_integral`, called
@@ -165,9 +166,9 @@ class KernelRow:
     id: str | None             # CLI --measure id; None if the CLI does not offer it
     measure_id: str            # MeasureValue.measure_id
     params: tuple[str, ...]    # free parameters; the others are ``fixed`` or n=1, k=1, m=2
-    kernel: Callable | None    # (n, k, m) -> K(u) on (0, 1), one object per distinct kernel;
+    kernel: Callable           # (n, k, m) -> K(u) on (0, 1), one object per distinct kernel;
                                # a gap row's weight K(u) - K(1-u) is derived from it
-    form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf, "f^2": pdf^2 on the support
+    form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf
     side: str | None           # "upper" takes dqf(1-u), "lower" dqf(u); None: the side param
     prefactor: float
     family: str | None = None  # verify residual family, set on gap rows
@@ -176,7 +177,7 @@ class KernelRow:
 
 #: The kernel table, keyed by ``measure_id``; gap rows in verify order.
 KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
-    KernelRow("extropy", "extropy", (), None, "f^2", None, -0.5),
+    KernelRow("extropy", "extropy", (), _record_weight, "w*dqf", "lower", -0.5),
     KernelRow("crj", "crj", (), _phi_power, "K/dqf", "upper", -0.5),
     KernelRow("cpj", "cpj", (), _phi_power, "K/dqf", "lower", -0.5),
     KernelRow("gcrj", "gcrj", ("m",), _phi_power, "K/dqf", "upper", -0.5),
@@ -248,7 +249,7 @@ def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[Me
     stacks: dict[str, dict[Callable, None]] = {}  # form -> its distinct gap kernels
     for row, *rest in points:
         params, nkm = resolve(row, *rest)
-        K = row.kernel and row.kernel(*nkm)
+        K = row.kernel(*nkm)
         if row.family is not None:
             stacks.setdefault(row.form, {})[K] = None
         resolved.append((row, params, K))
@@ -259,8 +260,6 @@ def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[Me
         upper = params.get("side", row.side) == "upper"
         if row.family is not None:
             qr = gaps[row.form, K]
-        elif row.form == "f^2":
-            qr = integrate_support_stack(lambda x: lift(d.pdf, x) ** 2, d.support, tol)[0]
         elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
             # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
             # of the support and F^-1(u) (lower) the upper end: past an infinite end
@@ -284,34 +283,29 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
 
 def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                  side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Evaluate a measure row of :data:`KERNELS` on ``d`` in its other form.
+    """Evaluate a measure row of :data:`KERNELS` on ``d`` in its support form.
 
-    A quantile-form row integrates over the support with u = p(x), where p is
-    ``d.sf`` on the upper side and ``d.cdf`` on the lower: K(p(x)) for
-    ``K/dqf``, K(p(x)) * pdf(x)^2 for ``w*dqf``.  The ``f^2`` row integrates
-    dqf over (0, 1).  A gap row has no other form: ValueError.
+    It integrates over the support with u = p(x), where p is ``d.sf`` on the
+    upper side and ``d.cdf`` on the lower: K(p(x)) for ``K/dqf``, and
+    K(p(x)) * pdf(x)**2 for ``w*dqf``.  A gap row has none: ValueError.
     """
     if row.family is not None:
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
     params, nkm = resolve(row, n, k, m, side)
-    if row.form == "f^2":
-        qr = integrate_unit_stack(d.dqf, tol)[0]
-    else:
-        K = row.kernel(*nkm)
-        p = d.sf if params.get("side", row.side) == "upper" else d.cdf
+    K = row.kernel(*nkm)
+    p = d.sf if params.get("side", row.side) == "upper" else d.cdf
+
+    def f(x: np.ndarray) -> np.ndarray:
+        u = lift(p, x)
         if row.form == "K/dqf":
-            qr = integrate_support_stack(lambda x: K(lift(p, x)), d.support, tol)[0]
-        else:
-            def f(x: np.ndarray) -> np.ndarray:
-                # K takes log u, so the integrand is 0 where p(x) is
-                u = lift(p, x)
-                return np.where(u > 0.0, K(u) * lift(d.pdf, x) ** 2, 0.0)
-            qr = integrate_support_stack(f, d.support, tol)[0]
+            return K(u)
+        return np.where(u > 0.0, K(u) * lift(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where p(x) is
+    qr = integrate_support_stack(f, d.support, tol)[0]
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
 def extropy(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """J(X) = -1/2 * integral of f^2 over the support."""
+    """J(X) = -1/2 * integral of pdf**2 = -1/2 * integral of dqf: kij_record(d, 1, 1, "lower")."""
     return measure_value(KERNELS["extropy"], d, tol=tol)
 
 
@@ -385,6 +379,7 @@ def cpij_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> Mea
 
 
 def extropy_via_quantile(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
+    """Extropy's support form, -1/2 * integral of pdf**2, whatever the name says."""
     return oracle_value(KERNELS["extropy"], d, tol=tol)
 
 

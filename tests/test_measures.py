@@ -11,9 +11,19 @@ from extrec import symmetry as S
 from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import DEFAULT_TOL, QuadStatus
 
-from conftest import CATALOG_MEMBERS, assert_close
+from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close
 
 U, E1, P2, PA2, NM = Uniform(), Exponential(rate=1.0), PowerFunction(theta=2.0), Pareto(theta=2.0), Normal()
+
+
+#: laws whose mass sits far from 0, or whose f^2 has a steep end, with their
+#: extropy -1/(4 sigma sqrt(pi)), -1/(8 b), -1/(12 s), -theta^2/(2 (2 theta - 1))
+OFF_ORIGIN = [
+    (Normal(mu=40.0), -1.0 / (4.0 * math.sqrt(math.pi))),
+    (Laplace(mu=30.0), -0.125),
+    (Logistic(mu=-25.0, s=0.5), -1.0 / 6.0),
+    (PowerFunction(theta=0.51), -0.51 ** 2 / (2.0 * (2.0 * 0.51 - 1.0))),
+]
 
 
 class TestExtropy:
@@ -26,11 +36,28 @@ class TestExtropy:
     def test_normal(self):
         assert_close(M.extropy(NM).value, -1.0 / (4.0 * math.sqrt(math.pi)), 1e-9, "J(normal)")
 
-    def test_quantile_route_agrees(self):
+    def test_support_route_agrees(self):
         for d in (U, E1, P2, PA2, NM):
             a, b = M.extropy(d), M.extropy_via_quantile(d)
             if a.is_finite and b.is_finite:
                 assert abs(a.value - b.value) < 1e-6
+
+    @pytest.mark.parametrize("d, exact", OFF_ORIGIN, ids=[d.spec_string() for d, _ in OFF_ORIGIN])
+    def test_closed_form_off_the_origin(self, d, exact):
+        mv = M.extropy(d)
+        assert mv.is_finite, mv
+        assert_close(mv.value, exact, 1e-9, d.spec_string())
+
+    @pytest.mark.parametrize("d", [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5),
+                                   Kumaraswamy(2.2, 2.7)], ids=lambda d: d.spec_string())
+    def test_is_kij_at_n_k_one(self, d):
+        # one kernel object, one integrand: the same bits
+        a, b = M.extropy(d), M.kij_record(d, 1, 1, "lower")
+        assert a.quad_status is b.quad_status
+        assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+
+    def test_two_integrand_forms(self):
+        assert {row.form for row in M.KERNELS.values()} == {"K/dqf", "w*dqf"}
 
 
 class TestCrjCpj:

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad as quadpack
 
 from extrec import quad as Q
-from extrec.dist import Laplace
+from extrec.dist import Laplace, Logistic
 from extrec.quad import (QuadStatus, integrate_support, integrate_support_stack, integrate_unit,
                          integrate_unit_stack)
 
@@ -102,6 +102,18 @@ class TestIntegrateSupport:
         r = integrate_support(lambda x: math.exp(-x * x), (-math.inf, math.inf))
         assert r.status is QuadStatus.CONVERGED
         assert_close(r.value, math.sqrt(math.pi), 1e-8, "Gaussian integral")
+
+    def test_real_line_opposite_sign_divergence(self):
+        # each half-axis integral diverges, one to +inf and one to -inf
+        r = integrate_support(lambda x: x / (1.0 + x * x), (-math.inf, math.inf))
+        assert r.status is QuadStatus.NO_CONVERGENCE
+        assert r.detail == "opposite-sign divergence of the two half-axis integrals"
+
+    def test_real_line_one_divergent_half(self):
+        # the left half settles on log 2, the right half diverges
+        r = integrate_support(Logistic().cdf, (-math.inf, math.inf))
+        assert r.status is QuadStatus.DIVERGED_POSITIVE
+        assert r.value == math.inf
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
