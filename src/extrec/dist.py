@@ -11,7 +11,8 @@ the quadrature and the samplers make one call per array.  Each checks u once,
 on :class:`Distribution`, and calls its hook (``_quantile``, ``_isf``, ``_dqf``,
 ``_dqf_c``); closed forms go in the hooks, which receive u already checked.
 Catalog laws write each hook once in numpy; a law defined by ``pdf``/``cdf``
-alone gets all four lifted by :func:`lift`.
+alone gets all four lifted by :func:`lift` over one inverter, which always
+reads the smaller tail: the sf at 1 - u for a quantile at u above 1/2.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -77,10 +79,11 @@ class Distribution:
     ``dqf`` and ``dqf_c`` check that u lies strictly inside (0, 1) and call
     the hooks ``_quantile``, ``_isf``, ``_dqf``, ``_dqf_c``, where closed forms
     go; a hook gets u, one value or an array, already checked.  The generic
-    ``_quantile`` and ``_isf`` bisect the cdf and the sf with a Newton polish
-    (tolerance 1e-12, at most 200 bisections), one value at a time; unless a
-    law defines ``sf``, it is ``1 - cdf`` and ``isf`` raises on p below
-    2^-53.  ``_dqf`` is ``pdf(quantile(u))``, ``_dqf_c`` is ``dqf(1 - u)``.
+    ``_quantile`` and ``_isf`` invert the cdf or the sf, whichever tail is the
+    smaller, by bisection with a Newton polish (tolerance 1e-12, at most 200
+    bisections), one value at a time; unless a law defines ``sf``, it is
+    ``1 - cdf`` and ``isf`` raises on p below 2^-53.  ``_dqf`` is
+    ``pdf(quantile(u))``, ``_dqf_c`` is ``pdf(isf(u))``.
     All instances are immutable and safe for concurrent use.
     """
 
@@ -126,33 +129,31 @@ class Distribution:
         return self._dqf_c(u)
 
     def _quantile(self, u):
-        if isinstance(u, np.ndarray):
-            return lift(self._quantile, u)
-        return self._invert(self.cdf, u)
+        return lift(partial(self._invert, upper=False), u)
 
     def _isf(self, p):
-        if isinstance(p, np.ndarray):
-            return lift(self._isf, p)
-        if p < U_FLOOR and type(self).sf is Distribution.sf:
-            raise DistributionError(f"isf: {self.name} has no sf, so no p < 2^-53: got {p!r}")
-        # -sf is nondecreasing with derivative pdf, as cdf is
-        return self._invert(lambda x: -self.sf(x), -p)
+        return lift(partial(self._invert, upper=True), p)
 
     def _dqf(self, u):
         return lift(self.pdf, self.quantile(u))
 
     def _dqf_c(self, u):
-        if np.any(1.0 - u == 1.0):  # then 1 - u has lost the smallest u
-            raise DistributionError(f"dqf_c: {self.name} has no complement form for u = {float(np.min(u))!r}")
-        return self.dqf(1.0 - u)
+        return lift(self.pdf, self.isf(u))
 
-    def _invert(self, g, t: float) -> float:
-        """The x with g(x) = t, for g nondecreasing on the support with derivative
-        pdf: bisection to ~1e-12 relative bracket width, then Newton polish."""
-        lo, hi = self._bracket(g, t)
+    def _invert(self, p: float, upper: bool) -> float:
+        """The x with cdf(x) = p, or sf(x) = p if ``upper``.  A p above 1/2 is
+        read on the other tail, where 1 - p is exact.  Bisection to ~1e-12
+        relative bracket width, then Newton polish."""
+        if p > 0.5:
+            p, upper = 1.0 - p, not upper
+        if upper and p < U_FLOOR and type(self).sf is Distribution.sf:
+            raise DistributionError(f"isf: {self.name} has no sf, so no p < 2^-53: got {p!r}")
+        g, s = (self.sf, -1.0) if upper else (self.cdf, 1.0)
+        t = s * p  # s * g is nondecreasing with derivative pdf
+        lo, hi = self._bracket(g if s > 0.0 else lambda x: -g(x), t)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if g(mid) < t:
+            if s * g(mid) < t:
                 lo = mid
             else:
                 hi = mid
@@ -163,7 +164,7 @@ class Distribution:
             fx = self.pdf(x)
             if fx <= 0.0:
                 break
-            step = (g(x) - t) / fx
+            step = s * (g(x) - p) / fx
             x_new = x - step
             if not lo <= x_new <= hi:
                 break

@@ -287,15 +287,19 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
 
     It integrates over the support with u = p(x), where p is ``d.sf`` on the
     upper side and ``d.cdf`` on the lower: K(p(x)) for ``K/dqf``, and
-    K(p(x)) * pdf(x)**2 for ``w*dqf``.  A gap row has none: ValueError.
+    K(p(x)) * pdf(x)**2 for ``w*dqf``.  The quadrature splits a whole-line
+    support at 0, so there the integrand is shifted to split it at the median.
+    A gap row has none: ValueError.
     """
     if row.family is not None:
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
     params, nkm = resolve(row, n, k, m, side)
     K = row.kernel(*nkm)
     p = d.sf if params.get("side", row.side) == "upper" else d.cdf
+    c = float(d.quantile(0.5)) if all(map(math.isinf, d.support)) else 0.0
 
     def f(x: np.ndarray) -> np.ndarray:
+        x = x + c
         u = lift(p, x)
         if row.form == "K/dqf":
             return K(u)

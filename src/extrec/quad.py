@@ -161,7 +161,7 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
     needs work, and bisects the intervals whose |K21 - G10| exceeds their
     share of the piece budget ``max(abs_tol, _EPSREL * |piece sum|)`` for a
     row that is still over budget on that piece.  Per (row, piece) it
-    returns the sum, the summed error estimate, the first node with a
+    returns the sum, the summed error estimate, the lowest node with a
     non-finite value (nan if none; such a row is not refined further) and
     whether the piece stopped above its budget, plus the subinterval count
     per piece.
@@ -181,7 +181,8 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
             VAL = ERR = np.empty((y.shape[0], 0))
         finite = np.isfinite(y)
         if not finite.all():
-            _mark_non_finite(bad, finite, x, owner)
+            row, i, j = np.nonzero(~finite)
+            np.fmin.at(bad, (row, owner[i]), x[i, j])
             y = np.where(finite, y, 0.0)
         kg = (y @ _WEIGHTS) * half[:, None]
         resabs = (np.abs(y) @ _WK) * half
@@ -223,19 +224,6 @@ def _piece_sums(values: np.ndarray, owner: np.ndarray, npieces: int) -> np.ndarr
     out = np.zeros((values.shape[0], npieces))
     np.add.at(out.T, owner, values.T)
     return out
-
-
-def _mark_non_finite(bad: np.ndarray, finite: np.ndarray, x: np.ndarray,
-                     owner: np.ndarray) -> None:
-    """Record, per (row, piece), the first node where a row is not finite."""
-    hit = ~finite.all(axis=2)
-    where = np.where(hit, x[np.arange(x.shape[0]), np.argmin(finite, axis=2)], np.nan)
-    for p in np.unique(owner[hit.any(axis=0)]):
-        cols = where[:, owner == p]
-        has = ~np.isnan(cols)
-        first = cols[np.arange(cols.shape[0]), has.argmax(axis=1)]
-        new = np.isnan(bad[:, p]) & has.any(axis=1)
-        bad[new, p] = first[new]
 
 
 def _aitken_column(seq: list[float]) -> list[float]:

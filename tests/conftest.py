@@ -55,6 +55,49 @@ class Kumaraswamy(Distribution):
         return -math.expm1(self.b * math.log1p(-x ** self.a))
 
 
+class UserNormal(Distribution):
+    """The standard normal as a user writes it: pdf, cdf and sf only."""
+
+    name = "user_normal"
+    support = (-math.inf, math.inf)
+
+    def pdf(self, x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def cdf(self, x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def sf(self, x):
+        return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+class UserNormalNoSf(UserNormal):
+    """The same law without its own sf, so sf is the generic 1 - cdf."""
+
+    name = "user_normal_no_sf"
+    sf = Distribution.sf
+
+
+class UserLogistic(Distribution):
+    """The standard logistic as a user writes it: pdf, cdf and sf only."""
+
+    name = "user_logistic"
+    support = (-math.inf, math.inf)
+
+    def pdf(self, x):
+        t = math.exp(-abs(x))
+        return t / (1.0 + t) ** 2
+
+    def cdf(self, x):
+        if x >= 0.0:
+            return 1.0 / (1.0 + math.exp(-x))
+        t = math.exp(x)
+        return t / (1.0 + t)
+
+    def sf(self, x):
+        return self.cdf(-x)
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 

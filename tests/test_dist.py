@@ -26,7 +26,7 @@ from extrec.dist import (
 )
 from extrec.quad import QuadStatus, integrate_support
 
-from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close
+from conftest import CATALOG_MEMBERS, Kumaraswamy, UserLogistic, assert_close
 
 GRID = np.linspace(0.001, 0.999, 1024)
 
@@ -239,10 +239,27 @@ class TestGenericQuantileFallback:
         # the base class lifts the scalar methods over an array
         u = np.array([0.01, 0.3, 0.77])
         assert np.array_equal(d.dqf(u), [d.dqf(float(v)) for v in u])
-        assert np.array_equal(d.dqf_c(u), [d.dqf(1.0 - float(v)) for v in u])
+        assert np.array_equal(d.dqf_c(u), [d.pdf(d.isf(float(v))) for v in u])
         assert np.array_equal(d.quantile(u), [d.quantile(float(v)) for v in u])
         for p in (0.01, 0.3, 0.77, 0.999):
             assert abs(d.isf(p) - math.sqrt(1.0 - p)) < 1e-10
+
+
+    @pytest.mark.parametrize("u", [1e-300, 1e-20, 1e-9, 0.3, 0.7, 1.0 - 1e-9])
+    def test_user_logistic_matches_the_closed_forms(self, u):
+        # each tail is read where it is exact: the cdf for u <= 1/2, the sf at 1 - u above
+        d, ref = UserLogistic(), Logistic()
+        for name in ("quantile", "isf", "dqf", "dqf_c"):
+            got, want = getattr(d, name)(u), getattr(ref, name)(u)
+            assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
+
+    @pytest.mark.xfail(strict=True, reason="bisection stops at an absolute width of 1e-12, and "
+                       "three Newton steps converge only linearly on an x^2.2 tail")
+    @pytest.mark.parametrize("u", [1e-40, 1e-100, 1e-300])
+    def test_far_lower_tail_of_a_power_tail(self, u):
+        d = Kumaraswamy(2.2, 2.7)
+        exact = (-math.expm1(math.log1p(-u) / d.b)) ** (1.0 / d.a)
+        assert abs(d.quantile(u) - exact) <= 1e-12 * exact
 
 
 ISF_PS = (0.3, 1e-5, 1e-20, 1e-100, 1e-300)
@@ -391,7 +408,8 @@ class TestOneHomeForTheOpenInterval:
     def test_generic_dqf_c_raises_where_one_minus_u_rounds_to_one(self):
         d = Kumaraswamy(2.2, 2.7)
         for u in (1e-20, np.array([0.3, 1e-20])):
-            with pytest.raises(DistributionError, match=r"no complement form.*u = 1e-20"):
+            # dqf_c is pdf(isf(u)), so isf's rule for a law without its own sf holds
+            with pytest.raises(DistributionError, match=r"isf: kumaraswamy has no sf.*got 1e-20"):
                 d.dqf_c(u)
 
     def test_user_hooks_agree_with_the_generic_path(self):

@@ -25,6 +25,9 @@ OFF_ORIGIN = [
     (PowerFunction(theta=0.51), -0.51 ** 2 / (2.0 * (2.0 * 0.51 - 1.0))),
 ]
 
+#: whole-line laws with their mass far from 0 or a kink near it
+WHOLE_LINE = [*OFF_ORIGIN[:2], (Laplace(mu=-0.996, b=1.184), -1.0 / (8.0 * 1.184))]
+
 
 class TestExtropy:
     def test_uniform(self):
@@ -47,6 +50,14 @@ class TestExtropy:
         mv = M.extropy(d)
         assert mv.is_finite, mv
         assert_close(mv.value, exact, 1e-9, d.spec_string())
+
+    @pytest.mark.parametrize("d, exact", WHOLE_LINE, ids=[d.spec_string() for d, _ in WHOLE_LINE])
+    def test_support_form_centred_on_the_median(self, d, exact):
+        # the quadrature splits the real line at 0; the support form splits it
+        # at the median, so neither mass far from 0 nor a kink near it is lost
+        mv = M.extropy_via_quantile(d)
+        assert mv.is_finite, mv
+        assert abs(mv.value - exact) <= 1e-13 * abs(exact), mv.value
 
     @pytest.mark.parametrize("d", [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5),
                                    Kumaraswamy(2.2, 2.7)], ids=lambda d: d.spec_string())
@@ -295,6 +306,32 @@ class TestOneEvaluator:
     def test_gap_rows_have_no_oracle(self, row):
         with pytest.raises(ValueError, match="no support form"):
             M.oracle_value(row, P2)
+
+
+#: each support-form wrapper, the row it names, and the point it is called at
+SUPPORT_WRAPPERS = [
+    (M.extropy_via_quantile, "extropy", {}),
+    (M.crj_via_support, "crj", {}),
+    (M.cpj_via_support, "cpj", {}),
+    (M.gcrj_via_support, "gcrj", {"m": 3}),
+    (M.gcpj_via_support, "gcpj", {"m": 3}),
+    (M.record_crj_upper_via_support, "record_crj_upper", {"n": 2, "k": 3}),
+    (M.record_cpj_lower_via_support, "record_cpj_lower", {"n": 2, "k": 3}),
+    (M.kij_record_via_support, "kij_record", {"n": 2, "k": 3, "side": "upper"}),
+    (M.kij_record_via_support, "kij_record", {"n": 2, "k": 3, "side": "lower"}),
+    (M.crij_upper_via_support, "crij_upper", {"n": 2, "k": 3}),
+    (M.cpij_lower_via_support, "cpij_lower", {"n": 2, "k": 3}),
+]
+
+
+@pytest.mark.parametrize("wrapper, measure_id, point", SUPPORT_WRAPPERS,
+                         ids=[f"{w.__name__}-{p['side']}" if "side" in p else w.__name__
+                              for w, _, p in SUPPORT_WRAPPERS])
+def test_support_wrapper_is_the_oracle(wrapper, measure_id, point):
+    # measure-sweep's oracle gate calls these names: each must be its row's oracle
+    a, b = wrapper(NM, **point), M.oracle_value(M.KERNELS[measure_id], NM, **point)
+    assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
+    assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
 
 
 class TestInputChecks:

@@ -115,6 +115,13 @@ class TestIntegrateSupport:
         assert r.status is QuadStatus.DIVERGED_POSITIVE
         assert r.value == math.inf
 
+    def test_real_line_one_unsettled_half(self):
+        # the right half settles, the left meets a non-finite value: no convergence
+        r = integrate_support(lambda x: math.nan if x < -1.0 else math.exp(-x * x),
+                              (-math.inf, math.inf))
+        assert r.status is QuadStatus.NO_CONVERGENCE and math.isnan(r.value)
+        assert r.detail.startswith("non-finite integrand value at an interior point"), r.detail
+
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             integrate_support(lambda x: x, (2.0, 2.0))

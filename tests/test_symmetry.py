@@ -13,7 +13,8 @@ from extrec.dist import Distribution, Exponential, Normal, Pareto, PowerFunction
 from extrec.quad import QuadStatus
 from extrec.records import PhiKernel
 
-from conftest import CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, assert_close
+from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserLogistic, UserNormal,
+                      UserNormalNoSf, assert_close)
 
 U, E1, P2, PA2, NM = Uniform(), Exponential(rate=1.0), PowerFunction(theta=2.0), Pareto(theta=2.0), Normal()
 
@@ -196,6 +197,27 @@ class TestPdfCdfOnlyLaw:
         mv = gap(KUMA)
         assert mv.is_finite, mv.quad_status
         assert abs(mv.value - measures(KUMA)) < 1e-6
+
+
+class TestUserWrittenSymmetricLaw:
+    """Laws written by pdf, cdf and sf: every dqf and dqf_c comes from the
+    generic inverter, which reads the smaller tail of each u."""
+
+    @pytest.mark.parametrize("d", [UserNormal(), UserLogistic()], ids=lambda d: d.name)
+    def test_verifies_symmetric(self, d):
+        rep = S.verify_characterizations(d)
+        assert rep.class_c is S.ClassC.MEMBER_EQUAL
+        assert rep.verdict is S.Verdict.SYMMETRIC
+        assert len(rep.residuals) == 105
+        assert all(e.status is QuadStatus.CONVERGED for e in rep.residuals)
+
+    def test_without_sf_no_false_divergence(self):
+        # 1 - cdf cannot resolve the right tail below 2^-53, so the gaps do not
+        # settle; they must not read as divergent either
+        rep = S.verify_characterizations(UserNormalNoSf())
+        assert rep.class_c.is_member and rep.verdict is S.Verdict.INCONCLUSIVE
+        assert not any(e.status in (QuadStatus.DIVERGED_NEGATIVE, QuadStatus.DIVERGED_POSITIVE)
+                       for e in rep.residuals)
 
 
 class TestDeltaKij:
