@@ -5,11 +5,12 @@ largest observation when, for the n-th time, a new observation enters the
 running top-k (for n = 1 this is the k-th largest of the first k draws,
 i.e. their minimum).  Lower k-records mirror with the running bottom-k.
 
-The analytic cdf of either record is a composition of the base cdf with the
-kernel ``phi_n(u) = u^k * sum_{i<n} (-k log u)^i / i!``, which is also the
-lower tail of a Poisson(-k log u) variable at n-1; the record density is
-``phi_n'(p) * f`` with p the base sf (upper) or cdf (lower).  All record-level
-measure integrals downstream are built from these two kernels.
+Both records share one law in u = p(x), the base sf (upper) or cdf (lower):
+with N ~ Poisson(-k log u), ``phi_n(u) = u^k sum_{i<n} (-k log u)^i / i!`` is
+P(N < n), the lower record's cdf; P(N >= n) is the upper record's; and the
+density of phi, the record weight, times f is the record density.
+:class:`PhiKernel` holds all three, and every record-level measure integral
+downstream is built from phi and the weight.
 
 The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
 G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
@@ -55,10 +56,10 @@ def check_params(**values) -> None:
 
 @dataclass(frozen=True)
 class PhiKernel:
-    """Kernel u -> u^k * sum_{i=0}^{n-1} (-k log u)^i / i! on (0, 1).
-
-    Nondecreasing, with limits 0 at 0+ and 1 at 1-.
-    """
+    """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u: nondecreasing
+    on [0, 1] from 0 to 1.  Its tail and density are ``_tail`` and ``_weight``,
+    and each of the three falls back to the one log-domain Poisson term ``_log_pmf``.
+    ``L`` is -log u where a caller takes it from the complement of u."""
 
     n: int
     k: int
@@ -70,60 +71,66 @@ class PhiKernel:
         _check_unit_open(u)
         return float(self._eval(u))
 
-    def _eval(self, x):
+    @cached_property
+    def _log_fact(self) -> np.ndarray:
+        return np.array([math.lgamma(i + 1) for i in range(self.n + 1)])  # log i!, i <= n
+
+    def _log_pmf(self, i, lam):
+        """log P(N = i) for N ~ Poisson(lam), 0 <= i <= n: at an integer i, or at
+        each i of an integer column against each lam of a row."""
+        return i * np.log(lam) - lam - self._log_fact[i]
+
+    def _eval(self, x, L=None):
         """phi at one u or at each u of an array, in [0, 1]."""
-        # partial sums accumulated ascending in i; log-domain fallback keeps
-        # u^k * sum from turning into 0 * inf near u = 0
+        # partial sums ascending in i, which can overflow past _LAM_DIRECT_MAX
         u = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = -self.k * np.log(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = -self.k * np.log(u) if L is None else self.k * np.atleast_1d(L)
             term = total = 1.0
             for i in range(1, self.n):
                 term = term * (lam / i)
                 total = total + term
             out = np.minimum(1.0, u ** self.k * total)
-        if not lam.max() <= _LAM_DIRECT_MAX:
-            far = (lam > _LAM_DIRECT_MAX) & (u >= 1e-300)
-            lam_far = lam[far]
-            g = (np.arange(self.n)[:, None] * np.log(lam_far)
-                 - np.array([math.lgamma(i + 1) for i in range(self.n)])[:, None])
-            m = g.max(axis=0, initial=-math.inf)
-            s = np.exp(g - m).sum(axis=0)
-            out[far] = np.minimum(1.0, np.exp(-lam_far + m + np.log(s)))
-            out[u < 1e-300] = 0.0
+            if not lam.max() <= _LAM_DIRECT_MAX:  # there phi is summed in the log domain
+                far = lam > _LAM_DIRECT_MAX
+                g = self._log_pmf(np.arange(self.n)[:, None], lam[far])
+                top = g.max(axis=0)
+                out[far] = np.minimum(1.0, np.exp(top + np.log(np.exp(g - top).sum(axis=0))))
+                out[lam == math.inf] = 0.0  # u = 0
         return out if np.ndim(x) else out[0]
 
-    def at(self, u: float) -> float:
-        """Closed-interval extension used by record cdfs: 0 at u<=0, 1 at u>=1."""
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 1.0
-        return float(self._eval(u))
+    def _weight(self, u, L=None):
+        """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi, with 1/(n-1)! in log
+        space past n = 20.  Where that is not a positive finite number (it overflows at
+        large n; 1/(n-1)! underflows past n = 171) it is (k/u) P(N = n-1), in logs."""
+        n, k = self.n, self.k
+        inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            L = -np.log(u) if L is None else np.asarray(L)
+            lam = k * L
+            w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
+            direct = (w > 0.0) & (w < math.inf)
+            if not np.all(direct):
+                w = np.where(direct, w, np.exp(math.log(k) + L + self._log_pmf(n - 1, lam)))
+        return w
+
+    def _tail(self, lam: float) -> float:
+        """P(N >= n) = 1 - phi for 0 < lam < n, without the cancellation: the
+        terms from P(N = n), the largest, up until they stop adding."""
+        term = total = math.exp(self._log_pmf(self.n, lam))
+        j = self.n
+        while term > 1e-17 * total:
+            j += 1
+            term *= lam / j
+            total += term
+        return total
 
 
 @cache
 def _record_weight(n: int, k: int, m: int):
-    """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the record density in u-space.
+    """The record weight of phi_{n,k}, the record density in u-space.
     m is unused: (n, k, m) is the kernel table's signature."""
-    return lambda u: _weight(n, k, u, -np.log(u))
-
-
-def _weight(n: int, k: int, u, L):
-    """The record weight at u, with ``L`` = -log u given, so a caller can take it
-    from the complement of u where u rounds to 1.  1/(n-1)! is taken in log
-    space past n = 20; where the direct product is not a positive finite
-    number (at large n it overflows, and 1/(n-1)! underflows past n = 171),
-    the whole product is taken in the log domain."""
-    inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
-    lam = k * L
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
-        direct = (w > 0.0) & (w < math.inf)
-        if not direct.all():
-            log_w = math.log(k) - math.lgamma(n) + (k - 1) * np.log(u) + (n - 1) * np.log(lam)
-            w = np.where(direct, w, np.exp(log_w))
-    return w
+    return PhiKernel(n, k)._weight
 
 
 @dataclass(frozen=True)
@@ -142,46 +149,37 @@ class RecordLaw:
     def _phi(self) -> PhiKernel:
         return PhiKernel(self.n, self.k)
 
+    def _p_and_log(self, x: float) -> tuple[float, float]:
+        """p(x), the base sf (upper) or cdf (lower), and -log p, from the complement q
+        where p > 1/2 (p rounds to 1 once q < 2^-53); q is read only there."""
+        upper = self.side == "upper"
+        p = self.base.sf(x) if upper else self.base.cdf(x)
+        if p > 0.5:
+            return p, -math.log1p(-(self.base.cdf(x) if upper else self.base.sf(x)))
+        return p, -math.log(p) if p > 0.0 else math.inf
+
     def pdf(self, x: float) -> float:
         """Record density; 0 outside the base support (closed-support convention)."""
         lo, hi = self.base.support
         if not lo < x < hi:
             return 0.0
-        sf, cdf = self.base.sf(x), self.base.cdf(x)
-        p, q = (sf, cdf) if self.side == "upper" else (cdf, sf)
+        p, L = self._p_and_log(x)
         if p <= 0.0:
             # sf/cdf underflow deep in a tail, where the weight's log is undefined:
             # the (1, 1) record is the base law itself, any other density is 0 there
             return self.base.pdf(x) if self.n == self.k == 1 else 0.0
-        # -log p from the complement q where p > 1/2: p itself rounds to 1 once q < 2^-53
-        L = -np.log1p(-q) if p > 0.5 else -np.log(p)
-        return _weight(self.n, self.k, p, L) * self.base.pdf(x)
+        return self._phi._weight(p, L) * self.base.pdf(x)
 
     def cdf(self, x: float) -> float:
-        """Record cdf.  The upper one is P(N >= n) for N ~ Poisson(-k log sf(x));
-        where that mean is below n, 1 - phi_n(sf) would cancel, so the tail is
-        summed directly, with the mean taken from the cdf where sf > 1/2."""
+        """Record cdf: phi_n(cdf(x)) for a lower record, and P(N >= n) for an upper
+        one, which is 1 - phi_n(sf(x)) unless lam < n, where that would cancel."""
         if self.side == "lower":
-            return self._phi.at(self.base.cdf(x))
-        sf = self.base.sf(x)
-        if sf <= 0.0:
-            return 1.0
-        lam = -self.k * (math.log1p(-self.base.cdf(x)) if sf > 0.5 else math.log(sf))
+            return float(self._phi._eval(self.base.cdf(x)))
+        p, L = self._p_and_log(x)
+        lam = self.k * L
         if lam >= self.n:
-            return 1.0 - self._phi.at(sf)
-        return _poisson_tail(self.n, lam) if lam > 0.0 else 0.0
-
-
-def _poisson_tail(n: int, lam: float) -> float:
-    """P(N >= n) for N ~ Poisson(lam), 0 < lam < n: the terms from j = n up, each
-    in the log domain so that lam^j / j! cannot overflow, until they stop adding."""
-    total, j, log_lam = 0.0, n, math.log(lam)
-    while True:
-        term = math.exp(j * log_lam - lam - math.lgamma(j + 1))
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        j += 1
+            return 1.0 - float(self._phi._eval(p, L))
+        return self._phi._tail(lam) if lam > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -368,12 +368,19 @@ def _log_power_integral(n, k, m, a):
     return float(sum(cj * math.factorial(j) / Fraction(a) ** (j + 1) for j, cj in enumerate(c)))
 
 
-EXACT_RECORD_KERNELS = [  # (measure_id, law, closed form in (n, k, m))
-    ("record_gcrj_upper", E1, lambda n, k, m: -0.5 * _log_power_integral(n, k, m, k * m)),
-    ("kij_record", E1, lambda n, k, m: -0.5 * (k / (k + 1)) ** n),
-    ("crij_upper", E1, lambda n, k, m: -0.5 * sum(k ** i / (k + 1) ** (i + 1) for i in range(n))),
-    *(("record_gcpj_lower", PowerFunction(theta=t),
+EXACT_RECORD_KERNELS = [  # (measure_id, law, side, closed form in (n, k, m))
+    ("record_gcrj_upper", E1, "upper",
+     lambda n, k, m: -0.5 * _log_power_integral(n, k, m, k * m)),
+    ("kij_record", E1, "upper", lambda n, k, m: -0.5 * (k / (k + 1)) ** n),
+    ("kij_record", P2, "lower", lambda n, k, m, t=2.0: -(t / 2) * (k / (k + 1 - 1 / t)) ** n),
+    ("crij_upper", E1, "upper",
+     lambda n, k, m: -0.5 * sum(k ** i / (k + 1) ** (i + 1) for i in range(n))),
+    *(("record_gcpj_lower", PowerFunction(theta=t), "lower",
        lambda n, k, m, t=t: -0.5 / t * _log_power_integral(n, k, m, k * m + 1 / t))
+      for t in (0.5, 2.0)),
+    *(("cpij_lower", PowerFunction(theta=t), "lower",
+       lambda n, k, m, t=t: -1 / (2 * t) * sum(k ** i / (k + 1 + 1 / t) ** (i + 1)
+                                                for i in range(n)))
       for t in (0.5, 2.0)),
 ]
 
@@ -385,13 +392,13 @@ class TestExactRecordKernels:
     """
 
     @pytest.mark.parametrize("form", [M.measure_value, M.oracle_value], ids=["primary", "oracle"])
-    @pytest.mark.parametrize("mid, d, exact", EXACT_RECORD_KERNELS, ids=[
-        f"{mid}-{d.spec_string()}" for mid, d, _ in EXACT_RECORD_KERNELS])
-    def test_closed_form(self, mid, d, exact, form):
+    @pytest.mark.parametrize("mid, d, side, exact", EXACT_RECORD_KERNELS, ids=[
+        f"{mid}-{d.spec_string()}" for mid, d, _, _ in EXACT_RECORD_KERNELS])
+    def test_closed_form(self, mid, d, side, exact, form):
         row = M.KERNELS[mid]
         ms = range(1, 5) if "m" in row.params else [2]
         for n, k, m in itertools.product(range(1, 5), range(1, 5), ms):
-            mv, want = form(row, d, n, k, m), exact(n, k, m)
+            mv, want = form(row, d, n, k, m, side), exact(n, k, m)
             assert mv.is_finite and abs(mv.value - want) <= 1e-8 * abs(want), \
                 (mid, n, k, m, mv.display(), want)
 

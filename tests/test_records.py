@@ -99,7 +99,22 @@ class TestPhiKernel:
         ph = PhiKernel(3, 2)
         assert ph(1e-250) < 1e-200
         assert ph(1.0 - 1e-12) > 1.0 - 1e-9
-        assert ph.at(0.0) == 0.0 and ph.at(1.0) == 1.0
+        assert ph._eval(0.0) == 0.0 and ph._eval(1.0) == 1.0
+
+    def test_below_1e_300_is_the_gamma_sf(self):
+        # phi_n(u) = P(G > -log u) for G ~ Gamma(n) at k = 1; at n = 800 it is near 1
+        # where u is below 1e-300, on the kernel and on the lower record cdf of Exp(1)
+        u = 1e-301
+        exact = stats.gamma(800).sf(-math.log(u))
+        for got in (PhiKernel(800, 1)(u), RecordLaw(Exponential(rate=1.0), 800, 1, "lower").cdf(u)):
+            assert abs(got - exact) <= 1e-12 * exact, (got, exact)
+
+    def test_subnormal_u_at_large_n(self):
+        # lam = -log(5e-310) = 713 is far below n = 1000, so phi is 1; the direct
+        # recurrence overflows on the way, and that raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PhiKernel(1000, 1)(5e-310) == 1.0
 
     def test_log_domain_path_tiny_u(self):
         # forces the log-domain branch; Poisson lower tail stays in [0, 1]
@@ -168,9 +183,10 @@ class TestRecordLaw:
         assert law.pdf(-0.5) == 0.0 and law.pdf(1.5) == 0.0
 
     def test_cdf_limits(self):
-        law = RecordLaw(Exponential(rate=1.0), 3, 2, "upper")
-        assert law.cdf(-1.0) == 0.0
-        assert law.cdf(1e9) == 1.0
+        for side in ("upper", "lower"):
+            law = RecordLaw(Exponential(rate=1.0), 3, 2, side)
+            assert law.cdf(-1.0) == 0.0
+            assert law.cdf(1e9) == 1.0
 
     def test_pdf_integrates_to_one(self):
         for side in ("upper", "lower"):
@@ -219,6 +235,27 @@ class TestRecordLaw:
         for x, want in zip(xs[exact > 1e-300].tolist(), exact[exact > 1e-300].tolist()):
             got = law.cdf(x)
             assert abs(got - want) <= 1e-12 * want, (x, got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 200])
+    def test_lower_cdf_keeps_the_near_end_value(self, n):
+        # the n-th lower 1-record of power(2) has -log cdf = -2 log x ~ Gamma(n), so
+        # its cdf is the Gamma(n) sf at -2 log x; near x = 0 it is tiny
+        law = RecordLaw(PowerFunction(theta=2.0), n, 1, "lower")
+        xs = np.logspace(-30, 0, 301)
+        exact = stats.gamma(n).sf(-2.0 * np.log(xs))
+        assert (exact > 1e-300).sum() >= 5
+        for x, want in zip(xs[exact > 1e-300].tolist(), exact[exact > 1e-300].tolist()):
+            got = law.cdf(x)
+            assert abs(got - want) <= 1e-12 * want, (x, got, want)
+
+    def test_weight_log_domain_is_the_gamma_density(self):
+        # at n = 200, 1/(n-1)! underflows, so every u takes the log-domain branch;
+        # the weight is (k/u) times the Gamma(n) density at -k log u
+        n, k = 200, 2
+        u = np.exp(-np.linspace(1.0, 400.0, 64))
+        exact = (k / u) * stats.gamma(n).pdf(-k * np.log(u))
+        got = _record_weight(n, k, 1)(u)
+        assert (np.abs(got - exact) <= 1e-12 * exact).all(), np.max(np.abs(got / exact - 1))
 
     def test_weight_array_matches_scalar_past_overflow(self):
         w = _record_weight(200, 2, 1)
