@@ -83,7 +83,11 @@ class Distribution:
     smaller, by bisection with a Newton polish (tolerance 1e-12, at most 200
     bisections), one value at a time; unless a law defines ``sf``, it is
     ``1 - cdf`` and ``isf`` raises on p below 2^-53.  ``_dqf`` is
-    ``pdf(quantile(u))``, ``_dqf_c`` is ``pdf(isf(u))``.
+    ``pdf(quantile(u))``, ``_dqf_c`` is ``pdf(isf(u))``.  That costs a
+    bisection per u, so :mod:`extrec.measures` integrates a law whose
+    ``_quantile`` is this generic one in x, from ``pdf``, ``cdf`` and ``sf``,
+    with no quantile but its median; only a ``K/dqf`` gap on a support with
+    an infinite end stays in u.
     All instances are immutable and safe for concurrent use.
     """
 

@@ -6,22 +6,29 @@ evaluates every row, gaps included, for verify's grid, and its one-point
 form :func:`measure_value` for the public functions and the CLI.  A row's
 factory returns its kernel K alone, one object per distinct kernel.
 
-Every measure, extropy (``kij`` at n = k = 1) included, is evaluated in
-quantile form, as an integral of ``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1),
-which treats bounded and unbounded supports uniformly; :func:`oracle_value`
-generates each measure row's support form from the same kernel as an
-independent cross-check (``*_via_support``, ``extropy_via_quantile``), so no
-row names an oracle.  Plain and generalized, base-level and record-level
-measures share one kernel, so the reduction identities (m=2 generalized ==
-plain, n=1 record of order m == base of order k*m) hold exactly.  A gap row
+Every row, extropy (``kij`` at n = k = 1) included, is an integral of
+``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1), or a gap's over (0, 1/2), and
+one function, :func:`_integrand`, writes it in either of two variables: u
+(the quantile form) or x with u = sf(x) or cdf(x) (the support form, which
+takes no quantile).  The primary integrates in u, which treats bounded and
+unbounded supports uniformly, unless the law's quantile is the generic
+inverter, a bisection per node; then it integrates in x, unless a ``K/dqf``
+kernel reaches an infinite end of the support, where the x form diverges.
+:func:`oracle_value` takes a measure row in the other variable, from the
+same kernel, as an independent cross-check (``*_via_support``,
+``extropy_via_quantile``), so no row names an oracle.  Plain and
+generalized, base-level and record-level measures share one kernel, so the
+reduction identities (m=2 generalized == plain, n=1 record of order m ==
+base of order k*m) hold exactly.  A gap row
 (one with a verify ``family``) integrates K(u) - K(1-u) against :func:`eta`
-over (0, 1/2) and has no support form.
+over (0, 1/2), or in x the weight K(sf(x)) - K(cdf(x)) over the support, and
+has no oracle.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array; :func:`_gap_integral`, called
-by :func:`measure_values` alone, integrates a whole stack of kernels against
-one ``eta`` evaluation per node, and evaluates each ``phi_{n,k}`` the stack
-derives kernels from once per node array.
+by :func:`measure_values` alone, integrates a whole stack of kernels on
+shared nodes, and evaluates each ``phi_{n,k}`` the stack derives kernels
+from once per node array.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.
@@ -37,8 +44,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dist import Distribution, lift
-from .quad import (DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack,
-                   integrate_unit_stack)
+from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack
 from .records import PhiKernel, _record_weight, check_params
 
 __all__ = [
@@ -222,22 +228,88 @@ def eta(d: Distribution, u):
     return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
 
 
-def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
-                  tol: float) -> list[QuadResult]:
-    """Integrals over (0, 1/2) of each gap weight K(u) - K(1-u) times eta(u), or
-    times (dqf_c - dqf)(u) for the ``w*dqf`` form, one per kernel; all share
-    the nodes, and eta and each distinct phi_{n,k} are evaluated once per node."""
+def _kernel_rows(kernels: list[Callable]) -> Callable:
+    """The kernels as one function of the nodes u, one row per kernel; each
+    distinct phi_{n,k} the kernels derive from is evaluated once per call."""
     phis = list({K.phi: None for K in kernels if isinstance(K, _OfPhi)})
 
-    def F(u: np.ndarray) -> np.ndarray:
-        against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
-        both = np.concatenate([u, 1.0 - u])  # one kernel call per node pair
-        at = {ph: ph._eval(both) for ph in phis}
-        w = np.stack([K.of(both, at[K.phi]) if isinstance(K, _OfPhi) else K(both)
-                      for K in kernels])
-        return (w[:, :u.size] - w[:, u.size:]) * against
+    def rows(u: np.ndarray) -> np.ndarray:
+        at = {ph: ph._eval(u) for ph in phis}
+        return np.array([K.of(u, at[K.phi]) if isinstance(K, _OfPhi) else K(u) for K in kernels])
+    return rows
 
-    return integrate_support_stack(F, (0.0, 0.5), tol)
+
+def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
+    """A ``K/dqf`` integrand in x tends to a nonzero constant at an infinite
+    end of the support: a measure's K(p(x)) tends to 1 at the lower end on
+    the upper side and at the upper end on the lower, and a gap's
+    K(sf(x)) - K(cdf(x)) tends to -1 at the upper end and +1 at the lower."""
+    ends = d.support if side is None else (d.support[0 if side == "upper" else 1],)
+    return form == "K/dqf" and any(map(math.isinf, ends))
+
+
+def _variable(d: Distribution, form: str, side: str | None) -> str:
+    """The primary's variable of integration: u, unless the law's quantile is
+    the generic inverter, a bisection at every node, and the integrand
+    converges in x."""
+    generic = type(d)._quantile is Distribution._quantile
+    return "x" if generic and not _diverges_in_x(d, form, side) else "u"
+
+
+def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | None,
+               variable: str) -> tuple[Callable, tuple[float, float]]:
+    """(F, domain): the integral of each row of F over the domain is one
+    kernel's integral, taken in the variable u or x.
+
+    On ``side`` "upper" or "lower" that is the integral over (0, 1) of K(u)
+    times g(u), where g is 1/dqf (``K/dqf``) or dqf (``w*dqf``) on the lower
+    side and the same of dqf_c on the upper.  With ``side`` None it is the
+    gap: the integral over (0, 1/2) of K(u) - K(1-u) times g_c(u) - g(u).
+    In x, u = sf(x) on the upper side and cdf(x) on the lower, so g(u) du
+    is dx (``K/dqf``) or pdf(x)**2 dx (``w*dqf``) and no quantile is taken.
+    A gap in x runs over the whole support, where its weight K(u) - K(1-u)
+    is K(sf(x)) - K(cdf(x)) on both sides of the median.  The quadrature
+    splits a whole-line support at 0, so there x is shifted to split it at
+    the median.
+    """
+    rows = _kernel_rows(kernels)
+    if variable == "u":
+        if side is None:
+            def F(u: np.ndarray) -> np.ndarray:
+                against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
+                w = rows(np.concatenate([u, 1.0 - u]))  # one call per node pair
+                return (w[:, :u.size] - w[:, u.size:]) * against
+            return F, (0.0, 0.5)
+        den = d.dqf_c if side == "upper" else d.dqf
+
+        def F(u: np.ndarray) -> np.ndarray:
+            w = rows(u)
+            return w / den(u) if form == "K/dqf" else w * den(u)
+        return F, (0.0, 1.0)
+
+    c = float(d.quantile(0.5)) if all(map(math.isinf, d.support)) else 0.0
+
+    def F(x: np.ndarray) -> np.ndarray:
+        x = x + c
+        if side is None:
+            sf, cdf = lift(d.sf, x), lift(d.cdf, x)
+            w = rows(np.concatenate([sf, cdf]))
+            w, inside = w[:, :x.size] - w[:, x.size:], (sf > 0.0) & (cdf > 0.0)
+        else:
+            u = lift(d.sf if side == "upper" else d.cdf, x)
+            w, inside = rows(u), u > 0.0
+        if form == "K/dqf":
+            return w
+        return np.where(inside, w * lift(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where u is
+    return F, d.support
+
+
+def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
+                  tol: float) -> list[QuadResult]:
+    """The gap integral of each kernel, in the primary's variable; all share
+    the nodes, and each distinct phi_{n,k} is evaluated once per node array."""
+    return integrate_support_stack(*_integrand(form, kernels, d, None, _variable(d, form, None)),
+                                   tol)
 
 
 def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
@@ -257,19 +329,18 @@ def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[Me
             for K, qr in zip(kernels, _gap_integral(list(kernels), form, d, tol))}
     out = []
     for row, params, K in resolved:
-        upper = params.get("side", row.side) == "upper"
+        side = params.get("side", row.side)
         if row.family is not None:
             qr = gaps[row.form, K]
-        elif row.form == "K/dqf" and math.isinf(d.support[0 if upper else 1]):
+        elif _diverges_in_x(d, row.form, side):
             # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
             # of the support and F^-1(u) (lower) the upper end: past an infinite end
             # the integral contains the integral of dx over a half-line.
             qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
                             "kernel tends to 1 at an infinite end of the support")
         else:
-            den = d.dqf_c if upper else d.dqf
-            qr = integrate_unit_stack(
-                lambda u: K(u) / den(u) if row.form == "K/dqf" else K(u) * den(u), tol)[0]
+            variable = _variable(d, row.form, side)
+            qr = integrate_support_stack(*_integrand(row.form, [K], d, side, variable), tol)[0]
         out.append(scaled_result(row.measure_id, qr, row.prefactor, params))
     return out
 
@@ -277,34 +348,24 @@ def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[Me
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
-    over (0, 1/2), every other row in quantile form."""
+    over (0, 1/2), every other row over (0, 1), each in the primary's variable."""
     return measure_values(d, [(row, n, k, m, side)], tol)[0]
 
 
 def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                  side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Evaluate a measure row of :data:`KERNELS` on ``d`` in its support form.
-
-    It integrates over the support with u = p(x), where p is ``d.sf`` on the
-    upper side and ``d.cdf`` on the lower: K(p(x)) for ``K/dqf``, and
-    K(p(x)) * pdf(x)**2 for ``w*dqf``.  The quadrature splits a whole-line
-    support at 0, so there the integrand is shifted to split it at the median.
-    A gap row has none: ValueError.
+    """Evaluate a measure row of :data:`KERNELS` on ``d`` in the other
+    variable's form: in x (the support form) where the primary integrates in
+    u, and in u (the quantile form) where it integrates in x.  It has no
+    structural divergence rule.  A gap row has no oracle: ValueError.
     """
     if row.family is not None:
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
     params, nkm = resolve(row, n, k, m, side)
-    K = row.kernel(*nkm)
-    p = d.sf if params.get("side", row.side) == "upper" else d.cdf
-    c = float(d.quantile(0.5)) if all(map(math.isinf, d.support)) else 0.0
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = x + c
-        u = lift(p, x)
-        if row.form == "K/dqf":
-            return K(u)
-        return np.where(u > 0.0, K(u) * lift(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where p(x) is
-    qr = integrate_support_stack(f, d.support, tol)[0]
+    side = params.get("side", row.side)
+    variable = "u" if _variable(d, row.form, side) == "x" else "x"
+    qr = integrate_support_stack(*_integrand(row.form, [row.kernel(*nkm)], d, side, variable),
+                                 tol)[0]
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
@@ -379,11 +440,14 @@ def cpij_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> Mea
 
 
 # ---------------------------------------------------------------------------
-# The other form of each measure, a cross-check of the primaries above.
+# Each measure in the other variable's form (:func:`oracle_value`), a
+# cross-check of the primaries above: the support form where the primary
+# integrates in u, the quantile form where it integrates in x.
 
 
 def extropy_via_quantile(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Extropy's support form, -1/2 * integral of pdf**2, whatever the name says."""
+    """Extropy in the other variable's form; on a law with its own quantile
+    that is the support form, -1/2 * integral of pdf**2, whatever the name says."""
     return oracle_value(KERNELS["extropy"], d, tol=tol)
 
 

@@ -369,7 +369,8 @@ def integrate_support_stack(F, support: tuple[float, float],
 
     Infinite ends are mapped to (0, 1) by the rational substitution
     x = a + t/(1-t) (mirrored for the left tail), finite intervals by an
-    affine map; the unit-interval ladder does the rest.
+    affine map, and (0, 1) itself goes to the unit-interval ladder as it is,
+    which does the rest.
     """
     a, b = support
     if not a < b:
@@ -380,6 +381,8 @@ def integrate_support_stack(F, support: tuple[float, float],
         left = integrate_support_stack(F, (a, 0.0), tol / 2.0)
         right = integrate_support_stack(F, (0.0, b), tol / 2.0)
         return [_combine(lt, rt) for lt, rt in zip(left, right)]
+    if (a, b) == (0.0, 1.0):
+        return integrate_unit_stack(F, tol)
     if not a_inf and not b_inf:
         width = b - a
 

@@ -98,6 +98,23 @@ class UserLogistic(Distribution):
         return self.cdf(-x)
 
 
+class UserBeta22(Distribution):
+    """Beta(2, 2), symmetric about 1/2 on a bounded support, as a user writes
+    it: pdf, cdf and sf only."""
+
+    name = "user_beta22"
+    support = (0.0, 1.0)
+
+    def pdf(self, x):
+        return 6.0 * x * (1.0 - x) if 0.0 < x < 1.0 else 0.0
+
+    def cdf(self, x):
+        return x * x * (3.0 - 2.0 * x) if 0.0 < x < 1.0 else float(x >= 1.0)
+
+    def sf(self, x):
+        return (1.0 - x) ** 2 * (1.0 + 2.0 * x) if 0.0 < x < 1.0 else float(x <= 0.0)
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
