@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extrec import dist as D
 from extrec import measures as M
 from extrec import symmetry as S
-from extrec.dist import Distribution, Exponential, Normal, Pareto, PowerFunction, Uniform
+from extrec.dist import (Distribution, Exponential, Laplace, Normal, Pareto, PowerFunction,
+                         Uniform)
 from extrec.quad import QuadStatus
 from extrec.records import PhiKernel
 
@@ -91,15 +94,13 @@ class TestEta:
     def test_profile_is_one_call(self, monkeypatch):
         calls = []
         eta = S.eta
-        monkeypatch.setattr(S, "eta", lambda d, u: calls.append(np.shape(u)) or eta(d, u))
+        monkeypatch.setattr(S, "eta", lambda d, u: calls.append(u) or eta(d, u))
         S.class_c_check(E1)
-        assert calls == [(512,)]
-
-    def test_profile_shape(self):
-        prof = S.eta_profile(E1, 128)
-        assert prof.grid.shape == (128,) and prof.values.shape == (128,)
-        assert np.all(np.diff(prof.grid) > 0)
-        assert prof.grid[0] > 0 and prof.grid[-1] < 0.5
+        S.class_c_check(E1, grid_size=128)
+        assert [u.shape for u in calls] == [(512,), (128,)]
+        for grid in calls:
+            assert np.all(np.diff(grid) > 0)
+            assert grid[0] > 0 and grid[-1] < 0.5
 
 
 class TestClassC:
@@ -555,6 +556,47 @@ def test_estimators_nonpositive(xs):
     assert S.empirical_cpj(xs) <= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
+                min_size=2, max_size=60))
+def test_estimator_gap_is_mean_minus_midrange(xs):
+    # the identity the bootstrap evaluates each replicate by
+    x = np.asarray(xs)
+    gap = S.empirical_cpj(x) - S.empirical_crj(x)
+    assert abs(x.mean() - 0.5 * (x.min() + x.max()) - gap) <= 1e-12 * np.abs(x).max()
+
+
+def _sorted_bootstrap_p(x, replicates, seed):
+    """Reference bootstrap: each replicate sorted and its T* taken as the
+    spacings form -1/2 * sum_j ((2j-n)/n)(x_(j+1)-x_(j)), one matrix of draws."""
+    n = x.size
+    centered = x - np.median(x)
+    t_obs = S.empirical_cpj(centered) - S.empirical_crj(centered)
+    pool = np.concatenate([centered, -centered])
+    w = -0.5 * (2.0 * np.arange(1, n) - n) / n
+    b = np.sort(pool[np.random.default_rng(seed).integers(0, 2 * n, size=(replicates, n))], axis=1)
+    exceed = np.count_nonzero(np.abs(np.diff(b, axis=1) @ w) >= abs(t_obs))
+    return (1 + exceed) / (replicates + 1)
+
+
+def _exact_lattice_p(k, replicates, seed):
+    """The p-value of the sample 0.1*k, k integer, in integer arithmetic: in
+    units of 0.05 the centred values are 2k - (k_(a) + k_(b)), and 2n*T is
+    2*sum - n*(min + max) of them."""
+    n = k.size
+    s = np.sort(k)
+    c = 2 * k - (s[(n - 1) // 2] + s[n // 2])
+    pool = np.concatenate([c, -c])
+    stat = lambda b: np.abs(2 * b.sum(axis=-1) - n * (b.min(axis=-1) + b.max(axis=-1)))
+    b = pool[np.random.default_rng(seed).integers(0, 2 * n, size=(replicates, n))]
+    return (1 + int(np.count_nonzero(stat(b) >= stat(c)))) / (replicates + 1)
+
+
+def _lattice_sample(n, seed):
+    k = np.random.default_rng(seed).integers(0, 8, size=n)
+    return k, k * 0.1
+
+
 class TestSymmetryTest:
     def test_symmetric_multiset_never_rejects(self):
         base = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -596,3 +638,38 @@ class TestSymmetryTest:
             S.symmetry_test(ok, alpha=1.5)
         with pytest.raises(ValueError):
             S.symmetry_test([1.0] * 25)          # degenerate
+
+    @pytest.mark.parametrize("n", [20, 37, 200])
+    def test_lattice_ties_count_as_exceedances(self, n):
+        # a replicate whose |T*| equals |T| exactly counts, whatever either side
+        # rounded to; deciding by rounding moves 98 of these 150 p-values
+        for seed in range(50):
+            k, x = _lattice_sample(n, seed)
+            p = S.symmetry_test(x, replicates=199, seed=seed).p_value
+            assert p == _exact_lattice_p(k, 199, seed), seed
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    @pytest.mark.parametrize("d", [Normal(), E1, Laplace()], ids=lambda d: d.name)
+    def test_matches_sorted_bootstrap(self, d, n):
+        for seed in range(34):
+            x = D.sample(d, n, 500 + seed)
+            p = S.symmetry_test(x, replicates=199, seed=seed).p_value
+            assert p == _sorted_bootstrap_p(x, 199, seed), seed
+
+    @pytest.mark.parametrize("rows", [1, 7, 199], ids=["one-row", "partial-last", "all-at-once"])
+    def test_chunking_does_not_change_result(self, monkeypatch, rows):
+        # by default n = 1000 takes 65 rows a chunk, so 199 replicates take four
+        samples = [D.sample(E1, 1000, 5), _lattice_sample(1000, 5)[1]]
+        expected = [S.symmetry_test(x, replicates=199, seed=11) for x in samples]
+        monkeypatch.setattr(S, "_CHUNK", rows * 1000)
+        assert [S.symmetry_test(x, replicates=199, seed=11) for x in samples] == expected
+
+    def test_bootstrap_memory_is_bounded(self):
+        x = D.sample(E1, 5000, 7)
+        tracemalloc.start()
+        try:
+            S.symmetry_test(x, replicates=999, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
