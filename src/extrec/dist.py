@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import struct
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import ClassVar
@@ -80,9 +81,10 @@ class Distribution:
     the hooks ``_quantile``, ``_isf``, ``_dqf``, ``_dqf_c``, where closed forms
     go; a hook gets u, one value or an array, already checked.  The generic
     ``_quantile`` and ``_isf`` invert the cdf or the sf, whichever tail is the
-    smaller, by bisection with a Newton polish (tolerance 1e-12, at most 200
-    bisections), one value at a time; unless a law defines ``sf``, it is
-    ``1 - cdf`` and ``isf`` raises on p below 2^-53.  ``_dqf`` is
+    smaller, by bisection of the bracket's width to 1e-12 relative, then
+    over the floats left in it down to two adjacent ones, one value at a
+    time; unless a law defines ``sf``, it is ``1 - cdf`` and ``isf`` raises
+    on p below 2^-53.  ``_dqf`` is
     ``pdf(quantile(u))``, ``_dqf_c`` is ``pdf(isf(u))``.  That costs a
     bisection per u, so :mod:`extrec.measures` integrates a law whose
     ``_quantile`` is this generic one in x, from ``pdf``, ``cdf`` and ``sf``,
@@ -145,9 +147,12 @@ class Distribution:
         return lift(self.pdf, self.isf(u))
 
     def _invert(self, p: float, upper: bool) -> float:
-        """The x with cdf(x) = p, or sf(x) = p if ``upper``.  A p above 1/2 is
-        read on the other tail, where 1 - p is exact.  Bisection to ~1e-12
-        relative bracket width, then Newton polish."""
+        """The x with cdf(x) = p, or sf(x) = p if ``upper``: the least float x
+        with cdf(x) >= p (sf(x) <= p).  A p above 1/2 is read on the other
+        tail, where 1 - p is exact.  Bisection halves the bracket's width
+        until it is 1e-12 wide relative to its ends or to 1, then halves the
+        count of floats in it down to two adjacent ones, so an answer near 0
+        keeps its relative precision while every probe stays near the answer."""
         if p > 0.5:
             p, upper = 1.0 - p, not upper
         if upper and p < U_FLOOR and type(self).sf is Distribution.sf:
@@ -156,26 +161,21 @@ class Distribution:
         t = s * p  # s * g is nondecreasing with derivative pdf
         lo, hi = self._bracket(g if s > 0.0 else lambda x: -g(x), t)
         for _ in range(200):
+            if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+                break
             mid = 0.5 * (lo + hi)
             if s * g(mid) < t:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
-                break
-        x = 0.5 * (lo + hi)
-        for _ in range(3):
-            fx = self.pdf(x)
-            if fx <= 0.0:
-                break
-            step = s * (g(x) - p) / fx
-            x_new = x - step
-            if not lo <= x_new <= hi:
-                break
-            x = x_new
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-        return x
+        lo, hi = _ordinal(lo), _ordinal(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if s * g(_from_ordinal(mid)) < t:
+                lo = mid
+            else:
+                hi = mid
+        return _from_ordinal(hi)
 
     def _bracket(self, g, t: float) -> tuple[float, float]:
         lo, hi = self.support
@@ -201,6 +201,16 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+
+def _ordinal(x: float) -> int:
+    """x's place in the order of the floats: its bit pattern, negated below 0."""
+    n = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -n if x < 0.0 else n
+
+
+def _from_ordinal(n: int) -> float:
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(n)))[0], n)
 
 
 def _check_unit_open(u) -> None:

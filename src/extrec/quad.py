@@ -9,12 +9,15 @@ only ever sees well-scaled pieces.  The ladder's 13 pieces (the middle and
 six pairs of strips) are integrated together by an adaptive Gauss-Kronrod
 core: the 10-point Gauss / 21-point Kronrod pair of QUADPACK's ``dqk21``
 (Piessens et al., 1983), applied to every interval that still needs work in
-one integrand call per bisection round.  The integrand maps an array of
-nodes to a stack of C rows, so C integrands that share costly factors pay
-for them once per node.  An interval is bisected while some row's
-|K21 - G10| is above its width's share of the piece's error budget, up to
-120 subintervals per piece; a piece that stops above its budget is named in
-``QuadResult.detail``.
+one integrand call per bisection round.  The middle piece starts as seven
+intervals, cut at 1e-3, 1e-2, 0.1 and their mirrors, so it is graded by
+decades toward both ends as the strips are: an integrand like 1/u at an end
+settles in a few rounds, where bisecting down from 1/2 takes one round per
+level.  The integrand maps an array of nodes to a stack of C rows, so C
+integrands that share costly factors pay for them once per node.  An
+interval is bisected while some row's |K21 - G10| is above its width's
+share of the piece's error budget, up to 120 subintervals per piece; a
+piece that stops above its budget is named in ``QuadResult.detail``.
 
 Each row's piece sums are then replayed through the ladder, in ladder order.
 The first check that holds decides the row.  At each rung, in order:
@@ -114,6 +117,11 @@ _LO = np.array([EPS_LADDER[0]] + [x for j in range(1, len(EPS_LADDER))
                                   for x in (EPS_LADDER[j], 1.0 - EPS_LADDER[j - 1])])
 _HI = np.array([1.0 - EPS_LADDER[0]] + [x for j in range(1, len(EPS_LADDER))
                                         for x in (EPS_LADDER[j - 1], 1.0 - EPS_LADDER[j])])
+#: The decades between eps_0 and 1/2 and their mirrors: a piece starts cut at
+#: those inside it, so the middle is graded toward both ends as the strips
+#: are, and (0.1, 0.9) keeps 1/2 a node.
+_DECADES = [10.0 ** -e for e in range(round(-math.log10(EPS_LADDER[0])) - 1, 0, -1)]
+_CUTS = tuple(_DECADES + [1.0 - c for c in reversed(_DECADES)])
 
 #: Subintervals allowed per piece, and the relative accuracy asked of a piece
 #: on top of its absolute budget.
@@ -157,18 +165,23 @@ def _stack(F, x: np.ndarray) -> np.ndarray:
 def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
     """Integrate the rows of F over every piece [lo[p], hi[p]] at once.
 
+    Each piece starts cut at the ``_CUTS`` that lie inside it; of the
+    ladder's pieces that is the middle, which starts as seven intervals.
     Each round evaluates F once, on the 21 nodes of every interval that
-    needs work, and bisects the intervals whose |K21 - G10| exceeds their
-    share of the piece budget ``max(abs_tol, _EPSREL * |piece sum|)`` for a
-    row that is still over budget on that piece.  Per (row, piece) it
-    returns the sum, the summed error estimate, the lowest node with a
-    non-finite value (nan if none; such a row is not refined further) and
-    whether the piece stopped above its budget, plus the subinterval count
-    per piece.
+    needs work, and bisects the intervals whose
+    |K21 - G10| exceeds their share of the piece budget
+    ``max(abs_tol, _EPSREL * |piece sum|)`` for a row that is still over
+    budget on that piece.  Per (row, piece) it returns the sum, the summed
+    error estimate, the lowest node with a non-finite value (nan if none;
+    such a row is not refined further) and whether the piece stopped above
+    its budget, plus the subinterval count per piece.
     """
     npieces = lo.size
     width = hi - lo
-    a, b, owner = lo, hi, np.arange(npieces)
+    edges = [[l, *(c for c in _CUTS if l < c < h), h] for l, h in zip(lo.tolist(), hi.tolist())]
+    a = np.array([x for e in edges for x in e[:-1]])
+    b = np.array([x for e in edges for x in e[1:]])
+    owner = np.repeat(np.arange(npieces), [len(e) - 1 for e in edges])
     A = B = np.empty(0)
     OWN = np.empty(0, dtype=int)
     VAL = ERR = bad = None

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extrec import quad
 from extrec.dist import (
     Distribution,
     Exponential,
@@ -130,6 +131,22 @@ def cli_env(**extra) -> dict:
 @pytest.fixture(params=CATALOG_MEMBERS, ids=lambda d: d.spec_string())
 def catalog_member(request):
     return request.param
+
+
+@pytest.fixture
+def integrand_rounds(monkeypatch):
+    """The calls the quadrature core makes to its integrand, one per bisection
+    round, each recorded as the number of nodes it asks for."""
+    rounds, gk_pieces = [], quad._gk_pieces
+
+    def counting(F, *args):
+        def G(x):
+            rounds.append(x.size)
+            return F(x)
+        return gk_pieces(G, *args)
+
+    monkeypatch.setattr(quad, "_gk_pieces", counting)
+    return rounds
 
 
 def ks_distance(values, cdf) -> float:

@@ -253,13 +253,31 @@ class TestGenericQuantileFallback:
             got, want = getattr(d, name)(u), getattr(ref, name)(u)
             assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
 
-    @pytest.mark.xfail(strict=True, reason="bisection stops at an absolute width of 1e-12, and "
-                       "three Newton steps converge only linearly on an x^2.2 tail")
     @pytest.mark.parametrize("u", [1e-40, 1e-100, 1e-300])
     def test_far_lower_tail_of_a_power_tail(self, u):
         d = Kumaraswamy(2.2, 2.7)
         exact = (-math.expm1(math.log1p(-u) / d.b)) ** (1.0 / d.a)
         assert abs(d.quantile(u) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("u", [0.5, 0.3, 1e-5, 1e-300])
+    def test_heavy_left_cdf_is_probed_near_the_answer(self, u):
+        # Frechet(3) in Python floats: x ** -3 overflows below x ~ 1e-103, so
+        # the bisection must not probe far below a quantile that is not tiny
+        class Frechet3(Distribution):
+            name = "frechet3"
+
+            @property
+            def support(self):
+                return (0.0, math.inf)
+
+            def pdf(self, x):
+                return 3.0 * x ** -4.0 * math.exp(-x ** -3.0)
+
+            def cdf(self, x):
+                return math.exp(-x ** -3.0)
+
+        exact = (-math.log(u)) ** (-1.0 / 3.0)
+        assert abs(Frechet3().quantile(u) - exact) <= 1e-13 * exact
 
 
 ISF_PS = (0.3, 1e-5, 1e-20, 1e-100, 1e-300)

@@ -189,6 +189,25 @@ class TestCore:
     def test_converged_detail_is_empty(self):
         assert integrate_unit(lambda u: u * u).detail == ""
 
+    @pytest.mark.parametrize("f, exact", [(lambda u: u ** -0.5, 2.0), (lambda u: -math.log(u), 1.0),
+                                          (lambda u: 1.0 / u, math.inf)],
+                             ids=["u^-1/2", "-log u", "1/u"])
+    def test_singular_end_settles_in_few_rounds(self, integrand_rounds, f, exact):
+        # the middle piece starts cut at the decades, so bisection does not
+        # grade from 1/2 toward the end one level per round, which would take
+        # 11-13 rounds
+        r = integrate_unit(f)
+        if math.isinf(exact):
+            assert r.status is QuadStatus.DIVERGED_POSITIVE and r.value == exact
+        else:
+            assert r.status is QuadStatus.CONVERGED
+            assert_close(r.value, exact, Q.DEFAULT_TOL, "singular end")
+        assert len(integrand_rounds) <= 4
+
+    def test_middle_piece_starts_cut_at_the_decades(self, integrand_rounds):
+        integrate_unit(lambda u: u)
+        assert integrand_rounds == [21 * (7 + Q._LO.size - 1)]
+
 
 def test_rule_is_exact_on_polynomials():
     # K21 integrates x^j over [-1, 1] exactly up to j = 31, its embedded G10 up to j = 19

@@ -487,6 +487,16 @@ class TestVerify:
         assert {len(r) for r in rounds} == {0, 12}
         assert all(sorted(r) == distinct for r in rounds if r)
 
+    @pytest.mark.parametrize("d, most", [
+        (Exponential(rate=1.7), 8), (Pareto(theta=2.5), 8), (PowerFunction(theta=2.0), 8),
+        (PowerFunction(theta=0.7), 8), *((d, 2) for d in SYMMETRIC_MEMBERS)], ids=repr)
+    def test_grid_settles_in_few_rounds(self, integrand_rounds, d, most):
+        # eta is like 1/u at an end of every asymmetric law; with the middle
+        # piece cut at the decades the grid needs 5-6 bisection rounds, where
+        # grading it one level per round from 1/2 would take 23-25
+        S.verify_characterizations(d)
+        assert len(integrand_rounds) <= most
+
     @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
     def test_stacked_residuals_match_one_row_at_a_time(self, d):
         # each residual of the shared-node stack against its row integrated alone
