@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -101,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(payload: dict, table: list[str], fmt: str) -> None:
+def _emit(payload: dict, table: Callable[[], list[str]], fmt: str) -> None:
+    """Write the payload as JSON, or the lines ``table`` builds, which it
+    builds only for table output."""
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        sys.stdout.write("\n".join(table) + "\n")
+        sys.stdout.write("\n".join(table()) + "\n")
 
 
 def _finite_or_none(v: float) -> float | None:
@@ -130,7 +133,8 @@ def _cmd_measure(args) -> int:
         "abs_error": _finite_or_none(mv.abs_error),
         "tol": args.tol,
     }
-    _emit(payload, [f"{args.measure}({d.spec_string()}) = {mv.display()}   [{mv.quad_status.value}]"],
+    _emit(payload,
+          lambda: [f"{args.measure}({d.spec_string()}) = {mv.display()}   [{mv.quad_status.value}]"],
           args.output)
     return EXIT_OK
 
@@ -153,13 +157,17 @@ def _cmd_verify(args) -> int:
         "verdict": rep.verdict.value,
         "residuals": rows,
     }
-    table = [f"distribution : {rep.distribution}",
-             f"class        : {rep.class_c.value}",
-             f"verdict      : {rep.verdict.value}   (tolerance {rep.tolerance:g})",
-             f"{'residual':24s} {'value':>16s}  status"]
-    for e in rep.residuals:
-        val = f"{e.value:.6e}" if math.isfinite(e.value) else "-"
-        table.append(f"{e.key():24s} {val:>16s}  {e.status.value}")
+
+    def table() -> list[str]:
+        lines = [f"distribution : {rep.distribution}",
+                 f"class        : {rep.class_c.value}",
+                 f"verdict      : {rep.verdict.value}   (tolerance {rep.tolerance:g})",
+                 f"{'residual':24s} {'value':>16s}  status"]
+        for e in rep.residuals:
+            val = f"{e.value:.6e}" if math.isfinite(e.value) else "-"
+            lines.append(f"{e.key():24s} {val:>16s}  {e.status.value}")
+        return lines
+
     _emit(payload, table, args.output)
     return EXIT_OK
 
@@ -173,7 +181,7 @@ def _cmd_classc(args) -> int:
         "class_c": cls.value,
         "grid_size": args.grid_size,
     }
-    _emit(payload, [f"class_c({d.spec_string()}) = {cls.value}"], args.output)
+    _emit(payload, lambda: [f"class_c({d.spec_string()}) = {cls.value}"], args.output)
     return EXIT_OK
 
 
@@ -195,12 +203,16 @@ def _cmd_records_sim(args) -> int:
         "aborted": rs.aborted,
         "values": [float(v) for v in rs.values],
     }
-    v = rs.values
-    table = [f"records-sim {d.spec_string()} n={args.n} k={args.k} side={args.side} seed={seed} "
-             f"method={args.method}",
-             f"realizations={v.size} aborted={rs.aborted}"]
-    if v.size:
-        table.append(f"mean={v.mean():.6g} min={v.min():.6g} max={v.max():.6g}")
+
+    def table() -> list[str]:
+        v = rs.values
+        lines = [f"records-sim {d.spec_string()} n={args.n} k={args.k} side={args.side} "
+                 f"seed={seed} method={args.method}",
+                 f"realizations={v.size} aborted={rs.aborted}"]
+        if v.size:
+            lines.append(f"mean={v.mean():.6g} min={v.min():.6g} max={v.max():.6g}")
+        return lines
+
     _emit(payload, table, args.output)
     return EXIT_OK
 
@@ -249,9 +261,9 @@ def _cmd_symtest(args) -> int:
         "decision": res.decision,
         "seed": res.seed,
     }
-    table = [f"symtest {args.input} (n={x.size})",
-             f"T={res.statistic:.6g} p={res.p_value:.6g} alpha={res.alpha:g} -> {res.decision}"]
-    _emit(payload, table, args.output)
+    _emit(payload, lambda: [f"symtest {args.input} (n={x.size})",
+                            f"T={res.statistic:.6g} p={res.p_value:.6g} alpha={res.alpha:g} "
+                            f"-> {res.decision}"], args.output)
     return EXIT_OK
 
 

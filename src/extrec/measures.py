@@ -31,7 +31,13 @@ shared nodes, and evaluates each ``phi_{n,k}`` the stack derives kernels
 from once per node array.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
-saturated finite number.
+saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
+so some divergences take no quadrature (:func:`_structural`): a ``K/dqf``
+measure whose kernel meets an infinite end of the support, and every ``K/dqf``
+gap on a support with one infinite end, whose weight tends to -1 as u -> 0:
+its raw integral is -inf if the upper end is infinite, +inf if the lower.  A
+u-form gap whose ``eta`` (or dqf_c - dqf) is 0 at every node evaluates no
+kernel.
 """
 
 from __future__ import annotations
@@ -248,6 +254,22 @@ def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
     return form == "K/dqf" and any(map(math.isinf, ends))
 
 
+def _structural(d: Distribution, form: str, side: str | None) -> QuadResult | None:
+    """The raw integral of a row whose divergence that constant decides, or
+    None: +inf for a measure, and for a gap with one infinite end -inf (the
+    upper) or +inf (the lower).  In u, K(0) = 0 and K(1) = 1 for every such
+    kernel, so the gap weight K(u) - K(1-u) tends to -1 as u -> 0, where
+    1/dqf_c (upper) or 1/dqf (lower) has an infinite integral.  A gap on the
+    whole line meets both ends."""
+    lo, hi = (math.isinf(e) for e in d.support)
+    if not _diverges_in_x(d, form, side) or side is None and lo and hi:
+        return None
+    positive = side is not None or lo
+    return QuadResult(math.inf if positive else -math.inf, math.inf,
+                      QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE,
+                      "integrand tends to a nonzero constant at an infinite end of the support")
+
+
 def _variable(d: Distribution, form: str, side: str | None) -> str:
     """The primary's variable of integration: u, unless the law's quantile is
     the generic inverter, a bisection at every node, and the integrand
@@ -277,6 +299,8 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
                 against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
+                if not against.any():  # a symmetric law: 0 whatever the kernels are
+                    return np.zeros((len(kernels), u.size))
                 w = rows(np.concatenate([u, 1.0 - u]))  # one call per node pair
                 return (w[:, :u.size] - w[:, u.size:]) * against
             return F, (0.0, 0.5)
@@ -315,34 +339,25 @@ def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
 def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
     """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
     trailing values take :func:`measure_value`'s defaults.  The gap rows of one
-    form share one stack, in which each distinct kernel is integrated once."""
+    form share one stack, in which each distinct kernel is integrated once;
+    a row whose divergence :func:`_structural` decides is not integrated."""
     check_tol(tol=tol)
     resolved = []
-    stacks: dict[str, dict[Callable, None]] = {}  # form -> its distinct gap kernels
+    stacks: dict[str, dict[Callable, None]] = {}  # form -> its distinct gap kernels to integrate
     for row, *rest in points:
         params, nkm = resolve(row, *rest)
-        K = row.kernel(*nkm)
-        if row.family is not None:
+        K, side = row.kernel(*nkm), params.get("side", row.side)
+        qr = _structural(d, row.form, side)
+        if qr is None and row.family is not None:
             stacks.setdefault(row.form, {})[K] = None
-        resolved.append((row, params, K))
-    gaps = {(form, K): qr for form, kernels in stacks.items()
-            for K, qr in zip(kernels, _gap_integral(list(kernels), form, d, tol))}
-    out = []
-    for row, params, K in resolved:
-        side = params.get("side", row.side)
-        if row.family is not None:
-            qr = gaps[row.form, K]
-        elif _diverges_in_x(d, row.form, side):
-            # K tends to 1 as u -> 1, where F^-1(1-u) (upper) reaches the lower end
-            # of the support and F^-1(u) (lower) the upper end: past an infinite end
-            # the integral contains the integral of dx over a half-line.
-            qr = QuadResult(math.inf, math.inf, QuadStatus.DIVERGED_POSITIVE,
-                            "kernel tends to 1 at an infinite end of the support")
-        else:
+        elif qr is None:
             variable = _variable(d, row.form, side)
             qr = integrate_support_stack(*_integrand(row.form, [K], d, side, variable), tol)[0]
-        out.append(scaled_result(row.measure_id, qr, row.prefactor, params))
-    return out
+        resolved.append((row, params, K, qr))
+    gaps = {(form, K): qr for form, kernels in stacks.items()
+            for K, qr in zip(kernels, _gap_integral(list(kernels), form, d, tol))}
+    return [scaled_result(row.measure_id, gaps[row.form, K] if qr is None else qr, row.prefactor,
+                          params) for row, params, K, qr in resolved]
 
 
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,

@@ -30,12 +30,15 @@ The first check that holds decides the row.  At each rung, in order:
 
 At the last rung, in order:
 
-4. raw: successive rung values settle below ``tol`` -> ``converged``;
-5. Aitken-1, then Aitken-2: the Aitken-extrapolated tail settles at one, then
+4. two ends: the low strips and the high strips each grow as in 7, with
+   opposite signs -> ``no_convergence`` (the symmetric trim would cancel them
+   into a principal value);
+5. raw: successive rung values settle below ``tol`` -> ``converged``;
+6. Aitken-1, then Aitken-2: the Aitken-extrapolated tail settles at one, then
    at two extrapolation levels -> ``converged``;
-6. monotone: the last three diffs share a sign and none contracts by more
+7. monotone: the last three diffs share a sign and none contracts by more
    than 2% -> ``diverged_*``;
-7. otherwise -> ``no_convergence``, naming the last three diffs.
+8. otherwise -> ``no_convergence``, naming the last three diffs.
 
 Divergence is reported with the sign of the growth
 (``diverged_positive`` / ``diverged_negative``), never silently saturated
@@ -303,6 +306,14 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
         if len(d) >= 3 and _growing(d, max(1e3 * tol, 10.0 * qerr), _FAST_GROWTH_RATIO):
             return diverged(d[-1], f"unbounded growth detected at eps={eps:g}")
 
+    # Each end on its own: the symmetric trim reads opposite-sign non-integrable
+    # ends as a principal value, which settles.
+    low, high, floor = v[1::2], v[2::2], max(tol, 10.0 * qerr)
+    if (_growing(low, floor, _DIVERGENCE_MIN_RATIO) and _growing(high, floor, _DIVERGENCE_MIN_RATIO)
+            and (low[-1] > 0) != (high[-1] > 0)):
+        return result(vals[-1], math.inf, QuadStatus.NO_CONVERGENCE,
+                      "opposite-sign divergence at the two ends")
+
     # Raw ladder criterion: successive rung values settled below tol.
     if abs(d[-1]) + qerr <= tol:
         return result((_aitken_column(vals[-3:]) or vals)[-1], abs(d[-1]) + qerr,
@@ -317,7 +328,7 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
             return result(col[-1], abs(col[-1] - col[-2]) + qerr, QuadStatus.CONVERGED)
 
     # Monotone non-contracting growth with a consistent sign: divergent.
-    if _growing(d, max(tol, 10.0 * qerr), _DIVERGENCE_MIN_RATIO):
+    if _growing(d, floor, _DIVERGENCE_MIN_RATIO):
         return diverged(d[-1], "monotone non-contracting ladder growth")
 
     return result(vals[-1], abs(d[-1]) + qerr, QuadStatus.NO_CONVERGENCE,

@@ -11,7 +11,12 @@ the individual measures diverge.  The gaps and their kernels are the rows of
 function is one :func:`extrec.measures.measure_value` call, and
 :func:`verify_characterizations` hands its whole (n, k, m) grid to one
 :func:`extrec.measures.measure_values` call, which integrates each distinct
-kernel once; ``eta`` is defined there and re-exported here.
+kernel once; ``eta`` is defined there and re-exported here.  On a support
+with one infinite end every gap but ``kij`` diverges without quadrature: its
+weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw integral is -inf when
+the upper end is infinite and +inf when the lower is, before the prefactor.
+Where ``eta`` is 0.0 at every node, as on the symmetric catalog laws, no
+kernel is evaluated.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.

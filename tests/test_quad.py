@@ -35,6 +35,17 @@ class TestIntegrateUnit:
         assert r.status is QuadStatus.DIVERGED_NEGATIVE
         assert r.value == -math.inf
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_opposite_sign_ends_are_not_a_principal_value(self, tol):
+        # the trim cuts both ends by the same eps, so two log divergences of
+        # opposite sign cancel rung by rung; each end alone keeps growing
+        for f in (lambda u: 1.0 / u - 1.0 / (1.0 - u), lambda u: 1.0 / (1.0 - u) - 1.0 / u):
+            r = integrate_unit(f, tol=tol)
+            assert r.status is QuadStatus.NO_CONVERGENCE, r
+            assert r.detail.startswith("opposite-sign divergence at the two ends"), r.detail
+        r = integrate_unit(lambda u: 1.0 / u + 1.0 / (1.0 - u), tol=tol)
+        assert r.status is QuadStatus.DIVERGED_POSITIVE and r.value == math.inf
+
     def test_fast_divergence_hits_cap(self):
         r = integrate_unit(lambda u: u ** -5.0)
         assert r.status is QuadStatus.DIVERGED_POSITIVE

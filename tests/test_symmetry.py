@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import struct
@@ -14,7 +15,7 @@ from extrec import measures as M
 from extrec import symmetry as S
 from extrec.dist import (Distribution, Exponential, Laplace, Normal, Pareto, PowerFunction,
                          Uniform)
-from extrec.quad import QuadStatus
+from extrec.quad import DEFAULT_TOL, QuadStatus
 from extrec.records import PhiKernel
 
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
@@ -52,6 +53,64 @@ class TiltedCubic(Distribution):
 
 
 KUMA = Kumaraswamy(2.2, 2.7)
+
+
+class UserExponential(Distribution):
+    """The standard exponential as a user writes it: pdf, cdf and sf only."""
+
+    name = "user_exponential"
+    support = (0.0, math.inf)
+
+    def pdf(self, x):
+        return math.exp(-x) if x > 0.0 else 0.0
+
+    def cdf(self, x):
+        return -math.expm1(-x) if x > 0.0 else 0.0
+
+    def sf(self, x):
+        return math.exp(-x) if x > 0.0 else 1.0
+
+
+class NegExponential(Distribution):
+    """-X for a standard exponential X, on (-inf, 0), with closed-form hooks."""
+
+    name = "neg_exponential"
+    support = (-math.inf, 0.0)
+
+    def pdf(self, x):
+        return math.exp(x) if x < 0.0 else 0.0
+
+    def cdf(self, x):
+        return math.exp(x) if x < 0.0 else 1.0
+
+    def sf(self, x):
+        return -math.expm1(x) if x < 0.0 else 0.0
+
+    def _quantile(self, u):
+        return np.log(u)
+
+    def _isf(self, p):
+        return np.log1p(-p)
+
+    def _dqf(self, u):
+        return u
+
+    def _dqf_c(self, u):
+        return 1.0 - u
+
+
+def _kdqf_gap_kernels():
+    """The distinct ``K/dqf`` gap kernels of verify's (4, 4, 4) grid."""
+    kernels = {}
+    for row in M.KERNELS.values():
+        if row.family is not None and row.form == "K/dqf":
+            for values in itertools.product(range(1, 5), repeat=len(row.params)):
+                _, nkm = M.resolve(row, **dict(zip(row.params, values)))
+                kernels[row.kernel(*nkm)] = None
+    return list(kernels)
+
+
+KDQF_GAPS = _kdqf_gap_kernels()
 
 
 class TestEta:
@@ -482,7 +541,7 @@ class TestVerify:
 
         monkeypatch.setattr(PhiKernel, "_eval", counted_eval)
         monkeypatch.setattr(M, "integrate_support_stack", counting)
-        S.verify_characterizations(E1)
+        S.verify_characterizations(P2)
         distinct = sorted((n, k) for n in range(2, 5) for k in range(1, 5))
         assert {len(r) for r in rounds} == {0, 12}
         assert all(sorted(r) == distinct for r in rounds if r)
@@ -493,8 +552,12 @@ class TestVerify:
     def test_grid_settles_in_few_rounds(self, integrand_rounds, d, most):
         # eta is like 1/u at an end of every asymmetric law; with the middle
         # piece cut at the decades the grid needs 5-6 bisection rounds, where
-        # grading it one level per round from 1/2 would take 23-25
+        # grading it one level per round from 1/2 would take 23-25.  On a
+        # half-line law verify decides the K/dqf gaps without quadrature, so
+        # their stack is integrated here directly.
         S.verify_characterizations(d)
+        if M._structural(d, "K/dqf", None) is not None:
+            M._gap_integral(KDQF_GAPS, "K/dqf", d, DEFAULT_TOL)
         assert len(integrand_rounds) <= most
 
     @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
@@ -514,6 +577,50 @@ class TestVerify:
             if rep.verdict is S.Verdict.SYMMETRIC:
                 assert rep.class_c.is_member
                 assert all(abs(e.value) < rep.tolerance for e in rep.residuals if e.is_finite)
+
+
+class TestStructuralGaps:
+    """On a support with one infinite end every K/dqf gap diverges, with the
+    sign of that end, so verify takes no quadrature for it; on a symmetric
+    law eta is 0 at every node, so no gap kernel is evaluated."""
+
+    def test_every_kernel_runs_from_zero_to_one(self):
+        assert len(KDQF_GAPS) == 70
+        for K in KDQF_GAPS:
+            at0, at1 = K(np.array([1e-20, 1.0 - 1e-15]))
+            assert abs(at0) < 1e-12 and abs(at1 - 1.0) < 1e-12, (K, at0, at1)
+
+    @pytest.mark.parametrize("d", [
+        Exponential(rate=0.5), Exponential(rate=1.0), Exponential(rate=1.7), Pareto(theta=0.5),
+        Pareto(theta=2.0), Pareto(theta=2.5), D.Scaled(Exponential(), 2.0), UserExponential(),
+        NegExponential()], ids=repr)
+    def test_quadrature_reaches_the_rule(self, d):
+        rule = M._structural(d, "K/dqf", None)
+        assert rule is not None
+        assert rule.status is (QuadStatus.DIVERGED_NEGATIVE if d.support[0] > -math.inf
+                               else QuadStatus.DIVERGED_POSITIVE)
+        got = [qr.status for qr in M._gap_integral(KDQF_GAPS, "K/dqf", d, DEFAULT_TOL)]
+        assert got == [rule.status] * len(KDQF_GAPS)
+
+    def test_residual_signs_on_a_lower_infinite_end(self):
+        by_key = {e.key(): e.status for e in S.verify_characterizations(NegExponential()).residuals}
+        assert by_key["crj_cpj"] is QuadStatus.DIVERGED_NEGATIVE
+        assert by_key["gcrj_gcpj:m=2"] is QuadStatus.DIVERGED_POSITIVE
+
+    @pytest.mark.parametrize("d", [NM, U, P2, UserNormal()], ids=repr)
+    def test_whole_line_and_bounded_gaps_are_integrated(self, d):
+        assert M._structural(d, "K/dqf", None) is None
+        assert M._structural(d, "w*dqf", None) is None
+
+    @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
+    def test_symmetric_law_evaluates_no_phi(self, monkeypatch, d):
+        calls, phi_eval = [], PhiKernel._eval
+        monkeypatch.setattr(PhiKernel, "_eval", lambda self, u: calls.append(u.size) or
+                            phi_eval(self, u))
+        rep = S.verify_characterizations(d)
+        assert rep.verdict is S.Verdict.SYMMETRIC
+        assert all(e.value == 0.0 for e in rep.residuals)
+        assert calls == []
 
 
 class TestEmpiricalEstimators:
