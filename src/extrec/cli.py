@@ -126,7 +126,7 @@ def _cmd_measure(args) -> int:
         "command": "measure",
         "dist": d.spec_string(),
         "measure": args.measure,
-        "params": {p: getattr(args, p) for p in row.params},
+        "params": mv.params,
         "value": _finite_or_none(mv.value),
         "display": mv.display(),
         "quad_status": mv.quad_status.value,

@@ -25,9 +25,9 @@ over (0, 1/2), or in x the weight K(sf(x)) - K(cdf(x)) over the support, and
 has no oracle.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
-quadrature evaluates each once per array; :func:`_gap_integral`, called
-by :func:`measure_values` alone, integrates a whole stack of kernels on
-shared nodes, and evaluates each ``phi_{n,k}`` the stack derives kernels
+quadrature evaluates each once per array.  :func:`measure_values` makes one
+integration call per stack of kernels: the gap rows of one form share a
+stack on shared nodes, which evaluates each ``phi_{n,k}`` its kernels derive
 from once per node array.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
@@ -328,36 +328,28 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
     return F, d.support
 
 
-def _gap_integral(kernels: list[Callable], form: str, d: Distribution,
-                  tol: float) -> list[QuadResult]:
-    """The gap integral of each kernel, in the primary's variable; all share
-    the nodes, and each distinct phi_{n,k} is evaluated once per node array."""
-    return integrate_support_stack(*_integrand(form, kernels, d, None, _variable(d, form, None)),
-                                   tol)
-
-
 def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
     """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
-    trailing values take :func:`measure_value`'s defaults.  The gap rows of one
-    form share one stack, in which each distinct kernel is integrated once;
-    a row whose divergence :func:`_structural` decides is not integrated."""
+    trailing values take :func:`measure_value`'s defaults.  A row whose
+    divergence :func:`_structural` decides is not integrated.  Every other
+    point joins a stack, integrated in one call on shared nodes: the gap rows
+    of one form share one, in which each distinct kernel is integrated once,
+    and a measure point is a stack of its own."""
     check_tol(tol=tol)
     resolved = []
-    stacks: dict[str, dict[Callable, None]] = {}  # form -> its distinct gap kernels to integrate
-    for row, *rest in points:
+    stacks: dict[tuple, dict[Callable, None]] = {}  # (form, side, point or None) -> its kernels
+    for i, (row, *rest) in enumerate(points):
         params, nkm = resolve(row, *rest)
         K, side = row.kernel(*nkm), params.get("side", row.side)
-        qr = _structural(d, row.form, side)
-        if qr is None and row.family is not None:
-            stacks.setdefault(row.form, {})[K] = None
-        elif qr is None:
-            variable = _variable(d, row.form, side)
-            qr = integrate_support_stack(*_integrand(row.form, [K], d, side, variable), tol)[0]
-        resolved.append((row, params, K, qr))
-    gaps = {(form, K): qr for form, kernels in stacks.items()
-            for K, qr in zip(kernels, _gap_integral(list(kernels), form, d, tol))}
-    return [scaled_result(row.measure_id, gaps[row.form, K] if qr is None else qr, row.prefactor,
-                          params) for row, params, K, qr in resolved]
+        key, qr = (row.form, side, None if row.family else i), _structural(d, row.form, side)
+        if qr is None:
+            stacks.setdefault(key, {})[K] = None
+        resolved.append((row, params, key, K, qr))
+    done = {(form, side, at, K): qr for (form, side, at), kernels in stacks.items()
+            for K, qr in zip(kernels, integrate_support_stack(
+                *_integrand(form, list(kernels), d, side, _variable(d, form, side)), tol))}
+    return [scaled_result(row.measure_id, done[(*key, K)] if qr is None else qr, row.prefactor,
+                          params) for row, params, key, K, qr in resolved]
 
 
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,

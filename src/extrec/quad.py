@@ -30,9 +30,11 @@ The first check that holds decides the row.  At each rung, in order:
 
 At the last rung, in order:
 
-4. two ends: the low strips and the high strips each grow as in 7, with
-   opposite signs -> ``no_convergence`` (the symmetric trim would cancel them
-   into a principal value);
+4. two ends: the low strips so far and the high strips so far each grow as
+   in 7, each past a floor of its own strips' error, with opposite signs ->
+   ``no_convergence`` with the last rung value.  The symmetric trim would
+   cancel such ends into a principal value, or read them as the faster end's
+   divergence, so exits 2, 3 and 7 check this rule first;
 5. raw: successive rung values settle below ``tol`` -> ``converged``;
 6. Aitken-1, then Aitken-2: the Aitken-extrapolated tail settles at one, then
    at two extrapolation levels -> ``converged``;
@@ -48,6 +50,7 @@ into a finite number.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -125,6 +128,10 @@ _HI = np.array([1.0 - EPS_LADDER[0]] + [x for j in range(1, len(EPS_LADDER))
 #: are, and (0.1, 0.9) keeps 1/2 a node.
 _DECADES = [10.0 ** -e for e in range(round(-math.log10(EPS_LADDER[0])) - 1, 0, -1)]
 _CUTS = tuple(_DECADES + [1.0 - c for c in reversed(_DECADES)])
+#: The intervals bisection starts from, each with the piece it belongs to.
+_A0, _B0, _OWN0 = (np.array(col) for col in zip(*[
+    (a, b, p) for p, (lo, hi) in enumerate(zip(_LO.tolist(), _HI.tolist()))
+    for a, b in itertools.pairwise([lo, *(c for c in _CUTS if lo < c < hi), hi])]))
 
 #: Subintervals allowed per piece, and the relative accuracy asked of a piece
 #: on top of its absolute budget.
@@ -165,11 +172,11 @@ def _stack(F, x: np.ndarray) -> np.ndarray:
         return np.asarray(F(x), dtype=float).reshape(-1, x.size)
 
 
-def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
-    """Integrate the rows of F over every piece [lo[p], hi[p]] at once.
+def _gk_pieces(F, abs_tol: float):
+    """Integrate the rows of F over every ladder piece [_LO[p], _HI[p]] at once.
 
-    Each piece starts cut at the ``_CUTS`` that lie inside it; of the
-    ladder's pieces that is the middle, which starts as seven intervals.
+    Bisection starts from ``_A0``, ``_B0``: each piece cut at the ``_CUTS``
+    that lie inside it, so the middle piece starts as seven intervals.
     Each round evaluates F once, on the 21 nodes of every interval that
     needs work, and bisects the intervals whose
     |K21 - G10| exceeds their share of the piece budget
@@ -179,12 +186,8 @@ def _gk_pieces(F, lo: np.ndarray, hi: np.ndarray, abs_tol: float):
     such a row is not refined further) and whether the piece stopped above
     its budget, plus the subinterval count per piece.
     """
-    npieces = lo.size
-    width = hi - lo
-    edges = [[l, *(c for c in _CUTS if l < c < h), h] for l, h in zip(lo.tolist(), hi.tolist())]
-    a = np.array([x for e in edges for x in e[:-1]])
-    b = np.array([x for e in edges for x in e[1:]])
-    owner = np.repeat(np.arange(npieces), [len(e) - 1 for e in edges])
+    npieces, width = _LO.size, _HI - _LO
+    a, b, owner = _A0, _B0, _OWN0
     A = B = np.empty(0)
     OWN = np.empty(0, dtype=int)
     VAL = ERR = bad = None
@@ -278,9 +281,18 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
         return QuadResult(value, error, status, "; ".join(filter(None, [detail, *notes])),
                           tuple(vals))
 
+    def two_ends() -> QuadResult | None:
+        """Rule 4 at rung j, the strips of each end so far taken on their own."""
+        ends = [(v[s:2 * j + 1:2], max(tol, 10.0 * sum(e[s:2 * j + 1:2]))) for s in (1, 2)]
+        if j >= 3 and (ends[0][0][-1] > 0) != (ends[1][0][-1] > 0) and all(
+                _growing(x, floor, _DIVERGENCE_MIN_RATIO) for x, floor in ends):
+            return result(vals[-1], math.inf, QuadStatus.NO_CONVERGENCE,
+                          "opposite-sign divergence at the two ends")
+        return None
+
     def diverged(sign: float, detail: str) -> QuadResult:
         status = QuadStatus.DIVERGED_POSITIVE if sign > 0 else QuadStatus.DIVERGED_NEGATIVE
-        return result(math.copysign(math.inf, sign), math.inf, status, detail)
+        return two_ends() or result(math.copysign(math.inf, sign), math.inf, status, detail)
 
     for j, eps in enumerate(EPS_LADDER):
         # rung 0 is the middle piece; each deeper rung adds its low and high
@@ -306,13 +318,8 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
         if len(d) >= 3 and _growing(d, max(1e3 * tol, 10.0 * qerr), _FAST_GROWTH_RATIO):
             return diverged(d[-1], f"unbounded growth detected at eps={eps:g}")
 
-    # Each end on its own: the symmetric trim reads opposite-sign non-integrable
-    # ends as a principal value, which settles.
-    low, high, floor = v[1::2], v[2::2], max(tol, 10.0 * qerr)
-    if (_growing(low, floor, _DIVERGENCE_MIN_RATIO) and _growing(high, floor, _DIVERGENCE_MIN_RATIO)
-            and (low[-1] > 0) != (high[-1] > 0)):
-        return result(vals[-1], math.inf, QuadStatus.NO_CONVERGENCE,
-                      "opposite-sign divergence at the two ends")
+    if opposed := two_ends():
+        return opposed
 
     # Raw ladder criterion: successive rung values settled below tol.
     if abs(d[-1]) + qerr <= tol:
@@ -328,7 +335,7 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
             return result(col[-1], abs(col[-1] - col[-2]) + qerr, QuadStatus.CONVERGED)
 
     # Monotone non-contracting growth with a consistent sign: divergent.
-    if _growing(d, floor, _DIVERGENCE_MIN_RATIO):
+    if _growing(d, max(tol, 10.0 * qerr), _DIVERGENCE_MIN_RATIO):
         return diverged(d[-1], "monotone non-contracting ladder growth")
 
     return result(vals[-1], abs(d[-1]) + qerr, QuadStatus.NO_CONVERGENCE,
@@ -345,7 +352,7 @@ def integrate_unit_stack(F, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     divergence with the sign of the growth.
     """
     check_tol(tol=tol)
-    v, e, bad, stopped, count = _gk_pieces(F, _LO, _HI, tol / 50.0)
+    v, e, bad, stopped, count = _gk_pieces(F, tol / 50.0)
     count = count.tolist()
     return [_ladder(*rows, count, tol)
             for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
@@ -393,8 +400,8 @@ def integrate_support_stack(F, support: tuple[float, float],
 
     Infinite ends are mapped to (0, 1) by the rational substitution
     x = a + t/(1-t) (mirrored for the left tail), finite intervals by an
-    affine map, and (0, 1) itself goes to the unit-interval ladder as it is,
-    which does the rest.
+    affine map, which on (0, 1) is the identity to the bit; the unit-interval
+    ladder does the rest.
     """
     a, b = support
     if not a < b:
@@ -405,8 +412,6 @@ def integrate_support_stack(F, support: tuple[float, float],
         left = integrate_support_stack(F, (a, 0.0), tol / 2.0)
         right = integrate_support_stack(F, (0.0, b), tol / 2.0)
         return [_combine(lt, rt) for lt, rt in zip(left, right)]
-    if (a, b) == (0.0, 1.0):
-        return integrate_unit_stack(F, tol)
     if not a_inf and not b_inf:
         width = b - a
 

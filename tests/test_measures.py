@@ -25,8 +25,12 @@ OFF_ORIGIN = [
     (PowerFunction(theta=0.51), -0.51 ** 2 / (2.0 * (2.0 * 0.51 - 1.0))),
 ]
 
-#: whole-line laws with their mass far from 0 or a kink near it
-WHOLE_LINE = [*OFF_ORIGIN[:2], (Laplace(mu=-0.996, b=1.184), -1.0 / (8.0 * 1.184))]
+#: whole-line laws with their mass far from 0, a kink near it, or all of it in
+#: a spike at the median
+WHOLE_LINE = [*OFF_ORIGIN[:2], (Laplace(mu=-0.996, b=1.184), -1.0 / (8.0 * 1.184)),
+              (Normal(sigma=1e-4), -1.0 / (4e-4 * math.sqrt(math.pi))),
+              (Normal(sigma=1e-3), -1.0 / (4e-3 * math.sqrt(math.pi))),
+              (Laplace(b=1e-3), -1.0 / 8e-3), (Logistic(s=1e-3), -1.0 / 12e-3)]
 
 
 class TestExtropy:
@@ -54,10 +58,21 @@ class TestExtropy:
     @pytest.mark.parametrize("d, exact", WHOLE_LINE, ids=[d.spec_string() for d, _ in WHOLE_LINE])
     def test_support_form_centred_on_the_median(self, d, exact):
         # the quadrature splits the real line at 0; the support form splits it
-        # at the median, so neither mass far from 0 nor a kink near it is lost
+        # at the median, so neither mass far from 0 nor a kink near it is lost,
+        # and a spike sits on a graded end of both half-line ladders.  Mapped
+        # onto one ladder instead, a spike at an interior node is lost once
+        # bisection makes that node an endpoint (at sigma = 1e-4 a normal's
+        # extropy reads converged -0.0 that way).
         mv = M.extropy_via_quantile(d)
         assert mv.is_finite, mv
         assert abs(mv.value - exact) <= 1e-13 * abs(exact), mv.value
+
+    @pytest.mark.xfail(strict=True, reason="a piece may stop at 1e-10 of its sum, about 2.8e-7 "
+                       "here, while the ladder settles only below the absolute tol of 1e-8")
+    def test_primary_of_a_narrow_normal(self):
+        mv = M.extropy(Normal(sigma=1e-4))
+        assert mv.is_finite, mv
+        assert_close(mv.value, -1.0 / (4e-4 * math.sqrt(math.pi)), 1e-9, "J(normal, 1e-4)")
 
     @pytest.mark.parametrize("d", [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5),
                                    Kumaraswamy(2.2, 2.7)], ids=lambda d: d.spec_string())

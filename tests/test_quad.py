@@ -38,13 +38,17 @@ class TestIntegrateUnit:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_opposite_sign_ends_are_not_a_principal_value(self, tol):
         # the trim cuts both ends by the same eps, so two log divergences of
-        # opposite sign cancel rung by rung; each end alone keeps growing
-        for f in (lambda u: 1.0 / u - 1.0 / (1.0 - u), lambda u: 1.0 / (1.0 - u) - 1.0 / u):
+        # opposite sign cancel rung by rung; each end alone keeps growing, also
+        # where the other end is fast enough to trip the fast-growth exit or the
+        # magnitude cap
+        for f in (lambda u: 1.0 / u - 1.0 / (1.0 - u), lambda u: 1.0 / (1.0 - u) - 1.0 / u,
+                  lambda u: 1.0 / u ** 2 - 1.0 / (1.0 - u), lambda u: u ** -3 - (1.0 - u) ** -3):
             r = integrate_unit(f, tol=tol)
             assert r.status is QuadStatus.NO_CONVERGENCE, r
             assert r.detail.startswith("opposite-sign divergence at the two ends"), r.detail
-        r = integrate_unit(lambda u: 1.0 / u + 1.0 / (1.0 - u), tol=tol)
-        assert r.status is QuadStatus.DIVERGED_POSITIVE and r.value == math.inf
+        for f in (lambda u: 1.0 / u + 1.0 / (1.0 - u), lambda u: u ** -40 - 1.0):
+            r = integrate_unit(f, tol=tol)
+            assert r.status is QuadStatus.DIVERGED_POSITIVE and r.value == math.inf, r
 
     def test_fast_divergence_hits_cap(self):
         r = integrate_unit(lambda u: u ** -5.0)
@@ -104,6 +108,20 @@ class TestIntegrateSupport:
     def test_finite_interval_affine(self):
         r = integrate_support(lambda x: x * x, (1.0, 3.0))
         assert_close(r.value, 26.0 / 3.0, 1e-8, "int x^2 on (1,3)")
+
+    def test_unit_interval_is_the_unit_ladder(self):
+        # the affine map of (0, 1) is 0 + 1*t, times the width 1: the identity to the bit
+        def F(u):
+            return np.array([u ** -0.5, np.log(u) ** 2, 1.0 / (1.0 - u), np.cos(3.0 * u)])
+
+        def bits(results):
+            return [(r.status, r.detail, [x.hex() for x in (r.value, r.abs_error_estimate,
+                                                            *r.ladder)]) for r in results]
+
+        got = integrate_support_stack(F, (0.0, 1.0))
+        assert [r.status for r in got] == [QuadStatus.CONVERGED, QuadStatus.CONVERGED,
+                                           QuadStatus.DIVERGED_POSITIVE, QuadStatus.CONVERGED]
+        assert bits(got) == bits(integrate_unit_stack(F))
 
     def test_left_tail(self):
         r = integrate_support(lambda x: math.exp(x), (-math.inf, 0.0))
@@ -239,9 +257,10 @@ def _alternating(a):
     return [a * (-1) ** j for j in range(1, 7)]
 
 
-#: case -> (rung-0 piece sum, the sum each deeper rung adds, a non-finite piece or
-#: None, a stopped piece or None, status, value, detail pattern).  Each row is
-#: decided by the named criterion and by no earlier one.
+#: case -> (rung-0 piece sum, the sum each deeper rung adds, or its (low, high)
+#: strip pair, a non-finite piece or None, a stopped piece or None, status,
+#: value, detail pattern).  Each row is decided by the named criterion and by
+#: no earlier one.
 LADDER_CASES = {
     # steps of ratio -1 leave Aitken nothing to apply, so only the raw test settles
     "raw settle": (1.0, _alternating(1e-9), None, None, QuadStatus.CONVERGED, 1.0, ""),
@@ -251,6 +270,10 @@ LADDER_CASES = {
                  QuadStatus.CONVERGED, 1.0 + 1e-2 * (1.0 + 0.05 / 0.95), ""),
     "fast growth": (1.0, _geometric(1.0, 10.0), None, None, QuadStatus.DIVERGED_POSITIVE,
                     math.inf, r"unbounded growth detected at eps=1e-07"),
+    # the low strips grow tenfold, the high ones stay at -1: the rung diffs trip
+    # the fast-growth exit, which reads the two ends first
+    "two ends": (1.0, [(10.0 ** j, -1.0) for j in range(1, 7)], None, None,
+                 QuadStatus.NO_CONVERGENCE, 1108.0, r"opposite-sign divergence at the two ends"),
     "monotone growth": (1.0, [-1.0] * 6, None, None, QuadStatus.DIVERGED_NEGATIVE, -math.inf,
                         r"monotone non-contracting ladder growth"),
     "magnitude cap": (1.0, [2e12] + [0.0] * 5, None, None, QuadStatus.DIVERGED_POSITIVE,
@@ -270,9 +293,9 @@ def test_ladder_criteria(case):
     """Synthetic piece sums, fed straight to the classifier: each way a row is
     decided gives its status, its value and its detail."""
     middle, steps, bad_at, stopped_at, status, value, detail = LADDER_CASES[case]
-    # the whole step in the low strip and 0 in the high one, so each rung is
-    # the previous one plus the step
-    v = [middle] + [x for s in steps for x in (s, 0.0)]
+    # a bare step goes whole in the low strip and 0 in the high one, so each
+    # rung is the previous one plus the step
+    v = [middle] + [x for s in steps for x in (s if isinstance(s, tuple) else (s, 0.0))]
     bad = [0.25 if p == bad_at else math.nan for p in range(13)]
     stopped = [p == stopped_at for p in range(13)]
     r = Q._ladder(v, [0.0] * 13, bad, stopped, [120] * 13, Q.DEFAULT_TOL)
@@ -327,7 +350,7 @@ def test_core_against_quadpack(name):
     f = QUADPACK_CASES[name]
     tol = Q.DEFAULT_TOL
     ref_pieces, ref = _quadpack_ladder(f, tol)
-    pieces = Q._gk_pieces(Q._lift(f), Q._LO, Q._HI, tol / 50.0)[0][0]
+    pieces = Q._gk_pieces(Q._lift(f), tol / 50.0)[0][0]
     for p, (v, w) in enumerate(zip(pieces, ref_pieces)):
         assert abs(v - w) <= max(tol / 50.0, 1e-10 * abs(w)), (p, v, w)
     r = integrate_unit(f, tol)

@@ -15,7 +15,7 @@ from extrec import measures as M
 from extrec import symmetry as S
 from extrec.dist import (Distribution, Exponential, Laplace, Normal, Pareto, PowerFunction,
                          Uniform)
-from extrec.quad import DEFAULT_TOL, QuadStatus
+from extrec.quad import DEFAULT_TOL, QuadStatus, integrate_support_stack
 from extrec.records import PhiKernel
 
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
@@ -505,15 +505,15 @@ class TestVerify:
     def test_distinct_kernels_integrated_once(self, monkeypatch):
         # 105 residuals over 74 distinct kernels: the 48 record kernels at n >= 2,
         # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights;
-        # one stacked call per integrand form, each kernel in exactly one stack
+        # one stacked integrand per form, each kernel in exactly one stack
         calls = []
-        integrate = M._gap_integral
+        integrand = M._integrand
 
-        def counting(kernels, form, *args):
+        def counting(form, kernels, *args):
             calls.append((form, list(kernels)))
-            return integrate(kernels, form, *args)
+            return integrand(form, kernels, *args)
 
-        monkeypatch.setattr(M, "_gap_integral", counting)
+        monkeypatch.setattr(M, "_integrand", counting)
         rep = S.verify_characterizations(U)
         assert len(rep.residuals) == 105
         assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
@@ -557,7 +557,7 @@ class TestVerify:
         # their stack is integrated here directly.
         S.verify_characterizations(d)
         if M._structural(d, "K/dqf", None) is not None:
-            M._gap_integral(KDQF_GAPS, "K/dqf", d, DEFAULT_TOL)
+            integrate_support_stack(*M._integrand("K/dqf", KDQF_GAPS, d, None, "u"), DEFAULT_TOL)
         assert len(integrand_rounds) <= most
 
     @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
@@ -599,7 +599,8 @@ class TestStructuralGaps:
         assert rule is not None
         assert rule.status is (QuadStatus.DIVERGED_NEGATIVE if d.support[0] > -math.inf
                                else QuadStatus.DIVERGED_POSITIVE)
-        got = [qr.status for qr in M._gap_integral(KDQF_GAPS, "K/dqf", d, DEFAULT_TOL)]
+        got = [qr.status for qr in integrate_support_stack(
+            *M._integrand("K/dqf", KDQF_GAPS, d, None, "u"), DEFAULT_TOL)]
         assert got == [rule.status] * len(KDQF_GAPS)
 
     def test_residual_signs_on_a_lower_infinite_end(self):
