@@ -51,7 +51,7 @@ import numpy as np
 
 from .dist import Distribution, lift
 from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack
-from .records import PhiKernel, _record_weight, check_params
+from .records import PhiKernel, check_params
 
 __all__ = [
     "MeasureValue",
@@ -169,6 +169,12 @@ def _u_phi(n: int, k: int, m: int):
     if n == 1:
         return _power(k + 1)
     return _OfPhi(PhiKernel(n, k), lambda u, ph: u * ph)
+
+
+@functools.cache
+def _record_weight(n: int, k: int, m: int):
+    """The record weight of phi_{n,k}, the record density in u-space; m is unused."""
+    return PhiKernel(n, k)._weight
 
 
 @dataclass(frozen=True)

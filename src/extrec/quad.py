@@ -65,7 +65,6 @@ __all__ = [
     "check_tol",
     "integrate_unit",
     "integrate_support",
-    "integrate_unit_stack",
     "integrate_support_stack",
 ]
 
@@ -342,22 +341,6 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
                   f"ladder did not settle: last diffs {d[-3:]}")
 
 
-def integrate_unit_stack(F, tol: float = DEFAULT_TOL) -> list[QuadResult]:
-    """Integrate every row of ``F`` over the open interval (0, 1).
-
-    ``F`` maps an array of nodes to a (C, N) array, C integrands evaluated
-    at the same N nodes, or to an (N,) array for one integrand.  Each row
-    may blow up at either endpoint; integrable singularities are resolved by
-    extrapolating the trim ladder, non-integrable ones are reported as
-    divergence with the sign of the growth.
-    """
-    check_tol(tol=tol)
-    v, e, bad, stopped, count = _gk_pieces(F, tol / 50.0)
-    count = count.tolist()
-    return [_ladder(*rows, count, tol)
-            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
-
-
 def _lift(f):
     """A scalar integrand as a one-row integrand over a node array.  An
     arithmetic error at a node (overflow, division by zero) reads as a
@@ -373,9 +356,8 @@ def _lift(f):
 
 
 def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Integrate the scalar function ``f`` over the open interval (0, 1), as
-    one row of :func:`integrate_unit_stack`."""
-    return integrate_unit_stack(_lift(f), tol)[0]
+    """Integrate the scalar function ``f`` over the open interval (0, 1)."""
+    return integrate_support(f, (0.0, 1.0), tol)
 
 
 def _combine(a: QuadResult, b: QuadResult) -> QuadResult:
@@ -398,10 +380,14 @@ def integrate_support_stack(F, support: tuple[float, float],
                             tol: float = DEFAULT_TOL) -> list[QuadResult]:
     """Integrate every row of ``F`` over ``support``; either bound may be infinite.
 
-    Infinite ends are mapped to (0, 1) by the rational substitution
-    x = a + t/(1-t) (mirrored for the left tail), finite intervals by an
-    affine map, which on (0, 1) is the identity to the bit; the unit-interval
-    ladder does the rest.
+    ``F`` maps an array of nodes to a (C, N) array, C integrands evaluated
+    at the same N nodes, or to an (N,) array for one integrand.  Infinite
+    ends are mapped to (0, 1) by the rational substitution x = a + t/(1-t)
+    (mirrored for the left tail), finite intervals by an affine map, which on
+    (0, 1) is the identity to the bit; the whole line is split at 0 into two
+    half-axis ladders.  Each mapped row may blow up at either end of (0, 1):
+    integrable singularities are resolved by extrapolating the trim ladder,
+    non-integrable ones are reported as divergence with the sign of the growth.
     """
     a, b = support
     if not a < b:
@@ -425,7 +411,11 @@ def integrate_support_stack(F, support: tuple[float, float],
             s = 1.0 - t
             return _stack(F, end + sign * (t / s)) / (s * s)
 
-    return integrate_unit_stack(g, tol)
+    check_tol(tol=tol)
+    v, e, bad, stopped, count = _gk_pieces(g, tol / 50.0)
+    count = count.tolist()
+    return [_ladder(*rows, count, tol)
+            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
 
 
 def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL) -> QuadResult:

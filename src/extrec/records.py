@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -124,13 +124,6 @@ class PhiKernel:
             term *= lam / j
             total += term
         return total
-
-
-@cache
-def _record_weight(n: int, k: int, m: int):
-    """The record weight of phi_{n,k}, the record density in u-space.
-    m is unused: (n, k, m) is the kernel table's signature."""
-    return PhiKernel(n, k)._weight
 
 
 @dataclass(frozen=True)

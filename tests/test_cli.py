@@ -279,6 +279,25 @@ def test_out_of_range_value_is_the_library_error(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+#: one line of each command's default text table; measure's is in TestMeasureCommand
+TABLES = [
+    (("verify", "--dist", "normal"), "verdict      : symmetric   (tolerance 1e-06)"),
+    (("classc", "--dist", "normal"), "class_c(normal:mu=0,sigma=1) = member_equal"),
+    (("records-sim", "--dist", "uniform", "--n", "2", "--k", "2", "--count", "50", "--seed", "1"),
+     "realizations=50 aborted=0"),
+    (("symtest", "--input", SYM20, "--replicates", "199", "--seed", "1"), "-> fail_to_reject"),
+]
+
+
+@pytest.mark.parametrize("argv, line", TABLES, ids=[argv[0] for argv, _ in TABLES])
+def test_default_output_is_the_table(argv, line, capsys):
+    # the table is built lazily, only for table output
+    from extrec import cli
+
+    assert cli.main(list(argv)) == 0
+    assert line in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_byte_identical_json_across_runs_and_threads(self):
         cases = [

@@ -131,6 +131,9 @@ class TestInvariants:
         worst = max(abs(d.dqf_c(float(u)) - d.dqf(1.0 - float(u))) for u in GRID)
         assert worst < 1e-9
 
+    def test_power_sf_left_of_the_support(self):
+        assert PowerFunction(theta=2.0).sf(0.0) == PowerFunction(theta=0.5).sf(-3.0) == 1.0
+
     def test_dqf_positive(self, catalog_member):
         assert all(catalog_member.dqf(float(u)) > 0 for u in GRID)
 
@@ -456,6 +459,10 @@ class TestScaled:
     def test_scale_requires_positive(self):
         with pytest.raises(DistributionError):
             scale(Uniform(), -1.0)
+
+    def test_requires_a_base(self):
+        with pytest.raises(DistributionError, match="scaled: base distribution required"):
+            Scaled()
 
 
 @settings(max_examples=100, deadline=None)

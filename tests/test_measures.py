@@ -98,6 +98,14 @@ class TestCrjCpj:
         assert mv.value == -math.inf
         assert mv.display() == "divergent(-)"
 
+    @pytest.mark.xfail(strict=True, reason="the ladder's magnitude cap is absolute: a rung "
+                       "beyond 1e12 reads as divergence, whatever the law's scale")
+    def test_exponential_of_a_wide_scale(self):
+        # crj = -1/(4 rate), finite at any rate
+        mv = M.crj(Exponential(rate=1e-13))
+        assert mv.is_finite, mv
+        assert abs(mv.value + 2.5e12) <= 1e-9 * 2.5e12, mv.value
+
     def test_power2_closed_forms(self):
         assert_close(M.crj(P2).value, -4.0 / 15.0, 1e-6, "crj power2")
         assert_close(M.cpj(P2).value, -0.1, 1e-6, "cpj power2")

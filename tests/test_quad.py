@@ -7,8 +7,7 @@ from scipy.integrate import quad as quadpack
 
 from extrec import quad as Q
 from extrec.dist import Laplace, Logistic
-from extrec.quad import (QuadStatus, integrate_support, integrate_support_stack, integrate_unit,
-                         integrate_unit_stack)
+from extrec.quad import QuadStatus, integrate_support, integrate_support_stack, integrate_unit
 
 from conftest import assert_close
 
@@ -110,7 +109,8 @@ class TestIntegrateSupport:
         assert_close(r.value, 26.0 / 3.0, 1e-8, "int x^2 on (1,3)")
 
     def test_unit_interval_is_the_unit_ladder(self):
-        # the affine map of (0, 1) is 0 + 1*t, times the width 1: the identity to the bit
+        # the affine map of (0, 1) is 0 + 1*t, times the width 1: the identity to
+        # the bit, so (0, 1) gets the bits of the ladder run on F itself
         def F(u):
             return np.array([u ** -0.5, np.log(u) ** 2, 1.0 / (1.0 - u), np.cos(3.0 * u)])
 
@@ -118,10 +118,16 @@ class TestIntegrateSupport:
             return [(r.status, r.detail, [x.hex() for x in (r.value, r.abs_error_estimate,
                                                             *r.ladder)]) for r in results]
 
-        got = integrate_support_stack(F, (0.0, 1.0))
+        tol = Q.DEFAULT_TOL
+        got = integrate_support_stack(F, (0.0, 1.0), tol)
         assert [r.status for r in got] == [QuadStatus.CONVERGED, QuadStatus.CONVERGED,
                                            QuadStatus.DIVERGED_POSITIVE, QuadStatus.CONVERGED]
-        assert bits(got) == bits(integrate_unit_stack(F))
+        v, e, bad, stopped, count = Q._gk_pieces(F, tol / 50.0)
+        core = [Q._ladder(*rows, count.tolist(), tol)
+                for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
+        assert bits(got) == bits(core)
+        for f in (lambda u: u ** -0.5, lambda u: -1.0 / u):
+            assert bits([integrate_unit(f)]) == bits([integrate_support(f, (0.0, 1.0))])
 
     def test_left_tail(self):
         r = integrate_support(lambda x: math.exp(x), (-math.inf, 0.0))
@@ -169,7 +175,7 @@ class TestCore:
     def test_rows_match_one_at_a_time(self):
         rows = (lambda u: u ** -0.5, lambda u: np.exp(u), lambda u: 1.0 / (1.0 - u),
                 lambda u: -1.0 / u)
-        stacked = integrate_unit_stack(lambda u: np.stack([f(u) for f in rows]))
+        stacked = integrate_support_stack(lambda u: np.stack([f(u) for f in rows]), (0.0, 1.0))
         for f, r in zip(rows, stacked):
             alone = integrate_unit(lambda u: float(f(np.float64(u))))
             assert r.status is alone.status
@@ -180,7 +186,7 @@ class TestCore:
         def F(u):
             bad = np.where((0.3 < u) & (u < 0.4), np.nan, 1.0)
             return np.stack([u * u, bad])
-        good, bad = integrate_unit_stack(F)
+        good, bad = integrate_support_stack(F, (0.0, 1.0))
         assert good.status is QuadStatus.CONVERGED
         assert_close(good.value, 1.0 / 3.0, 1e-10, "int u^2 du")
         assert bad.status is QuadStatus.NO_CONVERGENCE

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
+from extrec.measures import _record_weight
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import PhiKernel, RecordLaw, _record_weight, _scan_one, simulate_records
+from extrec.records import PhiKernel, RecordLaw, _scan_one, simulate_records
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
