@@ -13,7 +13,7 @@ whose bytes moved::
     PYTHONPATH=/path/to/other/src python scripts/cli_snapshot.py > old.txt
     diff old.txt new.txt
 
-The cases are ``verify`` on every spec of ``verify_catalog.py``, ``measure``
+The cases are ``verify`` on every spec of ``sweep.py``'s ``SPECS``, ``measure``
 for every ``--measure`` id on those specs at three (n, k, m, side) points,
 seeded ``records-sim`` over ``RECORD_CASES``, and ``symtest`` on the files
 under ``tests/data/``.  It takes about three seconds on one core.
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from extrec import cli
 
-from verify_catalog import SPECS
+from sweep import SPECS
 
 ROOT = Path(__file__).resolve().parents[1]
 

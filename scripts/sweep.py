@@ -1,6 +1,7 @@
 """Library sweep: every kernel-table row on a fixed set of laws, one line per
-result, with its status, its value and error bits and the integrand work it
-took.  Diffing the output of two checkouts shows every result that moved::
+result, with its status, its value and error bits, the integrand work it
+took and its variable of integration, and one summary line per law.
+Diffing the output of two checkouts shows every result that moved::
 
     PYTHONPATH=src python scripts/sweep.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/sweep.py > old.txt
@@ -11,20 +12,32 @@ Each result line holds, separated by spaces: the law's spec string, the row's
 resolves to (``-`` for a side a gap does not take), the kind (``primary`` and
 ``oracle`` of a measure row, ``gap`` for a gap row's primary, ``verify`` for a
 residual of the (4,4,4) verify grid), the status, ``value.hex()``,
-``abs_error.hex()``, and the integrand rounds and nodes the result took,
-counted by wrapping ``quad._gk_pieces``.  A verify residual's error and counts
-read ``-``: the grid is one call, whose verdict and counts take a line of
-their own with the row ``grid``.  Lines starting with ``#`` are totals.
+``abs_error.hex()``, the integrand rounds and nodes the result took, counted
+by wrapping ``quad._gk_pieces``, and the variable (``u`` or ``x``) of the
+``measures._integrand`` call behind it (``-`` where ``measures._structural``
+decides it).  A verify residual's error, counts and variable read ``-``: the
+grid is one call, whose verdict, counts and variables take a line of their
+own with the row ``grid``.  A ``#`` line after each law's results gives its
+grid's class, verdict, counts of finite and other residuals and worst finite
+|residual|; the last two ``#`` lines are totals.
 
-The laws are ``verify_catalog.py``'s specs, a scaled law, narrow and wide
-normals and exponentials, power theta = 0.777, the pdf/cdf-only Kumaraswamy
-of ``perfbench/userlaw.py`` and seeded draws of power, pareto and exponential
+The laws are the catalog ``SPECS``, a scaled law, narrow and wide normals
+and exponentials, power theta = 0.777, the pdf/cdf-only Kumaraswamy of
+``perfbench/userlaw.py`` and seeded draws of power, pareto and exponential
 laws.  Value bits and counts may differ across Python and numpy builds, so
-compare two checkouts on one machine.  ``--diff`` exits 1 if any line moved.
+compare two checkouts on one machine.  ``--diff`` compares the fields both
+lines of a result carry and exits 1 if any moved, so
+``tests/golden/sweep_statuses.txt``, the first five fields of each result
+line, checks statuses alone.  Regenerate it after a deliberate status change
+with::
+
+    PYTHONPATH=src python scripts/sweep.py | grep -v '^#' | cut -d' ' -f1-5 \\
+        > tests/golden/sweep_statuses.txt
 """
 
 import argparse
 import collections
+import math
 import random
 import sys
 from pathlib import Path
@@ -32,10 +45,12 @@ from pathlib import Path
 from extrec import measures, quad, symmetry
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Scaled, make_distribution
 
-from verify_catalog import SPECS
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from userlaw import Kumaraswamy  # noqa: E402
+
+#: The catalog laws, also the laws of ``cli_snapshot.py``'s verify and measure cases.
+SPECS = ["uniform", "normal", "laplace", "logistic", "exponential:rate=1", "power:theta=0.5",
+         "power:theta=2", "pareto:theta=1", "pareto:theta=2"]
 
 #: (n, k, m, side) points; each row keeps the parameters it takes, and a
 #: point that resolves to one already swept is swept once.
@@ -60,11 +75,13 @@ def laws() -> list:
 
 
 class Work:
-    """Integrand rounds and nodes, counted by wrapping ``quad._gk_pieces``."""
+    """Integrand rounds and nodes, counted by wrapping ``quad._gk_pieces``, and
+    the variables of integration, recorded by wrapping ``measures._integrand``."""
 
     def __init__(self):
         self.rounds = self.nodes = 0
-        gk_pieces = quad._gk_pieces
+        self.variables = set()
+        gk_pieces, integrand = quad._gk_pieces, measures._integrand
 
         def counting(F, *args):
             def G(x):
@@ -73,10 +90,15 @@ class Work:
                 return F(x)
             return gk_pieces(G, *args)
 
-        quad._gk_pieces = counting
+        def recording(form, kernels, d, side, variable):
+            self.variables.add(variable)
+            return integrand(form, kernels, d, side, variable)
 
-    def take(self) -> tuple[int, int]:
-        got, self.rounds, self.nodes = (self.rounds, self.nodes), 0, 0
+        quad._gk_pieces, measures._integrand = counting, recording
+
+    def take(self) -> tuple[int, int, str]:
+        got = self.rounds, self.nodes, ",".join(sorted(self.variables)) or "-"
+        self.rounds, self.nodes, self.variables = 0, 0, set()
         return got
 
 
@@ -85,14 +107,12 @@ def sweep(out) -> None:
     statuses = collections.Counter()
     rounds = nodes = 0
 
-    def emit(law, row, point, kind, status, value, error, work):
+    def emit(law, row, point, kind, status, value, error, work=("-",) * 3):
         nonlocal rounds, nodes
         statuses[status] += 1
-        if work is not None:
+        if work[0] != "-":
             rounds, nodes = rounds + work[0], nodes + work[1]
-        fields = [law, row, point, kind, status, value, error,
-                  *(map(str, work) if work else ("-", "-"))]
-        out.write(" ".join(fields) + "\n")
+        out.write(" ".join([law, row, point, kind, status, value, error, *map(str, work)]) + "\n")
 
     for d in laws():
         law = d.spec_string()
@@ -115,7 +135,11 @@ def sweep(out) -> None:
         emit(law, "grid", "4,4,4,-", "verify", report.verdict.value, "-", "-", tally.take())
         for e in report.residuals:
             at = ",".join("-" if v is None else str(v) for v in (e.n, e.k, e.m, None))
-            emit(law, e.family, at, "verify", e.status.value, e.value.hex(), "-", None)
+            emit(law, e.family, at, "verify", e.status.value, e.value.hex(), "-")
+        finite = [e for e in report.residuals if e.is_finite]
+        worst = max((abs(e.value) for e in finite), default=math.nan)
+        out.write(f"# {law} class {report.class_c.value} verdict {report.verdict.value} finite "
+                  f"{len(finite)} other {len(report.residuals) - len(finite)} worst {worst:.3e}\n")
     out.write(f"# results {sum(statuses.values())} rounds {rounds} nodes {nodes}\n")
     out.write("# " + " ".join(f"{s} {c}" for s, c in sorted(statuses.items())) + "\n")
 
@@ -127,6 +151,11 @@ def read(path: str) -> dict[tuple, list[str]]:
                 if fields and not fields[0].startswith("#")}
 
 
+#: What each field of a result line after its key holds; ``--diff`` compares
+#: the fields both lines carry.
+FIELDS = ("status", "value", "error", "counts", "counts", "variable")
+
+
 def diff(a_path: str, b_path: str) -> int:
     a, b = read(a_path), read(b_path)
     moved = collections.Counter()
@@ -135,22 +164,19 @@ def diff(a_path: str, b_path: str) -> int:
             moved["only in one"] += 1
             print("only in", a_path if key in a else b_path, *key)
             continue
-        (sa, va, ea, *wa), (sb, vb, eb, *wb) = a[key], b[key]
-        what = [label for label, x, y in (("status", sa, sb), ("value", va, vb),
-                                           ("error", ea, eb), ("counts", wa, wb)) if x != y]
-        for label in what:
-            moved[label] += 1
+        what = list(dict.fromkeys(label for label, x, y in zip(FIELDS, a[key], b[key]) if x != y))
+        moved.update(what)
         if what:
             print(*key, "moved:", ",".join(what), " ".join(a[key]), "->", " ".join(b[key]))
 
     def totals(lines) -> tuple[int, int]:
-        counted = [(int(r), int(n)) for *_, r, n in lines.values() if n != "-"]
-        return sum(r for r, _ in counted), sum(n for _, n in counted)
+        counted = [v[3:5] for v in lines.values() if len(v) > 4 and v[4] != "-"]
+        return sum(int(r) for r, _ in counted), sum(int(n) for _, n in counted)
 
     (ra, na), (rb, nb) = totals(a), totals(b)
     print(f"compared {len(a.keys() & b.keys())} results;",
           ", ".join(f"{label} moves {moved[label]}"
-                    for label in ("status", "value", "error", "counts", "only in one")))
+                    for label in (*dict.fromkeys(FIELDS), "only in one")))
     print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}")
     return 1 if moved else 0
 

@@ -97,8 +97,9 @@ class QuadStatus(str, enum.Enum):
 class QuadResult:
     """Outcome of a ladder integration.
 
-    ``value`` is +/-inf for diverged results and the last rung value for
-    ``no_convergence``.  ``ladder`` keeps the rung values for diagnostics.
+    ``value`` is +/-inf for diverged results.  For ``no_convergence`` it is
+    nan after a non-finite integrand value and on the whole line, else the
+    last rung value.  ``ladder`` keeps the rung values for diagnostics.
     """
 
     value: float
@@ -361,19 +362,18 @@ def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 def _combine(a: QuadResult, b: QuadResult) -> QuadResult:
-    ladder = a.ladder + b.ladder
+    """The whole line from its two half-axis results, with both halves' notes."""
+    head, value, error, status = "", math.nan, math.inf, QuadStatus.NO_CONVERGENCE
     if a.converged and b.converged:
-        return QuadResult(a.value + b.value, a.abs_error_estimate + b.abs_error_estimate,
-                          QuadStatus.CONVERGED, "; ".join(filter(None, (a.detail, b.detail))),
-                          ladder)
-    if a.status is QuadStatus.NO_CONVERGENCE or b.status is QuadStatus.NO_CONVERGENCE:
-        bad = a if a.status is QuadStatus.NO_CONVERGENCE else b
-        return QuadResult(math.nan, math.inf, QuadStatus.NO_CONVERGENCE, bad.detail, ladder)
-    if a.diverged and b.diverged and a.status is not b.status:
-        return QuadResult(math.nan, math.inf, QuadStatus.NO_CONVERGENCE,
-                          "opposite-sign divergence of the two half-axis integrals", ladder)
-    div = a if a.diverged else b
-    return QuadResult(div.value, math.inf, div.status, div.detail, ladder)
+        value, error = a.value + b.value, a.abs_error_estimate + b.abs_error_estimate
+        status = QuadStatus.CONVERGED
+    elif a.diverged and b.diverged and a.status is not b.status:
+        head = "opposite-sign divergence of the two half-axis integrals"
+    elif QuadStatus.NO_CONVERGENCE not in (a.status, b.status):
+        div = a if a.diverged else b
+        value, status = div.value, div.status
+    return QuadResult(value, error, status, "; ".join(filter(None, (head, a.detail, b.detail))),
+                      a.ladder + b.ladder)
 
 
 def integrate_support_stack(F, support: tuple[float, float],

@@ -341,3 +341,37 @@ class TestSnapshotStatuses:
         assert len(got) == len(golden)
         assert [line for line in got if line not in golden] == []
         assert got == golden
+
+
+class TestSweepDiff:
+    """``scripts/sweep.py --diff`` compares the fields both lines of a result
+    carry, so the status-only golden checks statuses alone."""
+
+    KEY = "normal:mu=0,sigma=1 crj 1,1,2,upper primary"
+
+    @pytest.fixture
+    def diff(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(REPO / "scripts"))
+        sweep = importlib.import_module("sweep")
+
+        def run(a: str, b: str) -> int:
+            (tmp_path / "a.txt").write_text(a)
+            (tmp_path / "b.txt").write_text(b)
+            return sweep.diff(str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))
+        return run
+
+    def test_status_only_golden_matches_a_full_line(self, diff, capsys):
+        full = f"# a summary line\n{self.KEY} converged -0x1.0p-1 0x1.0p-40 3 90 u\n"
+        assert diff(f"{self.KEY} converged\n", full) == 0
+        assert "status moves 0" in capsys.readouterr().out
+
+    def test_moved_status_names_its_key(self, diff, capsys):
+        assert diff(f"{self.KEY} converged\n", f"{self.KEY} no_convergence nan inf 4 120 u\n") == 1
+        out = capsys.readouterr().out
+        assert f"{self.KEY} moved: status" in out and "status moves 1" in out
+
+    def test_value_move_between_full_lines(self, diff, capsys):
+        a = f"{self.KEY} converged -0x1.0p-1 0x1.0p-40 3 90 u\n"
+        assert diff(a, a.replace("-0x1.0p-1", "-0x1.0000000000001p-1")) == 1
+        out = capsys.readouterr().out
+        assert f"{self.KEY} moved: value " in out and "status moves 0, value moves 1" in out

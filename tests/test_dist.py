@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -26,7 +27,15 @@ from extrec.dist import (
 )
 from extrec.quad import QuadStatus, integrate_support
 
-from conftest import CATALOG_MEMBERS, Kumaraswamy, UserLogistic, assert_close
+from conftest import (
+    CATALOG_MEMBERS,
+    Kumaraswamy,
+    UserBeta22,
+    UserLogistic,
+    UserNormal,
+    UserNormalNoSf,
+    assert_close,
+)
 
 GRID = np.linspace(0.001, 0.999, 1024)
 
@@ -281,6 +290,45 @@ class TestGenericQuantileFallback:
 
         exact = (-math.log(u)) ** (-1.0 / 3.0)
         assert abs(Frechet3().quantile(u) - exact) <= 1e-13 * exact
+
+
+#: laws given by pdf and cdf (and sf) only: quantile and isf are the generic inverter
+INVERT_LAWS = [Kumaraswamy(2.2, 2.7), UserNormal(), UserNormalNoSf(), UserLogistic(), UserBeta22()]
+INVERT_PS = (1e-300, 1e-20, 1e-5, 0.3, 0.5, 0.77, 1.0 - 1e-9)
+
+
+class TestInvert:
+    @pytest.mark.parametrize("d", INVERT_LAWS, ids=lambda d: d.name)
+    def test_answer_is_the_least_float_past_the_crossing(self, d):
+        # a p above 1/2 is read on the other tail at 1 - p: quantile reads the
+        # cdf below 1/2 and the sf above, isf the other way round
+        for p in INVERT_PS:
+            for upper in (False, True):
+                if upper and _unresolved(d, p):
+                    continue  # isf raises there (TestIsf)
+                x = d.isf(p) if upper else d.quantile(p)
+                before, q = math.nextafter(x, -math.inf), min(p, 1.0 - p)
+                if (p > 0.5) == upper:
+                    assert d.cdf(before) < q <= d.cdf(x), (p, upper, x)
+                else:
+                    assert d.sf(x) <= q < d.sf(before), (p, upper, x)
+
+    @pytest.mark.parametrize("d, calls", zip(INVERT_LAWS, (1004, 909, 1122, 1389, 853)),
+                             ids=[d.name for d in INVERT_LAWS])
+    def test_cdf_and_sf_calls_are_pinned(self, d, calls):
+        # quantile and isf at every INVERT_PS, the generic sf's own cdf call
+        # counted too: a change to where the bisection probes moves the counts
+        d, count = copy.copy(d), [0]
+        for name in ("cdf", "sf"):
+            def counting(x, f=getattr(d, name)):
+                count[0] += 1
+                return f(x)
+            setattr(d, name, counting)
+        for p in INVERT_PS:
+            d.quantile(p)
+            if not _unresolved(d, p):
+                d.isf(p)
+        assert count[0] == calls
 
 
 ISF_PS = (0.3, 1e-5, 1e-20, 1e-100, 1e-300)

@@ -142,7 +142,9 @@ class TestIntegrateSupport:
         # each half-axis integral diverges, one to +inf and one to -inf
         r = integrate_support(lambda x: x / (1.0 + x * x), (-math.inf, math.inf))
         assert r.status is QuadStatus.NO_CONVERGENCE
-        assert r.detail == "opposite-sign divergence of the two half-axis integrals"
+        assert r.detail.startswith("opposite-sign divergence of the two half-axis integrals; ")
+        # each half's own exit survives
+        assert r.detail.count("monotone non-contracting ladder growth") == 2, r.detail
 
     def test_real_line_one_divergent_half(self):
         # the left half settles on log 2, the right half diverges
@@ -156,6 +158,16 @@ class TestIntegrateSupport:
                               (-math.inf, math.inf))
         assert r.status is QuadStatus.NO_CONVERGENCE and math.isnan(r.value)
         assert r.detail.startswith("non-finite integrand value at an interior point"), r.detail
+
+    def test_real_line_keeps_both_halves_notes(self):
+        # the left half meets a non-finite value, the right half never settles
+        r = integrate_support(lambda x: math.nan if x < -1.0 else math.sin(x),
+                              (-math.inf, math.inf))
+        assert r.status is QuadStatus.NO_CONVERGENCE and math.isnan(r.value)
+        left, right = r.detail.split("; ", 1)
+        assert left.startswith("non-finite integrand value at an interior point"), r.detail
+        assert right.startswith("ladder did not settle: last diffs"), r.detail
+        assert "stopped above its error budget" in right
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
