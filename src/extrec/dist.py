@@ -149,11 +149,10 @@ class Distribution:
     def _invert(self, p: float, upper: bool) -> float:
         """The x with cdf(x) = p, or sf(x) = p if ``upper``: the least float x
         with cdf(x) >= p (sf(x) <= p).  A p above 1/2 is read on the other
-        tail, where 1 - p is exact.  One bisection loop halves the bracket's
-        width until it is 1e-12 wide relative to its ends or to 1, then halves
-        the count of floats in it (their ordinals) down to two adjacent ones,
-        so an answer near 0 keeps its relative precision while every probe
-        stays near the answer."""
+        tail, where 1 - p is exact.  Bisection halves the bracket's width
+        until it is 1e-12 wide relative to its ends or to 1, then halves the
+        count of floats in it down to two adjacent ones, so an answer near 0
+        keeps its relative precision while every probe stays near the answer."""
         if p > 0.5:
             p, upper = 1.0 - p, not upper
         if upper and p < U_FLOOR and type(self).sf is Distribution.sf:
@@ -161,14 +160,22 @@ class Distribution:
         g, s = (self.sf, -1.0) if upper else (self.cdf, 1.0)
         t = s * p  # s * g is nondecreasing with derivative pdf
         lo, hi = self._bracket(g if s > 0.0 else lambda x: -g(x), t)
-        while math.nextafter(lo, math.inf) < hi:  # each round leaves fewer floats inside
-            wide = hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi))
-            mid = 0.5 * (lo + hi) if wide else _from_ordinal((_ordinal(lo) + _ordinal(hi)) // 2)
+        for _ in range(200):
+            if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+                break
+            mid = 0.5 * (lo + hi)
             if s * g(mid) < t:
                 lo = mid
             else:
                 hi = mid
-        return hi
+        lo, hi = _ordinal(lo), _ordinal(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if s * g(_from_ordinal(mid)) < t:
+                lo = mid
+            else:
+                hi = mid
+        return _from_ordinal(hi)
 
     def _bracket(self, g, t: float) -> tuple[float, float]:
         lo, hi = self.support

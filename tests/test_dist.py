@@ -330,8 +330,29 @@ class TestInvert:
                 d.isf(p)
         assert count[0] == calls
 
+    @pytest.mark.parametrize("p", (1e-308, 6e-309))
+    def test_answer_near_the_largest_float(self, p):
+        # the bracket's doubling overflows to hi = inf, and every float in it
+        # is past 2^1023: the search ends on the least float, not in a loop
+        class UserPareto1(Distribution):
+            name = "user_pareto1"
+            support = (1.0, math.inf)
 
-ISF_PS = (0.3, 1e-5, 1e-20, 1e-100, 1e-300)
+            def pdf(self, x):
+                return 1.0 / (x * x) if x > 1.0 else 0.0
+
+            def cdf(self, x):
+                return 1.0 - 1.0 / x if x > 1.0 else 0.0
+
+            def sf(self, x):
+                return 1.0 / x if x > 1.0 else 1.0
+
+        d = UserPareto1()
+        x = d.isf(p)
+        assert d.sf(x) <= p < d.sf(math.nextafter(x, -math.inf)), x
+
+
+ISF_PS =(0.3, 1e-5, 1e-20, 1e-100, 1e-300)
 #: every catalog law, Scaled laws and a law defined by pdf and cdf only
 ISF_LAWS = [*CATALOG_MEMBERS, scale(Exponential(rate=1.0), 2.5), scale(Normal(), 0.5),
             Kumaraswamy(2.2, 2.7)]
