@@ -27,8 +27,10 @@ has no oracle.
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array.  :func:`measure_values` makes one
 integration call per stack of kernels: the gap rows of one form share a
-stack on shared nodes, which evaluates each ``phi_{n,k}`` its kernels derive
-from once per node array.
+stack on shared nodes.  A stack takes one partial-sum pass per distinct k
+for the ``phi_{n,k}`` its kernels derive from (``phi_{n,k}`` for n below the
+largest is a prefix of that pass) and raises the kernels of one power
+together, so a (4, 4, 4) grid takes 4 passes per node array, not 12.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
@@ -142,16 +144,26 @@ def _power(p: int):
     return lambda u: u ** p
 
 
+#: The power of a ``u * phi`` kernel, in place of an exponent m.
+_U_PHI = "u*phi"
+
+
 @dataclass(frozen=True, eq=False)
 class _OfPhi:
-    """A kernel ``of(u, phi_{n,k}(u))``: a stack of kernels evaluates each
-    distinct ``phi`` once per node array and passes its values to ``of``."""
+    """A kernel ``phi_{n,k}(u)^power``, or ``u * phi_{n,k}(u)`` where ``power``
+    is :data:`_U_PHI`: a stack of kernels (:func:`_kernel_rows`) evaluates
+    the phi of each k once per node array and raises each power's group at once."""
 
     phi: PhiKernel
-    of: Callable
+    power: int | str
 
     def __call__(self, u):
-        return self.of(u, self.phi._eval(u))
+        return _of_phi(self.power, u, self.phi._eval(u))
+
+
+def _of_phi(power: int | str, u, ph):
+    """``ph ** power``, or ``u * ph`` where ``power`` is :data:`_U_PHI`."""
+    return u * ph if power == _U_PHI else ph ** power
 
 
 @functools.cache
@@ -160,7 +172,7 @@ def _phi_power(n: int, k: int, m: int):
     kernel of gcrj, gcpj, delta1 and delta3."""
     if n == 1:
         return _power(k * m)
-    return _OfPhi(PhiKernel(n, k), lambda u, ph: ph ** m)
+    return _OfPhi(PhiKernel(n, k), m)
 
 
 @functools.cache
@@ -168,7 +180,7 @@ def _u_phi(n: int, k: int, m: int):
     """u * phi_{n,k}(u); u^(k+1) at n = 1."""
     if n == 1:
         return _power(k + 1)
-    return _OfPhi(PhiKernel(n, k), lambda u, ph: u * ph)
+    return _OfPhi(PhiKernel(n, k), _U_PHI)
 
 
 @functools.cache
@@ -240,14 +252,43 @@ def eta(d: Distribution, u):
     return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
 
 
+def _index(rows: tuple[int, ...]) -> slice | np.ndarray:
+    """Row numbers as a slice where they run consecutively, so that a stack
+    of one kernel indexes no copy."""
+    if rows == tuple(range(rows[0], rows[-1] + 1)):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
+
+
 def _kernel_rows(kernels: list[Callable]) -> Callable:
-    """The kernels as one function of the nodes u, one row per kernel; each
-    distinct phi_{n,k} the kernels derive from is evaluated once per call."""
-    phis = list({K.phi: None for K in kernels if isinstance(K, _OfPhi)})
+    """The kernels as one function of the nodes u, one row per kernel.  The
+    phi kernels of one k share one partial-sum pass per call, up to their
+    largest n (:meth:`PhiKernel._partials`), and those of one power are
+    raised in one array operation; any other kernel is called on its own.
+    The grouping is built once, here, not per call."""
+    ns_of: dict[int, set[int]] = {}  # k -> the n's of its phi kernels
+    for K in kernels:
+        if isinstance(K, _OfPhi):
+            ns_of.setdefault(K.phi.k, set()).add(K.phi.n)
+    passes = [(PhiKernel(max(ns), k), sorted(ns)) for k, ns in ns_of.items()]
+    at = {nk: row for row, nk in enumerate((n, ph.k) for ph, ns in passes for n in ns)}
+    groups: dict[int | str, list] = {}  # power -> (kernel row, phi row) pairs
+    for i, K in enumerate(kernels):
+        if isinstance(K, _OfPhi):
+            groups.setdefault(K.power, []).append((i, at[K.phi.n, K.phi.k]))
+    groups = {power: tuple(map(_index, zip(*pairs))) for power, pairs in groups.items()}
+    others = [(i, K) for i, K in enumerate(kernels) if not isinstance(K, _OfPhi)]
 
     def rows(u: np.ndarray) -> np.ndarray:
-        at = {ph: ph._eval(u) for ph in phis}
-        return np.array([K.of(u, at[K.phi]) if isinstance(K, _OfPhi) else K(u) for K in kernels])
+        out = np.empty((len(kernels), u.size))
+        if passes:
+            phi = [ph._partials(u, ns) for ph, ns in passes]
+            phi = phi[0] if len(phi) == 1 else np.concatenate(phi)
+            for power, (dst, src) in groups.items():
+                out[dst] = _of_phi(power, u, phi[src])
+        for i, K in others:
+            out[i] = K(u)
+        return out
     return rows
 
 

@@ -20,6 +20,9 @@ share of the piece's error budget, up to 120 subintervals per piece; a
 piece that stops above its budget is named in ``QuadResult.detail``.
 
 Each row's piece sums are then replayed through the ladder, in ladder order.
+A row that is exactly 0.0 with zero error on every piece, with no non-finite
+value and no stopped piece, is the ladder's fixed answer (``converged``, every
+rung 0.0) and takes it without the replay: a gap on a symmetric law is one.
 The first check that holds decides the row.  At each rung, in order:
 
 1. a non-finite integrand value at an interior point of a piece the rung
@@ -213,7 +216,7 @@ def _gk_pieces(F, abs_tol: float):
         ERR = np.concatenate([ERR, err], axis=1)
         count = np.bincount(OWN, minlength=npieces)
 
-        total, errsum = _piece_sums(VAL, OWN, npieces), _piece_sums(ERR, OWN, npieces)
+        total, errsum = _piece_sums(OWN, npieces, VAL, ERR)
         budget = np.maximum(abs_tol, _EPSREL * np.abs(total))
         over = (errsum > budget) & np.isnan(bad)
         if not over.any():
@@ -237,12 +240,13 @@ def _gk_pieces(F, abs_tol: float):
     return total, errsum, bad, over, count
 
 
-def _piece_sums(values: np.ndarray, owner: np.ndarray, npieces: int) -> np.ndarray:
-    """Per row, the sum over each piece's intervals (an infinite value stays
-    in its own piece)."""
-    out = np.zeros((values.shape[0], npieces))
-    np.add.at(out.T, owner, values.T)
-    return out
+def _piece_sums(owner: np.ndarray, npieces: int, *values: np.ndarray) -> list[np.ndarray]:
+    """Per row of each of ``values``, the sum over each piece's intervals, added
+    in interval order (an infinite value stays in its own piece): one
+    bincount of the flattened rows into bin ``row * npieces + owner``."""
+    rows = values[0].shape[0]
+    at = owner if rows == 1 else (np.arange(0, rows * npieces, npieces)[:, None] + owner).ravel()
+    return [np.bincount(at, v.ravel(), rows * npieces).reshape(rows, npieces) for v in values]
 
 
 def _aitken_column(seq: list[float]) -> list[float]:
@@ -342,6 +346,19 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
                   f"ladder did not settle: last diffs {d[-3:]}")
 
 
+def _zero(v: list[float], e: list[float], bad: list[float], stopped: list[bool]) -> bool:
+    """The row is exactly 0.0 with zero error on every piece, with no non-finite
+    value and no stopped piece."""
+    return not (any(v) or any(e) or any(stopped)) and all(map(math.isnan, bad))
+
+
+#: The ladder's answer for a :func:`_zero` row, whatever ``tol`` and the
+#: counts: every rung is 0.0 and rule 5 holds.  Such a row, a gap on a
+#: symmetric law or ``delta_kij`` at n = 1, takes it without the replay.
+_ZERO_ROW = _ladder([0.0] * _LO.size, [0.0] * _LO.size, [math.nan] * _LO.size,
+                    [False] * _LO.size, [0] * _LO.size, DEFAULT_TOL)
+
+
 def _lift(f):
     """A scalar integrand as a one-row integrand over a node array.  An
     arithmetic error at a node (overflow, division by zero) reads as a
@@ -362,7 +379,9 @@ def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:
 
 
 def _combine(a: QuadResult, b: QuadResult) -> QuadResult:
-    """The whole line from its two half-axis results, with both halves' notes."""
+    """The whole line from its two half-axis results, with both halves' notes,
+    each half's prefixed with its interval: a half names its pieces and its
+    nodes in its own (0, 1) coordinate."""
     head, value, error, status = "", math.nan, math.inf, QuadStatus.NO_CONVERGENCE
     if a.converged and b.converged:
         value, error = a.value + b.value, a.abs_error_estimate + b.abs_error_estimate
@@ -372,7 +391,8 @@ def _combine(a: QuadResult, b: QuadResult) -> QuadResult:
     elif QuadStatus.NO_CONVERGENCE not in (a.status, b.status):
         div = a if a.diverged else b
         value, status = div.value, div.status
-    return QuadResult(value, error, status, "; ".join(filter(None, (head, a.detail, b.detail))),
+    notes = (f"{half}: {r.detail}" for half, r in (("(-inf, 0)", a), ("(0, inf)", b)) if r.detail)
+    return QuadResult(value, error, status, "; ".join(filter(None, (head, *notes))),
                       a.ladder + b.ladder)
 
 
@@ -414,7 +434,7 @@ def integrate_support_stack(F, support: tuple[float, float],
     check_tol(tol=tol)
     v, e, bad, stopped, count = _gk_pieces(g, tol / 50.0)
     count = count.tolist()
-    return [_ladder(*rows, count, tol)
+    return [_ZERO_ROW if _zero(*rows) else _ladder(*rows, count, tol)
             for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
 
 

@@ -59,6 +59,7 @@ class PhiKernel:
     """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u: nondecreasing
     on [0, 1] from 0 to 1.  Its tail and density are ``_tail`` and ``_weight``,
     and each of the three falls back to the one log-domain Poisson term ``_log_pmf``.
+    ``_partials`` gives phi_j for any j <= n from the pass that gives phi_n.
     ``L`` is -log u where a caller takes it from the complement of u."""
 
     n: int
@@ -82,22 +83,33 @@ class PhiKernel:
 
     def _eval(self, x, L=None):
         """phi at one u or at each u of an array, in [0, 1]."""
+        out = self._partials(np.atleast_1d(np.asarray(x, dtype=float)), (self.n,), L)[0]
+        return out if np.ndim(x) else out[0]
+
+    def _partials(self, u: np.ndarray, ns, L=None) -> np.ndarray:
+        """phi_{j,k} at each u of an array, one row for each j of ``ns`` (each
+        at most n), from one pass of partial sums: phi_j's sum is the first j
+        terms of phi_n's.  Past _LAM_DIRECT_MAX each j sums its own first j
+        log-domain terms, so every row holds phi_{j,k} to the bit."""
         # partial sums ascending in i, which can overflow past _LAM_DIRECT_MAX
-        u = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lam = -self.k * np.log(u) if L is None else self.k * np.atleast_1d(L)
             term = total = 1.0
-            for i in range(1, self.n):
+            sums = [total]
+            for i in range(1, max(ns)):
                 term = term * (lam / i)
                 total = total + term
-            out = np.minimum(1.0, u ** self.k * total)
+                sums.append(total)
+            uk = u ** self.k
+            out = np.minimum(1.0, [uk * sums[j - 1] for j in ns])
             if not lam.max() <= _LAM_DIRECT_MAX:  # there phi is summed in the log domain
                 far = lam > _LAM_DIRECT_MAX
-                g = self._log_pmf(np.arange(self.n)[:, None], lam[far])
-                top = g.max(axis=0)
-                out[far] = np.minimum(1.0, np.exp(top + np.log(np.exp(g - top).sum(axis=0))))
-                out[lam == math.inf] = 0.0  # u = 0
-        return out if np.ndim(x) else out[0]
+                g = self._log_pmf(np.arange(max(ns))[:, None], lam[far])
+                for row, j in zip(out, ns):
+                    top = g[:j].max(axis=0)
+                    row[far] = np.minimum(1.0, np.exp(top + np.log(np.exp(g[:j] - top).sum(0))))
+                out[:, lam == math.inf] = 0.0  # u = 0
+        return out
 
     def _weight(self, u, L=None):
         """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi, with 1/(n-1)! in log

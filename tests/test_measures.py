@@ -4,6 +4,7 @@ import struct
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extrec import measures as M
@@ -323,6 +324,18 @@ class TestOneEvaluator:
             a = M.measure_value(row, d, *rest)
             assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
             assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+
+    def test_kernel_rows_are_the_kernels_to_the_bit(self):
+        # every kernel of a (4, 4, 4) grid, in the table's order and reversed: the
+        # stack takes one partial-sum pass per k, each kernel alone its own phi;
+        # the nodes reach lam > 680 (the log-domain sum) and 1 - u near 1
+        kernels = list({row.kernel(n, k, m): None for row in M.KERNELS.values()
+                        for n, k, m in itertools.product(range(1, 5), repeat=3)})
+        tiny = np.array([5e-324, 1e-310, 1e-300, 1e-250, 1e-200, 1e-100, 1e-10, 1e-4, 0.3, 0.5])
+        u = np.concatenate([tiny, 1.0 - tiny, [1.0 - 2.0 ** -53, 0.9999999999]])
+        assert M._kernel_rows(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
+        kernels.reverse()
+        assert M._kernel_rows(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
 
     @pytest.mark.parametrize("row", [row for row in M.KERNELS.values() if row.family is not None],
                              ids=lambda row: row.measure_id)

@@ -157,7 +157,9 @@ class TestIntegrateSupport:
         r = integrate_support(lambda x: math.nan if x < -1.0 else math.exp(-x * x),
                               (-math.inf, math.inf))
         assert r.status is QuadStatus.NO_CONVERGENCE and math.isnan(r.value)
-        assert r.detail.startswith("non-finite integrand value at an interior point"), r.detail
+        assert r.detail.startswith("(-inf, 0): non-finite integrand value at an interior point"), \
+            r.detail
+        assert "(0, inf): " not in r.detail  # the settled half has no notes
 
     def test_real_line_keeps_both_halves_notes(self):
         # the left half meets a non-finite value, the right half never settles
@@ -165,8 +167,11 @@ class TestIntegrateSupport:
                               (-math.inf, math.inf))
         assert r.status is QuadStatus.NO_CONVERGENCE and math.isnan(r.value)
         left, right = r.detail.split("; ", 1)
-        assert left.startswith("non-finite integrand value at an interior point"), r.detail
-        assert right.startswith("ladder did not settle: last diffs"), r.detail
+        assert left.startswith("(-inf, 0): "), r.detail
+        assert right.startswith("(0, inf): "), r.detail
+        assert left.startswith("(-inf, 0): non-finite integrand value at an interior point"), \
+            r.detail
+        assert right.startswith("(0, inf): ladder did not settle: last diffs"), r.detail
         assert "stopped above its error budget" in right
 
     def test_rejects_empty_interval(self):
@@ -254,6 +259,57 @@ class TestCore:
     def test_middle_piece_starts_cut_at_the_decades(self, integrand_rounds):
         integrate_unit(lambda u: u)
         assert integrand_rounds == [21 * (7 + Q._LO.size - 1)]
+
+
+def _bits(results):
+    """Every field of each result, floats as hex, so the sign of a zero counts."""
+    return [(r.status, r.detail, [x.hex() for x in (r.value, r.abs_error_estimate, *r.ladder)])
+            for r in results]
+
+
+def _replayed(F, tol=Q.DEFAULT_TOL):
+    """The ladder replayed on every row of F's piece sums."""
+    v, e, bad, stopped, count = Q._gk_pieces(F, tol / 50.0)
+    return [Q._ladder(*rows, count.tolist(), tol)
+            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
+
+
+class TestZeroRows:
+    """A row that is exactly 0.0 with zero error on every piece takes the
+    ladder's answer without the replay; it must be that answer to the bit."""
+
+    @pytest.mark.parametrize("tol", [1e-6, Q.DEFAULT_TOL, 1e-12])
+    def test_zero_rows_are_the_ladder_replayed(self, tol):
+        def F(u):  # +0.0 rows, -0.0 rows, a non-finite zero row, and a nonzero row
+            return np.stack([0.0 * u, -0.0 * u, np.where(u < 0.5, -0.0, np.nan), u])
+
+        got = integrate_support_stack(F, (0.0, 1.0), tol)
+        assert _bits(got) == _bits(_replayed(F, tol))
+        assert got[0] is got[1] is Q._ZERO_ROW
+        assert got[0].converged and got[0].ladder == (0.0,) * len(Q.EPS_LADDER)
+        assert got[2].status is QuadStatus.NO_CONVERGENCE and got[3].converged
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_stopped_or_non_finite_zero_rows_replay(self, monkeypatch, zero):
+        # no integrand gives a zero row with a stopped piece (a stopped piece
+        # has a positive error), so the piece sums are set by hand
+        n = Q._LO.size
+        v, e = np.full((3, n), zero), np.zeros((3, n))
+        bad, stopped = np.full((3, n), math.nan), np.zeros((3, n), dtype=bool)
+        stopped[1, 4] = True
+        bad[2, 5] = 0.25
+        count = np.full(n, 120)
+        monkeypatch.setattr(Q, "_gk_pieces", lambda F, abs_tol: (v, e, bad, stopped, count))
+        got = integrate_support_stack(lambda u: u, (0.0, 1.0))
+        assert _bits(got) == _bits([Q._ladder(*rows, count.tolist(), Q.DEFAULT_TOL) for rows in
+                                    zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())])
+        assert got[0] is Q._ZERO_ROW
+        assert got[1].converged and "stopped above its error budget" in got[1].detail
+        assert got[2].status is QuadStatus.NO_CONVERGENCE and "u=0.25" in got[2].detail
+
+    def test_whole_line_zero_row(self):
+        (r,) = integrate_support_stack(lambda x: 0.0 * x, (-math.inf, math.inf))
+        assert r.converged and r.value == 0.0 and r.abs_error_estimate == 0.0 and r.detail == ""
 
 
 def test_rule_is_exact_on_polynomials():

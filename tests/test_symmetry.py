@@ -522,29 +522,40 @@ class TestVerify:
 
     def test_each_phi_evaluated_once_per_round(self, monkeypatch):
         # the K/dqf stack derives its 48 phi^m and 12 u*phi kernels from the 12
-        # distinct phi_{n,k} with n >= 2: one evaluation of each per bisection
-        # round, not one per kernel; the w*dqf stack's kij weights use no phi
-        evals, rounds = [], []
-        phi_eval, integrate = PhiKernel._eval, M.integrate_support_stack
+        # distinct phi_{n,k} with n >= 2: one partial-sum pass per distinct k per
+        # bisection round gives phi_{2..4,k}, so 4 passes, not one per kernel or
+        # per phi; the w*dqf stack's kij weights use no phi
+        passes, rounds = [], []
+        partials, integrate = PhiKernel._partials, M.integrate_support_stack
 
-        def counted_eval(self, u):
-            evals.append((self.n, self.k))
-            return phi_eval(self, u)
+        def counted(self, u, ns, L=None):
+            passes.append((self.n, self.k, tuple(ns)))
+            return partials(self, u, ns, L)
 
         def counting(F, *args):
             def G(u):
-                start = len(evals)
+                start = len(passes)
                 out = F(u)
-                rounds.append(evals[start:])
+                rounds.append(passes[start:])
                 return out
             return integrate(G, *args)
 
-        monkeypatch.setattr(PhiKernel, "_eval", counted_eval)
+        monkeypatch.setattr(PhiKernel, "_partials", counted)
         monkeypatch.setattr(M, "integrate_support_stack", counting)
         S.verify_characterizations(P2)
-        distinct = sorted((n, k) for n in range(2, 5) for k in range(1, 5))
-        assert {len(r) for r in rounds} == {0, 12}
-        assert all(sorted(r) == distinct for r in rounds if r)
+        assert {len(r) for r in rounds} == {0, 4}
+        assert all(sorted(r) == [(4, k, (2, 3, 4)) for k in range(1, 5)] for r in rounds if r)
+
+    @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
+    def test_symmetric_law_takes_no_phi_pass(self, monkeypatch, d):
+        # eta is 0 at every node, so the stacks evaluate no kernel, and every
+        # gap row is exactly zero
+        calls, partials = [], PhiKernel._partials
+        monkeypatch.setattr(PhiKernel, "_partials", lambda self, u, ns, L=None: calls.append(ns)
+                            or partials(self, u, ns, L))
+        rep = S.verify_characterizations(d)
+        assert calls == []
+        assert all(e.value == 0.0 and e.status is QuadStatus.CONVERGED for e in rep.residuals)
 
     @pytest.mark.parametrize("d, most", [
         (Exponential(rate=1.7), 8), (Pareto(theta=2.5), 8), (PowerFunction(theta=2.0), 8),
