@@ -27,10 +27,20 @@ has no oracle.
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array.  :func:`measure_values` makes one
 integration call per stack of kernels: the gap rows of one form share a
-stack on shared nodes.  A stack takes one partial-sum pass per distinct k
-for the ``phi_{n,k}`` its kernels derive from (``phi_{n,k}`` for n below the
-largest is a prefix of that pass) and raises the kernels of one power
-together, so a (4, 4, 4) grid takes 4 passes per node array, not 12.
+stack on shared nodes.  It works in two parts.  The plan (:func:`_plan`)
+takes no law: it resolves and checks each point once and gives each its
+params, its stack and its row in that stack, and each stack its kernels and
+their rows function.  The evaluation (:func:`_evaluate`) is per law: the
+structural rule and the variable once per stack, one integration call per
+stack the rule does not decide, and the prefactor per point.  verify plans
+each (n, k, m) grid once and evaluates that plan on every law;
+:func:`measure_value` and every other call plan their points afresh, so
+nothing is kept per measure point.
+
+A stack takes one partial-sum pass per distinct k for the ``phi_{n,k}`` its
+kernels derive from (``phi_{n,k}`` for n below the largest is a prefix of
+that pass) and raises the kernels of one power together, so a (4, 4, 4)
+grid takes 4 passes per node array, not 12.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
@@ -292,6 +302,15 @@ def _kernel_rows(kernels: list[Callable]) -> Callable:
     return rows
 
 
+class _Stack(tuple):
+    """The kernels of one stack, in row order; ``rows``, their
+    :func:`_kernel_rows` function, is built on first use and kept with the stack."""
+
+    @functools.cached_property
+    def rows(self) -> Callable:
+        return _kernel_rows(self)
+
+
 def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
     """A ``K/dqf`` integrand in x tends to a nonzero constant at an infinite
     end of the support: a measure's K(p(x)) tends to 1 at the lower end on
@@ -341,7 +360,7 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
     splits a whole-line support at 0, so there x is shifted to split it at
     the median.
     """
-    rows = _kernel_rows(kernels)
+    rows = kernels.rows if isinstance(kernels, _Stack) else _kernel_rows(kernels)
     if variable == "u":
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
@@ -375,28 +394,50 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
     return F, d.support
 
 
-def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
-    """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
-    trailing values take :func:`measure_value`'s defaults.  A row whose
-    divergence :func:`_structural` decides is not integrated.  Every other
-    point joins a stack, integrated in one call on shared nodes: the gap rows
-    of one form share one, in which each distinct kernel is integrated once,
-    and a measure point is a stack of its own."""
-    check_tol(tol=tol)
-    resolved = []
-    stacks: dict[tuple, dict[Callable, None]] = {}  # (form, side, point or None) -> its kernels
+@dataclass(frozen=True)
+class _Plan:
+    """What evaluating a list of points takes that does not depend on the law."""
+
+    points: tuple[tuple[KernelRow, dict, int, int], ...]  # (row, params, stack, row in it)
+    stacks: tuple[tuple[str, str | None, _Stack], ...]   # (form, side, kernels)
+
+
+def _plan(points) -> _Plan:
+    """The plan of the points ``(row, n, k, m, side)``, each resolved, and so
+    checked, here: the gap rows of one form share a stack, in which each
+    distinct kernel is one row, and a measure point is a stack of its own."""
+    stacks: dict[tuple, tuple[int, dict]] = {}  # (form, side, point or None) -> (s, {K: row})
+    planned = []
     for i, (row, *rest) in enumerate(points):
         params, nkm = resolve(row, *rest)
-        K, side = row.kernel(*nkm), params.get("side", row.side)
-        key, qr = (row.form, side, None if row.family else i), _structural(d, row.form, side)
-        if qr is None:
-            stacks.setdefault(key, {})[K] = None
-        resolved.append((row, params, key, K, qr))
-    done = {(form, side, at, K): qr for (form, side, at), kernels in stacks.items()
-            for K, qr in zip(kernels, integrate_support_stack(
-                *_integrand(form, list(kernels), d, side, _variable(d, form, side)), tol))}
-    return [scaled_result(row.measure_id, done[(*key, K)] if qr is None else qr, row.prefactor,
-                          params) for row, params, key, K, qr in resolved]
+        key = (row.form, params.get("side", row.side), None if row.family else i)
+        s, kernels = stacks.setdefault(key, (len(stacks), {}))
+        planned.append((row, params, s, kernels.setdefault(row.kernel(*nkm), len(kernels))))
+    return _Plan(tuple(planned), tuple((form, side, _Stack(kernels))
+                                       for (form, side, _), (_, kernels) in stacks.items()))
+
+
+def _evaluate(d: Distribution, plan: _Plan, tol: float) -> list[MeasureValue]:
+    """The plan's points on ``d``: a stack whose divergence :func:`_structural`
+    decides is not integrated, and every other stack is one integration call."""
+    done = []
+    for form, side, kernels in plan.stacks:
+        qr = _structural(d, form, side)
+        done.append([qr] * len(kernels) if qr else integrate_support_stack(
+            *_integrand(form, kernels, d, side, _variable(d, form, side)), tol))
+    return [scaled_result(row.measure_id, done[s][j], row.prefactor, params)
+            for row, params, s, j in plan.points]
+
+
+def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
+    """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
+    trailing values take :func:`measure_value`'s defaults.  The points are
+    planned first (:func:`_plan`), which depends on them alone, then
+    evaluated on ``d`` (:func:`_evaluate`).  The gap rows of one form share a
+    stack, integrated in one call on shared nodes, in which each distinct
+    kernel is integrated once; a measure point is a stack of its own."""
+    check_tol(tol=tol)
+    return _evaluate(d, _plan(points), tol)
 
 
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,

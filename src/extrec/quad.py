@@ -346,14 +346,9 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
                   f"ladder did not settle: last diffs {d[-3:]}")
 
 
-def _zero(v: list[float], e: list[float], bad: list[float], stopped: list[bool]) -> bool:
-    """The row is exactly 0.0 with zero error on every piece, with no non-finite
-    value and no stopped piece."""
-    return not (any(v) or any(e) or any(stopped)) and all(map(math.isnan, bad))
-
-
-#: The ladder's answer for a :func:`_zero` row, whatever ``tol`` and the
-#: counts: every rung is 0.0 and rule 5 holds.  Such a row, a gap on a
+#: The ladder's answer for a zero row, exactly 0.0 with zero error on every
+#: piece, with no non-finite value and no stopped piece, whatever ``tol`` and
+#: the counts: every rung is 0.0 and rule 5 holds.  Such a row, a gap on a
 #: symmetric law or ``delta_kij`` at n = 1, takes it without the replay.
 _ZERO_ROW = _ladder([0.0] * _LO.size, [0.0] * _LO.size, [math.nan] * _LO.size,
                     [False] * _LO.size, [0] * _LO.size, DEFAULT_TOL)
@@ -433,9 +428,10 @@ def integrate_support_stack(F, support: tuple[float, float],
 
     check_tol(tol=tol)
     v, e, bad, stopped, count = _gk_pieces(g, tol / 50.0)
+    zero = ~((v != 0.0) | (e != 0.0) | stopped | ~np.isnan(bad)).any(axis=1)
     count = count.tolist()
-    return [_ZERO_ROW if _zero(*rows) else _ladder(*rows, count, tol)
-            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
+    return [_ZERO_ROW if z else _ladder(*rows, count, tol) for z, *rows in
+            zip(zero.tolist(), v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
 
 
 def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL) -> QuadResult:

@@ -8,9 +8,10 @@ weighted integrals of ``eta`` over (0, 1/2); those antisymmetrized forms are
 how every residual here is computed, because they stay finite in cases where
 the individual measures diverge.  The gaps and their kernels are the rows of
 :data:`extrec.measures.KERNELS` that name a verify family.  Each ``delta*``
-function is one :func:`extrec.measures.measure_value` call, and
-:func:`verify_characterizations` hands its whole (n, k, m) grid to one
-:func:`extrec.measures.measure_values` call, which integrates each distinct
+function is one :func:`extrec.measures.measure_value` call.
+:func:`verify_characterizations` plans its whole (n, k, m) grid once per
+grid, not per law, and evaluates that plan on each law as one
+:func:`extrec.measures.measure_values` call would, integrating each distinct
 kernel once; ``eta`` is defined there and re-exported here.  On a support
 with one infinite end every gap but ``kij`` diverges without quadrature: its
 weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw integral is -inf when
@@ -25,6 +26,7 @@ spacings estimators and calibrates it against a symmetrized bootstrap null.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -34,7 +36,7 @@ import numpy as np
 from .dist import Distribution
 from .quad import DEFAULT_TOL, QuadStatus, check_tol
 from .records import check_params
-from .measures import KERNELS, MeasureValue, eta, measure_value, measure_values
+from .measures import KERNELS, MeasureValue, _Plan, _evaluate, _plan, eta, measure_value
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -169,6 +171,25 @@ class SymmetryReport:
     verdict: Verdict
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(max_n: int, max_k: int, max_m: int) -> tuple[tuple, _Plan]:
+    """The grid's residual labels ``(family, n, k, m)`` and its plan, which
+    depend on the bounds alone, so each grid is planned once and every law
+    takes the same plan.  The last few grids are kept, so a caller that
+    sweeps the bounds does not grow the cache."""
+    limits = {"n": max_n, "k": max_k, "m": max_m}
+    labels, points = [], []
+    for row in KERNELS.values():
+        if row.family is None:
+            continue
+        for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
+            shown = {**row.fixed, **dict(zip(row.params, values))}
+            point = {"n": 1, "k": 1, "m": 2, **shown}
+            labels.append((row.family, shown.get("n"), shown.get("k"), shown.get("m")))
+            points.append((row, point["n"], point["k"], point["m"]))
+    return tuple(labels), _plan(points)
+
+
 def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
                              max_m: int = 4, tol: float = RESIDUAL_TOL,
                              quad_tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -182,19 +203,9 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     check_params(max_n=max_n, max_k=max_k, max_m=max_m)
     check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
-    limits = {"n": max_n, "k": max_k, "m": max_m}
-    points = []
-    for row in KERNELS.values():
-        if row.family is None:
-            continue
-        for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
-            point = {"n": 1, "k": 1, "m": 2, **dict(zip(row.params, values))}
-            points.append((row, point["n"], point["k"], point["m"]))
-    entries: list[ResidualEntry] = []
-    for (row, *_), mv in zip(points, measure_values(d, points, quad_tol)):
-        shown = {**row.fixed, **mv.params}
-        entries.append(ResidualEntry(row.family, shown.get("n"), shown.get("k"), shown.get("m"),
-                                     mv.value, mv.quad_status))
+    labels, plan = _grid(max_n, max_k, max_m)
+    entries = [ResidualEntry(*label, mv.value, mv.quad_status)
+               for label, mv in zip(labels, _evaluate(d, plan, quad_tol))]
 
     finite = [e for e in entries if e.is_finite]
     if not cls.is_member:

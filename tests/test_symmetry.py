@@ -555,7 +555,46 @@ class TestVerify:
                             or partials(self, u, ns, L))
         rep = S.verify_characterizations(d)
         assert calls == []
+        assert rep.verdict is S.Verdict.SYMMETRIC
         assert all(e.value == 0.0 and e.status is QuadStatus.CONVERGED for e in rep.residuals)
+
+    def test_second_law_takes_the_grid_plan(self, monkeypatch):
+        # the grid's plan depends on the bounds alone: a second law at the
+        # same grid resolves no point and asks _structural once per stack
+        S.verify_characterizations(U)
+        resolved, structural = [], []
+        resolve, rule = M.resolve, M._structural
+        monkeypatch.setattr(M, "resolve", lambda *a: resolved.append(a) or resolve(*a))
+        monkeypatch.setattr(M, "_structural", lambda *a: structural.append(a[1:]) or rule(*a))
+        rep = S.verify_characterizations(E1)
+        assert len(rep.residuals) == 105 and resolved == []
+        assert sorted(structural) == [("K/dqf", None), ("w*dqf", None)]
+
+    @pytest.mark.parametrize("d", [E1, P2, KUMA], ids=repr)
+    def test_grids_in_turn_match_a_first_call(self, d):
+        # a plan is keyed on its grid: each grid, verified after another, is
+        # the grid verified first in a fresh cache, to the bit
+        def bits(rep):
+            return [(e.key(), e.status, e.value.hex()) for e in rep.residuals], rep.verdict
+
+        grids = [(2, 2, 2), (4, 4, 4), (2, 2, 2)]
+        first = {}
+        for grid in grids:
+            S._grid.cache_clear()
+            first[grid] = bits(S.verify_characterizations(d, *grid))
+        S._grid.cache_clear()
+        for grid in grids:
+            assert bits(S.verify_characterizations(d, *grid)) == first[grid], grid
+        assert S._grid.cache_info().currsize == 2
+
+    def test_bad_bounds_raise_with_a_grid_planned(self):
+        S.verify_characterizations(U, 2, 2, 2)
+        planned = S._grid.cache_info().currsize
+        with pytest.raises(ValueError, match="max_n must be an integer >= 1, got 0"):
+            S.verify_characterizations(U, max_n=0)
+        with pytest.raises(ValueError, match="quad_tol must be a positive finite number"):
+            S.verify_characterizations(U, 2, 2, 2, quad_tol=0.0)
+        assert S._grid.cache_info().currsize == planned
 
     @pytest.mark.parametrize("d, most", [
         (Exponential(rate=1.7), 8), (Pareto(theta=2.5), 8), (PowerFunction(theta=2.0), 8),
@@ -592,8 +631,7 @@ class TestVerify:
 
 class TestStructuralGaps:
     """On a support with one infinite end every K/dqf gap diverges, with the
-    sign of that end, so verify takes no quadrature for it; on a symmetric
-    law eta is 0 at every node, so no gap kernel is evaluated."""
+    sign of that end, so verify takes no quadrature for it."""
 
     def test_every_kernel_runs_from_zero_to_one(self):
         assert len(KDQF_GAPS) == 70
@@ -623,16 +661,6 @@ class TestStructuralGaps:
     def test_whole_line_and_bounded_gaps_are_integrated(self, d):
         assert M._structural(d, "K/dqf", None) is None
         assert M._structural(d, "w*dqf", None) is None
-
-    @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
-    def test_symmetric_law_evaluates_no_phi(self, monkeypatch, d):
-        calls, phi_eval = [], PhiKernel._eval
-        monkeypatch.setattr(PhiKernel, "_eval", lambda self, u: calls.append(u.size) or
-                            phi_eval(self, u))
-        rep = S.verify_characterizations(d)
-        assert rep.verdict is S.Verdict.SYMMETRIC
-        assert all(e.value == 0.0 for e in rep.residuals)
-        assert calls == []
 
 
 class TestEmpiricalEstimators:
