@@ -1,10 +1,10 @@
 """Extropy-type information functionals of distributions and their k-records.
 
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
-CLI ``--measure`` id and verify residual family; :func:`measure_values`
-evaluates every row, gaps included, for verify's grid, and its one-point
-form :func:`measure_value` for the public functions and the CLI.  A row's
-factory returns its kernel K alone, one object per distinct kernel.
+CLI ``--measure`` id and verify residual family; :func:`measure_value`
+evaluates any row, gaps included, for the public functions and the CLI, and
+verify evaluates its whole grid the same way.  A row's factory returns its
+kernel K alone, one object per distinct kernel.
 
 Every row, extropy (``kij`` at n = k = 1) included, is an integral of
 ``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1), or a gap's over (0, 1/2), and
@@ -25,22 +25,24 @@ over (0, 1/2), or in x the weight K(sf(x)) - K(cdf(x)) over the support, and
 has no oracle.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
-quadrature evaluates each once per array.  :func:`measure_values` makes one
-integration call per stack of kernels: the gap rows of one form share a
-stack on shared nodes.  It works in two parts.  The plan (:func:`_plan`)
-takes no law: it resolves and checks each point once and gives each its
-params, its stack and its row in that stack, and each stack its kernels and
-their rows function.  The evaluation (:func:`_evaluate`) is per law: the
-structural rule and the variable once per stack, one integration call per
-stack the rule does not decide, and the prefactor per point.  verify plans
-each (n, k, m) grid once and evaluates that plan on every law;
-:func:`measure_value` and every other call plan their points afresh, so
-nothing is kept per measure point.
+quadrature evaluates each once per array.  Every evaluation goes from points
+``(row, {param: value})`` to integrations in two parts.  The plan
+(:func:`_plan`, the only caller of :func:`resolve`) takes no law: it
+resolves and checks each point once and gives each its params, its stack
+and its row in that stack, and each stack its form, side and kernels as a
+:class:`_Stack`.  The gap rows of one form share a stack on shared nodes;
+a measure point is a stack of its own.  The evaluation (:func:`_evaluate`)
+is per law: the structural rule and the variable once per stack, one
+integration call per stack the rule does not decide, and the prefactor per
+point.  verify plans each (n, k, m) grid once and evaluates that plan on
+every law; :func:`measure_value` and :func:`oracle_value` plan their one
+point afresh, so nothing is kept per measure point.
 
-A stack takes one partial-sum pass per distinct k for the ``phi_{n,k}`` its
-kernels derive from (``phi_{n,k}`` for n below the largest is a prefix of
-that pass) and raises the kernels of one power together, so a (4, 4, 4)
-grid takes 4 passes per node array, not 12.
+A :class:`_Stack` is what :func:`_integrand` evaluates.  It groups its
+kernels once, when it is made: one partial-sum pass per distinct k for the
+``phi_{n,k}`` its kernels derive from (``phi_{n,k}`` for n below the
+largest is a prefix of that pass), the kernels of one power raised
+together, so a (4, 4, 4) grid takes 4 passes per node array, not 12.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
@@ -69,7 +71,6 @@ __all__ = [
     "MeasureValue",
     "KERNELS",
     "measure_value",
-    "measure_values",
     "oracle_value",
     "extropy",
     "crj",
@@ -161,8 +162,8 @@ _U_PHI = "u*phi"
 @dataclass(frozen=True, eq=False)
 class _OfPhi:
     """A kernel ``phi_{n,k}(u)^power``, or ``u * phi_{n,k}(u)`` where ``power``
-    is :data:`_U_PHI`: a stack of kernels (:func:`_kernel_rows`) evaluates
-    the phi of each k once per node array and raises each power's group at once."""
+    is :data:`_U_PHI`: a stack of kernels (:class:`_Stack`) evaluates the
+    phi of each k once per node array and raises each power's group at once."""
 
     phi: PhiKernel
     power: int | str
@@ -262,53 +263,37 @@ def eta(d: Distribution, u):
     return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
 
 
-def _index(rows: tuple[int, ...]) -> slice | np.ndarray:
-    """Row numbers as a slice where they run consecutively, so that a stack
-    of one kernel indexes no copy."""
-    if rows == tuple(range(rows[0], rows[-1] + 1)):
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows)
+class _Stack(tuple):
+    """The kernels of one stack, in row order, called on the nodes u as one
+    row per kernel.  The phi kernels of one k share one partial-sum pass per
+    call, up to their largest n (:meth:`PhiKernel._partials`), and those of
+    one power are raised in one array operation; any other kernel is called
+    on its own.  The grouping is built once, when the stack is made."""
 
+    def __init__(self, kernels):
+        ns_of: dict[int, set[int]] = {}  # k -> the n's of its phi kernels
+        for K in self:
+            if isinstance(K, _OfPhi):
+                ns_of.setdefault(K.phi.k, set()).add(K.phi.n)
+        self.passes = [(PhiKernel(max(ns), k), sorted(ns)) for k, ns in ns_of.items()]
+        at = {nk: row for row, nk in enumerate((n, ph.k) for ph, ns in self.passes for n in ns)}
+        groups: dict[int | str, list] = {}  # power -> (kernel row, phi row) pairs
+        for i, K in enumerate(self):
+            if isinstance(K, _OfPhi):
+                groups.setdefault(K.power, []).append((i, at[K.phi.n, K.phi.k]))
+        self.groups = {power: tuple(map(np.array, zip(*pairs))) for power, pairs in groups.items()}
+        self.others = [(i, K) for i, K in enumerate(self) if not isinstance(K, _OfPhi)]
 
-def _kernel_rows(kernels: list[Callable]) -> Callable:
-    """The kernels as one function of the nodes u, one row per kernel.  The
-    phi kernels of one k share one partial-sum pass per call, up to their
-    largest n (:meth:`PhiKernel._partials`), and those of one power are
-    raised in one array operation; any other kernel is called on its own.
-    The grouping is built once, here, not per call."""
-    ns_of: dict[int, set[int]] = {}  # k -> the n's of its phi kernels
-    for K in kernels:
-        if isinstance(K, _OfPhi):
-            ns_of.setdefault(K.phi.k, set()).add(K.phi.n)
-    passes = [(PhiKernel(max(ns), k), sorted(ns)) for k, ns in ns_of.items()]
-    at = {nk: row for row, nk in enumerate((n, ph.k) for ph, ns in passes for n in ns)}
-    groups: dict[int | str, list] = {}  # power -> (kernel row, phi row) pairs
-    for i, K in enumerate(kernels):
-        if isinstance(K, _OfPhi):
-            groups.setdefault(K.power, []).append((i, at[K.phi.n, K.phi.k]))
-    groups = {power: tuple(map(_index, zip(*pairs))) for power, pairs in groups.items()}
-    others = [(i, K) for i, K in enumerate(kernels) if not isinstance(K, _OfPhi)]
-
-    def rows(u: np.ndarray) -> np.ndarray:
-        out = np.empty((len(kernels), u.size))
-        if passes:
-            phi = [ph._partials(u, ns) for ph, ns in passes]
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty((len(self), u.size))
+        if self.passes:
+            phi = [ph._partials(u, ns) for ph, ns in self.passes]
             phi = phi[0] if len(phi) == 1 else np.concatenate(phi)
-            for power, (dst, src) in groups.items():
+            for power, (dst, src) in self.groups.items():
                 out[dst] = _of_phi(power, u, phi[src])
-        for i, K in others:
+        for i, K in self.others:
             out[i] = K(u)
         return out
-    return rows
-
-
-class _Stack(tuple):
-    """The kernels of one stack, in row order; ``rows``, their
-    :func:`_kernel_rows` function, is built on first use and kept with the stack."""
-
-    @functools.cached_property
-    def rows(self) -> Callable:
-        return _kernel_rows(self)
 
 
 def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
@@ -344,10 +329,10 @@ def _variable(d: Distribution, form: str, side: str | None) -> str:
     return "x" if generic and not _diverges_in_x(d, form, side) else "u"
 
 
-def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | None,
+def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
                variable: str) -> tuple[Callable, tuple[float, float]]:
     """(F, domain): the integral of each row of F over the domain is one
-    kernel's integral, taken in the variable u or x.
+    integral of a kernel of the stack, taken in the variable u or x.
 
     On ``side`` "upper" or "lower" that is the integral over (0, 1) of K(u)
     times g(u), where g is 1/dqf (``K/dqf``) or dqf (``w*dqf``) on the lower
@@ -360,20 +345,19 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
     splits a whole-line support at 0, so there x is shifted to split it at
     the median.
     """
-    rows = kernels.rows if isinstance(kernels, _Stack) else _kernel_rows(kernels)
     if variable == "u":
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
                 against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
                 if not against.any():  # a symmetric law: 0 whatever the kernels are
                     return np.zeros((len(kernels), u.size))
-                w = rows(np.concatenate([u, 1.0 - u]))  # one call per node pair
+                w = kernels(np.concatenate([u, 1.0 - u]))  # one call per node pair
                 return (w[:, :u.size] - w[:, u.size:]) * against
             return F, (0.0, 0.5)
         den = d.dqf_c if side == "upper" else d.dqf
 
         def F(u: np.ndarray) -> np.ndarray:
-            w = rows(u)
+            w = kernels(u)
             return w / den(u) if form == "K/dqf" else w * den(u)
         return F, (0.0, 1.0)
 
@@ -383,11 +367,11 @@ def _integrand(form: str, kernels: list[Callable], d: Distribution, side: str | 
         x = x + c
         if side is None:
             sf, cdf = lift(d.sf, x), lift(d.cdf, x)
-            w = rows(np.concatenate([sf, cdf]))
+            w = kernels(np.concatenate([sf, cdf]))
             w, inside = w[:, :x.size] - w[:, x.size:], (sf > 0.0) & (cdf > 0.0)
         else:
             u = lift(d.sf if side == "upper" else d.cdf, x)
-            w, inside = rows(u), u > 0.0
+            w, inside = kernels(u), u > 0.0
         if form == "K/dqf":
             return w
         return np.where(inside, w * lift(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where u is
@@ -403,13 +387,14 @@ class _Plan:
 
 
 def _plan(points) -> _Plan:
-    """The plan of the points ``(row, n, k, m, side)``, each resolved, and so
-    checked, here: the gap rows of one form share a stack, in which each
-    distinct kernel is one row, and a measure point is a stack of its own."""
+    """The plan of the points ``(row, {param: value})``, each resolved, and so
+    checked, here; a param left out takes :func:`resolve`'s default.  The gap
+    rows of one form share a stack, in which each distinct kernel is one row,
+    and a measure point is a stack of its own."""
     stacks: dict[tuple, tuple[int, dict]] = {}  # (form, side, point or None) -> (s, {K: row})
     planned = []
-    for i, (row, *rest) in enumerate(points):
-        params, nkm = resolve(row, *rest)
+    for i, (row, given) in enumerate(points):
+        params, nkm = resolve(row, **given)
         key = (row.form, params.get("side", row.side), None if row.family else i)
         s, kernels = stacks.setdefault(key, (len(stacks), {}))
         planned.append((row, params, s, kernels.setdefault(row.kernel(*nkm), len(kernels))))
@@ -429,22 +414,13 @@ def _evaluate(d: Distribution, plan: _Plan, tol: float) -> list[MeasureValue]:
             for row, params, s, j in plan.points]
 
 
-def measure_values(d: Distribution, points, tol: float = DEFAULT_TOL) -> list[MeasureValue]:
-    """Evaluate each point ``(row, n, k, m, side)`` of :data:`KERNELS` on ``d``;
-    trailing values take :func:`measure_value`'s defaults.  The points are
-    planned first (:func:`_plan`), which depends on them alone, then
-    evaluated on ``d`` (:func:`_evaluate`).  The gap rows of one form share a
-    stack, integrated in one call on shared nodes, in which each distinct
-    kernel is integrated once; a measure point is a stack of its own."""
-    check_tol(tol=tol)
-    return _evaluate(d, _plan(points), tol)
-
-
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
                   side: str = "upper", tol: float = DEFAULT_TOL) -> MeasureValue:
     """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
-    over (0, 1/2), every other row over (0, 1), each in the primary's variable."""
-    return measure_values(d, [(row, n, k, m, side)], tol)[0]
+    over (0, 1/2), every other row over (0, 1), each in the primary's
+    variable.  The point is planned afresh, a stack of its own."""
+    check_tol(tol=tol)
+    return _evaluate(d, _plan([(row, {"n": n, "k": k, "m": m, "side": side})]), tol)[0]
 
 
 def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,
@@ -456,11 +432,10 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
     """
     if row.family is not None:
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
-    params, nkm = resolve(row, n, k, m, side)
-    side = params.get("side", row.side)
-    variable = "u" if _variable(d, row.form, side) == "x" else "x"
-    qr = integrate_support_stack(*_integrand(row.form, [row.kernel(*nkm)], d, side, variable),
-                                 tol)[0]
+    plan = _plan([(row, {"n": n, "k": k, "m": m, "side": side})])
+    ((_, params, _, _),), ((form, side, kernels),) = plan.points, plan.stacks
+    variable = "u" if _variable(d, form, side) == "x" else "x"
+    qr = integrate_support_stack(*_integrand(form, kernels, d, side, variable), tol)[0]
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 

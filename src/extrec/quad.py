@@ -245,7 +245,7 @@ def _piece_sums(owner: np.ndarray, npieces: int, *values: np.ndarray) -> list[np
     in interval order (an infinite value stays in its own piece): one
     bincount of the flattened rows into bin ``row * npieces + owner``."""
     rows = values[0].shape[0]
-    at = owner if rows == 1 else (np.arange(0, rows * npieces, npieces)[:, None] + owner).ravel()
+    at = (np.arange(0, rows * npieces, npieces)[:, None] + owner).ravel()
     return [np.bincount(at, v.ravel(), rows * npieces).reshape(rows, npieces) for v in values]
 
 

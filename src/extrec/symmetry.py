@@ -10,9 +10,10 @@ the individual measures diverge.  The gaps and their kernels are the rows of
 :data:`extrec.measures.KERNELS` that name a verify family.  Each ``delta*``
 function is one :func:`extrec.measures.measure_value` call.
 :func:`verify_characterizations` plans its whole (n, k, m) grid once per
-grid, not per law, and evaluates that plan on each law as one
-:func:`extrec.measures.measure_values` call would, integrating each distinct
-kernel once; ``eta`` is defined there and re-exported here.  On a support
+grid, not per law, with the planner every measure takes
+(:func:`extrec.measures._plan`), and evaluates that plan on each law,
+integrating each distinct kernel once; ``eta`` is defined there and
+re-exported here.  On a support
 with one infinite end every gap but ``kij`` diverges without quadrature: its
 weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw integral is -inf when
 the upper end is infinite and +inf when the lower is, before the prefactor.
@@ -175,19 +176,17 @@ class SymmetryReport:
 def _grid(max_n: int, max_k: int, max_m: int) -> tuple[tuple, _Plan]:
     """The grid's residual labels ``(family, n, k, m)`` and its plan, which
     depend on the bounds alone, so each grid is planned once and every law
-    takes the same plan.  The last few grids are kept, so a caller that
-    sweeps the bounds does not grow the cache."""
+    takes the same plan.  A label shows the row's planned params and its
+    ``fixed`` ones.  The last few grids are kept, so a caller that sweeps the
+    bounds does not grow the cache."""
     limits = {"n": max_n, "k": max_k, "m": max_m}
-    labels, points = [], []
-    for row in KERNELS.values():
-        if row.family is None:
-            continue
-        for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params)):
-            shown = {**row.fixed, **dict(zip(row.params, values))}
-            point = {"n": 1, "k": 1, "m": 2, **shown}
-            labels.append((row.family, shown.get("n"), shown.get("k"), shown.get("m")))
-            points.append((row, point["n"], point["k"], point["m"]))
-    return tuple(labels), _plan(points)
+    plan = _plan([(row, dict(zip(row.params, values)))
+                  for row in KERNELS.values() if row.family is not None
+                  for values in itertools.product(*(range(1, limits[p] + 1)
+                                                    for p in row.params))])
+    labels = tuple((row.family, *map({**row.fixed, **params}.get, "nkm"))
+                   for row, params, _, _ in plan.points)
+    return labels, plan
 
 
 def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
@@ -195,10 +194,10 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
                              quad_tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Evaluate every characterization residual over the (n, k, m) grid.
 
-    Verdict: ``symmetric`` needs class membership and every residual finite
-    and below ``tol``; ``asymmetric`` needs some finite residual at or above
-    ``tol``; anything else (non-membership, or only divergent/unsettled
-    comparisons) is ``inconclusive``.
+    Verdict, for a class member only: ``asymmetric`` if some finite residual
+    is at or above ``tol`` in size, else ``symmetric`` if every residual is
+    finite; anything else (non-membership, or a divergent or unsettled
+    residual with every finite one below ``tol``) is ``inconclusive``.
     """
     check_params(max_n=max_n, max_k=max_k, max_m=max_m)
     check_tol(tol=tol, quad_tol=quad_tol)
@@ -207,12 +206,9 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     entries = [ResidualEntry(*label, mv.value, mv.quad_status)
                for label, mv in zip(labels, _evaluate(d, plan, quad_tol))]
 
-    finite = [e for e in entries if e.is_finite]
-    if not cls.is_member:
-        verdict = Verdict.INCONCLUSIVE
-    elif any(abs(e.value) >= tol for e in finite):
+    if cls.is_member and any(e.is_finite and abs(e.value) >= tol for e in entries):
         verdict = Verdict.ASYMMETRIC
-    elif len(finite) == len(entries) and all(abs(e.value) < tol for e in finite):
+    elif cls.is_member and all(e.is_finite for e in entries):
         verdict = Verdict.SYMMETRIC
     else:
         verdict = Verdict.INCONCLUSIVE

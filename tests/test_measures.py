@@ -315,27 +315,31 @@ class TestOneEvaluator:
         assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
 
     @pytest.mark.parametrize("d", [P2, E1, NM], ids=lambda d: d.spec_string())
-    def test_measure_values_is_measure_value_per_point(self, d):
+    def test_evaluated_plan_is_measure_value_per_point(self, d):
         # every row, gaps sharing a stack with each other, short points taking the
-        # defaults, and a kernel that two rows share (delta2 at m = 2)
-        points = [(row, 2, 3, 2, "lower") for row in M.KERNELS.values()]
-        points += [(row,) for row in M.KERNELS.values()] + [(M.KERNELS["delta1"], 1, 1)]
-        for (row, *rest), b in zip(points, M.measure_values(d, points)):
-            a = M.measure_value(row, d, *rest)
+        # defaults, and a kernel that two rows share (delta1 at n = k = 1)
+        points = [(row, {"n": 2, "k": 3, "m": 2, "side": "lower"}) for row in M.KERNELS.values()]
+        points += [(row, {}) for row in M.KERNELS.values()]
+        points += [(M.KERNELS["delta1"], {"n": 1, "k": 1})]
+        for (row, given), b in zip(points, M._evaluate(d, M._plan(points), M.DEFAULT_TOL)):
+            a = M.measure_value(row, d, **given)
             assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
             assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
 
     def test_kernel_rows_are_the_kernels_to_the_bit(self):
         # every kernel of a (4, 4, 4) grid, in the table's order and reversed: the
         # stack takes one partial-sum pass per k, each kernel alone its own phi;
+        # and every kernel as a one-kernel stack, as a measure or oracle takes it;
         # the nodes reach lam > 680 (the log-domain sum) and 1 - u near 1
         kernels = list({row.kernel(n, k, m): None for row in M.KERNELS.values()
                         for n, k, m in itertools.product(range(1, 5), repeat=3)})
         tiny = np.array([5e-324, 1e-310, 1e-300, 1e-250, 1e-200, 1e-100, 1e-10, 1e-4, 0.3, 0.5])
         u = np.concatenate([tiny, 1.0 - tiny, [1.0 - 2.0 ** -53, 0.9999999999]])
-        assert M._kernel_rows(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
+        assert M._Stack(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
         kernels.reverse()
-        assert M._kernel_rows(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
+        assert M._Stack(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()
+        for K in kernels:
+            assert M._Stack([K])(u).tobytes() == K(u).tobytes(), K
 
     @pytest.mark.parametrize("row", [row for row in M.KERNELS.values() if row.family is not None],
                              ids=lambda row: row.measure_id)

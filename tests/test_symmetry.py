@@ -564,7 +564,8 @@ class TestVerify:
         S.verify_characterizations(U)
         resolved, structural = [], []
         resolve, rule = M.resolve, M._structural
-        monkeypatch.setattr(M, "resolve", lambda *a: resolved.append(a) or resolve(*a))
+        monkeypatch.setattr(M, "resolve",
+                            lambda *a, **kw: resolved.append((a, kw)) or resolve(*a, **kw))
         monkeypatch.setattr(M, "_structural", lambda *a: structural.append(a[1:]) or rule(*a))
         rep = S.verify_characterizations(E1)
         assert len(rep.residuals) == 105 and resolved == []
@@ -607,7 +608,7 @@ class TestVerify:
         # their stack is integrated here directly.
         S.verify_characterizations(d)
         if M._structural(d, "K/dqf", None) is not None:
-            integrate_support_stack(*M._integrand("K/dqf", KDQF_GAPS, d, None, "u"), DEFAULT_TOL)
+            integrate_support_stack(*M._integrand("K/dqf", M._Stack(KDQF_GAPS), d, None, "u"), DEFAULT_TOL)
         assert len(integrand_rounds) <= most
 
     @pytest.mark.parametrize("d", [E1, PA2, PowerFunction(theta=0.777)], ids=repr)
@@ -649,7 +650,7 @@ class TestStructuralGaps:
         assert rule.status is (QuadStatus.DIVERGED_NEGATIVE if d.support[0] > -math.inf
                                else QuadStatus.DIVERGED_POSITIVE)
         got = [qr.status for qr in integrate_support_stack(
-            *M._integrand("K/dqf", KDQF_GAPS, d, None, "u"), DEFAULT_TOL)]
+            *M._integrand("K/dqf", M._Stack(KDQF_GAPS), d, None, "u"), DEFAULT_TOL)]
         assert got == [rule.status] * len(KDQF_GAPS)
 
     def test_residual_signs_on_a_lower_infinite_end(self):
