@@ -28,8 +28,9 @@ laws.  Value bits and counts may differ across Python and numpy builds, so
 compare two checkouts on one machine.  ``--diff`` compares the fields both
 lines of a result carry and exits 1 if any moved, so
 ``tests/golden/sweep_statuses.txt``, the first five fields of each result
-line, checks statuses alone.  Regenerate it after a deliberate status change
-with::
+line, checks statuses alone.  Its summary also names the largest relative
+and the largest absolute move among the values finite on both sides.
+Regenerate the golden after a deliberate status change with::
 
     PYTHONPATH=src python scripts/sweep.py | grep -v '^#' | cut -d' ' -f1-5 \\
         > tests/golden/sweep_statuses.txt
@@ -159,6 +160,7 @@ FIELDS = ("status", "value", "error", "counts", "counts", "variable")
 def diff(a_path: str, b_path: str) -> int:
     a, b = read(a_path), read(b_path)
     moved = collections.Counter()
+    largest = {"relative": (0.0, None), "absolute": (0.0, None)}  # move, key
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             moved["only in one"] += 1
@@ -168,6 +170,14 @@ def diff(a_path: str, b_path: str) -> int:
         moved.update(what)
         if what:
             print(*key, "moved:", ",".join(what), " ".join(a[key]), "->", " ".join(b[key]))
+        if "value" in what:
+            x, y = (float.fromhex(v[1]) for v in (a[key], b[key]))
+            if math.isfinite(x) and math.isfinite(y):
+                move = abs(y - x)
+                relative = move and move / max(abs(x), abs(y))  # 0.0 and -0.0 move by 0
+                for label, size in (("absolute", move), ("relative", relative)):
+                    if size > largest[label][0]:
+                        largest[label] = size, key
 
     def totals(lines) -> tuple[int, int]:
         counted = [v[3:5] for v in lines.values() if len(v) > 4 and v[4] != "-"]
@@ -178,6 +188,9 @@ def diff(a_path: str, b_path: str) -> int:
           ", ".join(f"{label} moves {moved[label]}"
                     for label in (*dict.fromkeys(FIELDS), "only in one")))
     print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}")
+    print("largest finite value move:", ", ".join(
+        f"{label} {size:.3g} at {' '.join(key)}" if key else f"{label} none"
+        for label, (size, key) in largest.items()))
     return 1 if moved else 0
 
 

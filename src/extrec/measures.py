@@ -3,8 +3,8 @@
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
 CLI ``--measure`` id and verify residual family; :func:`measure_value`
 evaluates any row, gaps included, for the public functions and the CLI, and
-verify evaluates its whole grid the same way.  A row's factory returns its
-kernel K alone, one object per distinct kernel.
+verify evaluates its whole grid the same way.  A row's kernel, built from
+(n, k, m) in :mod:`extrec.records`, is a value ``(u^b P(-log u))^m u^e``.
 
 Every row, extropy (``kij`` at n = k = 1) included, is an integral of
 ``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1), or a gap's over (0, 1/2), and
@@ -30,19 +30,15 @@ quadrature evaluates each once per array.  Every evaluation goes from points
 (:func:`_plan`, the only caller of :func:`resolve`) takes no law: it
 resolves and checks each point once and gives each its params, its stack
 and its row in that stack, and each stack its form, side and kernels as a
-:class:`_Stack`.  The gap rows of one form share a stack on shared nodes;
-a measure point is a stack of its own.  The evaluation (:func:`_evaluate`)
-is per law: the structural rule and the variable once per stack, one
-integration call per stack the rule does not decide, and the prefactor per
-point.  verify plans each (n, k, m) grid once and evaluates that plan on
+:class:`~extrec.records._Stack`, which evaluates each distinct base of its
+kernels once per node array.  The gap rows of one form share a stack on
+shared nodes; a measure point is a stack of its own.  The evaluation
+(:func:`_evaluate`) is per law: the structural rule and the variable once
+per stack, one integration call per stack the rule does not decide, and
+the prefactor per point.  verify plans each (n, k, m) grid once and evaluates that plan on
 every law; :func:`measure_value` and :func:`oracle_value` plan their one
-point afresh, so nothing is kept per measure point.
-
-A :class:`_Stack` is what :func:`_integrand` evaluates.  It groups its
-kernels once, when it is made: one partial-sum pass per distinct k for the
-``phi_{n,k}`` its kernels derive from (``phi_{n,k}`` for n below the
-largest is a prefix of that pass), the kernels of one power raised
-together, so a (4, 4, 4) grid takes 4 passes per node array, not 12.
+point afresh, and only its one-kernel stack is kept
+(:func:`~extrec.records.stack`, the last 256 stacks).
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
@@ -56,7 +52,6 @@ kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -65,7 +60,7 @@ import numpy as np
 
 from .dist import Distribution, lift
 from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack
-from .records import PhiKernel, check_params
+from .records import _Stack, check_params, phi_power, stack, u_phi, weight
 
 __all__ = [
     "MeasureValue",
@@ -145,61 +140,6 @@ def scaled_result(measure_id: str, qr: QuadResult, scale: float,
     return MeasureValue(measure_id, math.nan, status, math.inf, dict(params or {}))
 
 
-# Kernel factories (n, k, m) -> K.  They are cached, so a kernel that several
-# rows or grid points share is one object, and verify integrates it once.
-
-
-@functools.cache
-def _power(p: int):
-    """u^p, the kernel every n = 1 phi kernel below reduces to."""
-    return lambda u: u ** p
-
-
-#: The power of a ``u * phi`` kernel, in place of an exponent m.
-_U_PHI = "u*phi"
-
-
-@dataclass(frozen=True, eq=False)
-class _OfPhi:
-    """A kernel ``phi_{n,k}(u)^power``, or ``u * phi_{n,k}(u)`` where ``power``
-    is :data:`_U_PHI`: a stack of kernels (:class:`_Stack`) evaluates the
-    phi of each k once per node array and raises each power's group at once."""
-
-    phi: PhiKernel
-    power: int | str
-
-    def __call__(self, u):
-        return _of_phi(self.power, u, self.phi._eval(u))
-
-
-def _of_phi(power: int | str, u, ph):
-    """``ph ** power``, or ``u * ph`` where ``power`` is :data:`_U_PHI`."""
-    return u * ph if power == _U_PHI else ph ** power
-
-
-@functools.cache
-def _phi_power(n: int, k: int, m: int):
-    """phi_{n,k}(u)^m.  phi_{1,k}(u) is u^k, so n = 1 is the power u^(km), the
-    kernel of gcrj, gcpj, delta1 and delta3."""
-    if n == 1:
-        return _power(k * m)
-    return _OfPhi(PhiKernel(n, k), m)
-
-
-@functools.cache
-def _u_phi(n: int, k: int, m: int):
-    """u * phi_{n,k}(u); u^(k+1) at n = 1."""
-    if n == 1:
-        return _power(k + 1)
-    return _OfPhi(PhiKernel(n, k), _U_PHI)
-
-
-@functools.cache
-def _record_weight(n: int, k: int, m: int):
-    """The record weight of phi_{n,k}, the record density in u-space; m is unused."""
-    return PhiKernel(n, k)._weight
-
-
 @dataclass(frozen=True)
 class KernelRow:
     """A measure or gap: ``prefactor`` times the integral of its kernel."""
@@ -207,8 +147,8 @@ class KernelRow:
     id: str | None             # CLI --measure id; None if the CLI does not offer it
     measure_id: str            # MeasureValue.measure_id
     params: tuple[str, ...]    # free parameters; the others are ``fixed`` or n=1, k=1, m=2
-    kernel: Callable           # (n, k, m) -> K(u) on (0, 1), one object per distinct kernel;
-                               # a gap row's weight K(u) - K(1-u) is derived from it
+    kernel: Callable           # (n, k, m) -> its Kernel K; a gap row's weight
+                               # K(u) - K(1-u) is derived from it
     form: str                  # "K/dqf": K(u)/dqf, "w*dqf": K(u)*dqf
     side: str | None           # "upper" takes dqf(1-u), "lower" dqf(u); None: the side param
     prefactor: float
@@ -218,31 +158,31 @@ class KernelRow:
 
 #: The kernel table, keyed by ``measure_id``; gap rows in verify order.
 KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
-    KernelRow("extropy", "extropy", (), _record_weight, "w*dqf", "lower", -0.5),
-    KernelRow("crj", "crj", (), _phi_power, "K/dqf", "upper", -0.5),
-    KernelRow("cpj", "cpj", (), _phi_power, "K/dqf", "lower", -0.5),
-    KernelRow("gcrj", "gcrj", ("m",), _phi_power, "K/dqf", "upper", -0.5),
-    KernelRow("gcpj", "gcpj", ("m",), _phi_power, "K/dqf", "lower", -0.5),
-    KernelRow("record_crj_upper", "record_crj_upper", ("n", "k"), _phi_power, "K/dqf",
+    KernelRow("extropy", "extropy", (), weight, "w*dqf", "lower", -0.5),
+    KernelRow("crj", "crj", (), phi_power, "K/dqf", "upper", -0.5),
+    KernelRow("cpj", "cpj", (), phi_power, "K/dqf", "lower", -0.5),
+    KernelRow("gcrj", "gcrj", ("m",), phi_power, "K/dqf", "upper", -0.5),
+    KernelRow("gcpj", "gcpj", ("m",), phi_power, "K/dqf", "lower", -0.5),
+    KernelRow("record_crj_upper", "record_crj_upper", ("n", "k"), phi_power, "K/dqf",
               "upper", -0.5),
-    KernelRow("record_cpj_lower", "record_cpj_lower", ("n", "k"), _phi_power, "K/dqf",
+    KernelRow("record_cpj_lower", "record_cpj_lower", ("n", "k"), phi_power, "K/dqf",
               "lower", -0.5),
-    KernelRow("record_gcrj_upper", "record_gcrj_upper", ("n", "k", "m"), _phi_power, "K/dqf",
+    KernelRow("record_gcrj_upper", "record_gcrj_upper", ("n", "k", "m"), phi_power, "K/dqf",
               "upper", -0.5),
-    KernelRow("record_gcpj_lower", "record_gcpj_lower", ("n", "k", "m"), _phi_power, "K/dqf",
+    KernelRow("record_gcpj_lower", "record_gcpj_lower", ("n", "k", "m"), phi_power, "K/dqf",
               "lower", -0.5),
-    KernelRow("kij", "kij_record", ("n", "k", "side"), _record_weight, "w*dqf", None, -0.5),
-    KernelRow("crij_upper", "crij_upper", ("n", "k"), _u_phi, "K/dqf", "upper", -0.5),
-    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), _u_phi, "K/dqf", "lower", -0.5),
-    KernelRow("delta1", "delta1", (), _phi_power, "K/dqf", None, -0.5, family="crj_cpj"),
-    KernelRow("delta2", "delta2", ("n", "k"), _phi_power, "K/dqf", None, -0.5,
+    KernelRow("kij", "kij_record", ("n", "k", "side"), weight, "w*dqf", None, -0.5),
+    KernelRow("crij_upper", "crij_upper", ("n", "k"), u_phi, "K/dqf", "upper", -0.5),
+    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), u_phi, "K/dqf", "lower", -0.5),
+    KernelRow("delta1", "delta1", (), phi_power, "K/dqf", None, -0.5, family="crj_cpj"),
+    KernelRow("delta2", "delta2", ("n", "k"), phi_power, "K/dqf", None, -0.5,
               family="record_crj_cpj"),
-    KernelRow("delta3", "delta3", ("m",), _phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj"),
-    KernelRow(None, "delta2_generalized", ("n", "k", "m"), _phi_power, "K/dqf", None, -0.5,
+    KernelRow("delta3", "delta3", ("m",), phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj"),
+    KernelRow(None, "delta2_generalized", ("n", "k", "m"), phi_power, "K/dqf", None, -0.5,
               family="record_gcrj_gcpj"),
-    KernelRow("delta_kij", "delta_kij", ("n",), _record_weight, "w*dqf", None, -0.5,
+    KernelRow("delta_kij", "delta_kij", ("n",), weight, "w*dqf", None, -0.5,
               family="kij", fixed={"k": 1}),  # the KIJ equality only characterizes at k = 1
-    KernelRow("delta_crij", "delta_crij", ("n", "k"), _u_phi, "K/dqf", None, -0.5,
+    KernelRow("delta_crij", "delta_crij", ("n", "k"), u_phi, "K/dqf", None, -0.5,
               family="crij_cpij"),
 )}
 
@@ -261,39 +201,6 @@ def eta(d: Distribution, u):
     """Reciprocal density-quantile gap 1/dqf(1-u) - 1/dqf(u); zero iff symmetric.
     ``u`` is one value or an array of them, each in (0, 1), as ``dqf`` checks."""
     return 1.0 / d.dqf_c(u) - 1.0 / d.dqf(u)
-
-
-class _Stack(tuple):
-    """The kernels of one stack, in row order, called on the nodes u as one
-    row per kernel.  The phi kernels of one k share one partial-sum pass per
-    call, up to their largest n (:meth:`PhiKernel._partials`), and those of
-    one power are raised in one array operation; any other kernel is called
-    on its own.  The grouping is built once, when the stack is made."""
-
-    def __init__(self, kernels):
-        ns_of: dict[int, set[int]] = {}  # k -> the n's of its phi kernels
-        for K in self:
-            if isinstance(K, _OfPhi):
-                ns_of.setdefault(K.phi.k, set()).add(K.phi.n)
-        self.passes = [(PhiKernel(max(ns), k), sorted(ns)) for k, ns in ns_of.items()]
-        at = {nk: row for row, nk in enumerate((n, ph.k) for ph, ns in self.passes for n in ns)}
-        groups: dict[int | str, list] = {}  # power -> (kernel row, phi row) pairs
-        for i, K in enumerate(self):
-            if isinstance(K, _OfPhi):
-                groups.setdefault(K.power, []).append((i, at[K.phi.n, K.phi.k]))
-        self.groups = {power: tuple(map(np.array, zip(*pairs))) for power, pairs in groups.items()}
-        self.others = [(i, K) for i, K in enumerate(self) if not isinstance(K, _OfPhi)]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self), u.size))
-        if self.passes:
-            phi = [ph._partials(u, ns) for ph, ns in self.passes]
-            phi = phi[0] if len(phi) == 1 else np.concatenate(phi)
-            for power, (dst, src) in self.groups.items():
-                out[dst] = _of_phi(power, u, phi[src])
-        for i, K in self.others:
-            out[i] = K(u)
-        return out
 
 
 def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
@@ -398,7 +305,7 @@ def _plan(points) -> _Plan:
         key = (row.form, params.get("side", row.side), None if row.family else i)
         s, kernels = stacks.setdefault(key, (len(stacks), {}))
         planned.append((row, params, s, kernels.setdefault(row.kernel(*nkm), len(kernels))))
-    return _Plan(tuple(planned), tuple((form, side, _Stack(kernels))
+    return _Plan(tuple(planned), tuple((form, side, stack(tuple(kernels)))
                                        for (form, side, _), (_, kernels) in stacks.items()))
 
 

@@ -9,8 +9,9 @@ Both records share one law in u = p(x), the base sf (upper) or cdf (lower):
 with N ~ Poisson(-k log u), ``phi_n(u) = u^k sum_{i<n} (-k log u)^i / i!`` is
 P(N < n), the lower record's cdf; P(N >= n) is the upper record's; and the
 density of phi, the record weight, times f is the record density.
-:class:`PhiKernel` holds all three, and every record-level measure integral
-downstream is built from phi and the weight.
+:class:`PhiKernel` holds all three.  With L = -log u, phi^m, u phi, the
+weight and u^p are each a :class:`Kernel` ``(u^b P(L))^m u^e``, P with
+coefficients >= 0, and one evaluator, :class:`_Stack`, takes every kernel.
 
 The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
 G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
@@ -20,6 +21,7 @@ Balakrishnan & Nagaraja, *Records*, 1998).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -35,9 +37,14 @@ SIDES = ("upper", "lower")
 #: simulate_records methods: the exact Gamma inversion, and the definitional scan
 METHODS = ("exact", "scan")
 
-#: Largest -k*log(u) for which the plain ascending recurrence is safe; above
-#: this the terms can overflow for large n and we switch to the log domain.
+#: Largest b*L = -b log u at which a base u^b P(L) is evaluated directly;
+#: past it u^b is near underflow while P(L) can overflow for large n, so the
+#: base is summed in the log domain.
 _LAM_DIRECT_MAX = 680.0
+
+#: Log of the smallest normal float: a base with a coefficient below it is
+#: summed in the log domain at every node.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 #: Largest batch of the record scan's stream, and the length of its one buffer.
 _MAX_BATCH = 65536
@@ -55,12 +62,137 @@ def check_params(**values) -> None:
 
 
 @dataclass(frozen=True)
+class Kernel:
+    """K(u) = (u^b P(L))^m u^e on [0, 1], L = -log u, P(L) = sum_j exp(logc[j]) L^j,
+    at one u or an array of them, as a stack of itself; ``L`` is -log u where
+    a caller takes it from the complement of u."""
+
+    b: int
+    logc: tuple[float, ...]
+    m: int = 1
+    e: int = 0
+
+    def __call__(self, u, L=None):
+        out = stack((self,))(np.atleast_1d(np.asarray(u, dtype=float)),
+                             None if L is None else np.atleast_1d(np.asarray(L, dtype=float)))[0]
+        return out if np.ndim(u) else out[0]
+
+
+@functools.cache
+def phi_power(n: int, k: int, m: int = 1, e: int = 0) -> Kernel:
+    """phi_{n,k}(u)^m u^e, with phi's P(L) = sum_{i<n} (kL)^i / i!; phi_{1,k}(u)
+    is u^k, so n = 1 is the power u^(km + e)."""
+    if n == 1:
+        return Kernel(k * m + e, (0.0,))
+    return Kernel(k, tuple(i * math.log(k) - math.lgamma(i + 1) for i in range(n)), m, e)
+
+
+def u_phi(n: int, k: int, m: int = 1) -> Kernel:
+    """u phi_{n,k}(u); m is unused."""
+    return phi_power(n, k, 1, 1)
+
+
+@functools.cache
+def weight(n: int, k: int, m: int = 1) -> Kernel:
+    """The record weight k u^(k-1) (kL)^(n-1) / (n-1)!, the density of
+    phi_{n,k} and the record density in u-space; m is unused."""
+    return Kernel(k - 1, (-math.inf,) * (n - 1) + (n * math.log(k) - math.lgamma(n),))
+
+
+class _Stack(tuple):
+    """Kernels, in row order, called on the nodes u as one row per kernel.
+
+    Each call evaluates each distinct base u^b P(L) once: one Horner pass in
+    L over all of them, sorted by degree so that each starts from its own
+    leading coefficient, then one ``u ** b`` per distinct b; each row then
+    takes its power m and its factor u^e, so a row gets the same bits in any
+    stack.  A base of degree >= 1 is exp(-bL + logsumexp_j(logc[j] + j log L))
+    where b L > _LAM_DIRECT_MAX, where its direct value is not positive and
+    finite, and everywhere if a coefficient is below the smallest normal
+    float; at u = 0 it takes its limit, 0 for b > 0."""
+
+    def __init__(self, kernels):
+        bases = sorted({(K.b, K.logc) for K in self}, key=lambda base: -len(base[1]))
+        at = {base: i for i, base in enumerate(bases)}
+        self.rows = [(at[K.b, K.logc], K.m, K.e) for K in self]
+        degree = [len(logc) - 1 for _, logc in bases]
+        self.coef = np.array([[math.exp(c) for c in logc] + [0.0] * (degree[0] - len(logc) + 1)
+                              for _, logc in bases])
+        # per j: the bases of degree above j, which go on, and those of degree j, which start
+        self.horner = [(j, sum(d > j for d in degree), sum(d >= j for d in degree))
+                       for j in range(degree[0], -1, -1)]
+        self.powers = {b: [i for i, (c, _) in enumerate(bases) if c == b] for b, _ in bases if b}
+        # the bases of degree >= 1, the first rows: b, logc and whether a coefficient is subnormal
+        self.poly = [(b, logc, any(-math.inf < c < _LOG_TINY for c in logc))
+                     for b, logc in bases if len(logc) > 1]
+        self.bmax = max((b for b, _, _ in self.poly), default=0)
+        self.subnormal = any(sub for _, _, sub in self.poly)
+        self.factors = {e for _, _, e in self.rows if e}
+
+    def __call__(self, u: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+        base = np.empty((len(self.coef), u.size))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.poly and L is None:
+                L = -np.log(u)
+            for j, go, start in self.horner:
+                if go:
+                    base[:go] *= L
+                    base[:go] += self.coef[:go, j, None]
+                base[go:start] = self.coef[go:start, j, None]
+            for b, rows in self.powers.items():
+                ub = u ** b
+                for i in rows:
+                    base[i] *= ub
+            if self.poly:
+                top, poly = L.max(), base[:len(self.poly)]
+                if (top * self.bmax > _LAM_DIRECT_MAX or self.subnormal
+                        or not (poly.min() > 0.0 and poly.max() < math.inf)):
+                    for row, (b, logc, sub) in zip(poly, self.poly):
+                        far = ~((row > 0.0) & (row < math.inf)) | sub
+                        if b * top > _LAM_DIRECT_MAX:
+                            far |= b * L > _LAM_DIRECT_MAX
+                        if far.any():
+                            row[far] = _log_base(b, logc, L[far])
+            ue = {e: u ** e for e in self.factors}
+            out = np.empty((len(self), u.size))
+            for row, (i, m, e) in zip(out, self.rows):
+                if m == 1:
+                    row[:] = base[i]
+                else:
+                    np.power(base[i], m, out=row)
+                if e:
+                    row *= ue[e]
+        return out
+
+
+@functools.lru_cache(maxsize=256)
+def stack(kernels: tuple[Kernel, ...]) -> _Stack:
+    """The stack of these kernels, kept for the last 256 tuples, so that a
+    measure point's one-kernel stack is not built again on every call."""
+    return _Stack(kernels)
+
+
+def _log_base(b: int, logc: tuple[float, ...], L: np.ndarray) -> np.ndarray:
+    """exp(-bL + logsumexp_j(logc[j] + j log L)) over the nonzero terms of a
+    base, and its limit at L = inf, u = 0: 0 for b > 0, inf for b = 0."""
+    j = np.flatnonzero(np.array(logc) > -math.inf)
+    g = np.take(logc, j)[:, None] + j[:, None] * np.log(L)
+    if j[0] == 0:
+        g[0] = logc[0]  # L^0 is 1 at L = 0 too
+    peak = g.max(axis=0)
+    peak[peak == -math.inf] = 0.0  # every term 0: L = 0 and no constant term
+    out = np.exp(peak + np.log(np.exp(g - peak).sum(axis=0)) - b * L)
+    out[L == math.inf] = 0.0 if b else math.inf
+    return out
+
+
+@dataclass(frozen=True)
 class PhiKernel:
     """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u: nondecreasing
-    on [0, 1] from 0 to 1.  Its tail and density are ``_tail`` and ``_weight``,
-    and each of the three falls back to the one log-domain Poisson term ``_log_pmf``.
-    ``_partials`` gives phi_j for any j <= n from the pass that gives phi_n.
-    ``L`` is -log u where a caller takes it from the complement of u."""
+    on [0, 1] from 0 to 1.  phi and its density ``_weight`` are the kernels
+    :func:`phi_power` and :func:`weight`, and ``_tail`` is 1 - phi without
+    the cancellation.  ``L`` is -log u where a caller takes it from the
+    complement of u."""
 
     n: int
     k: int
@@ -72,59 +204,17 @@ class PhiKernel:
         _check_unit_open(u)
         return float(self._eval(u))
 
-    @cached_property
-    def _log_fact(self) -> np.ndarray:
-        return np.array([math.lgamma(i + 1) for i in range(self.n + 1)])  # log i!, i <= n
-
-    def _log_pmf(self, i, lam):
-        """log P(N = i) for N ~ Poisson(lam), 0 <= i <= n: at an integer i, or at
-        each i of an integer column against each lam of a row."""
-        return i * np.log(lam) - lam - self._log_fact[i]
+    def _log_pmf(self, i: int, lam: float) -> float:
+        """log P(N = i) for N ~ Poisson(lam)."""
+        return i * math.log(lam) - lam - math.lgamma(i + 1)
 
     def _eval(self, x, L=None):
         """phi at one u or at each u of an array, in [0, 1]."""
-        out = self._partials(np.atleast_1d(np.asarray(x, dtype=float)), (self.n,), L)[0]
-        return out if np.ndim(x) else out[0]
-
-    def _partials(self, u: np.ndarray, ns, L=None) -> np.ndarray:
-        """phi_{j,k} at each u of an array, one row for each j of ``ns`` (each
-        at most n), from one pass of partial sums: phi_j's sum is the first j
-        terms of phi_n's.  Past _LAM_DIRECT_MAX each j sums its own first j
-        log-domain terms, so every row holds phi_{j,k} to the bit."""
-        # partial sums ascending in i, which can overflow past _LAM_DIRECT_MAX
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lam = -self.k * np.log(u) if L is None else self.k * np.atleast_1d(L)
-            term = total = 1.0
-            sums = [total]
-            for i in range(1, max(ns)):
-                term = term * (lam / i)
-                total = total + term
-                sums.append(total)
-            uk = u ** self.k
-            out = np.minimum(1.0, [uk * sums[j - 1] for j in ns])
-            if not lam.max() <= _LAM_DIRECT_MAX:  # there phi is summed in the log domain
-                far = lam > _LAM_DIRECT_MAX
-                g = self._log_pmf(np.arange(max(ns))[:, None], lam[far])
-                for row, j in zip(out, ns):
-                    top = g[:j].max(axis=0)
-                    row[far] = np.minimum(1.0, np.exp(top + np.log(np.exp(g[:j] - top).sum(0))))
-                out[:, lam == math.inf] = 0.0  # u = 0
-        return out
+        return np.minimum(1.0, phi_power(self.n, self.k)(x, L))
 
     def _weight(self, u, L=None):
-        """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi, with 1/(n-1)! in log
-        space past n = 20.  Where that is not a positive finite number (it overflows at
-        large n; 1/(n-1)! underflows past n = 171) it is (k/u) P(N = n-1), in logs."""
-        n, k = self.n, self.k
-        inv_fact = 1.0 / math.factorial(n - 1) if n <= 20 else math.exp(-math.lgamma(n))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            L = -np.log(u) if L is None else np.asarray(L)
-            lam = k * L
-            w = k * u ** (k - 1) * lam ** (n - 1) * inv_fact
-            direct = (w > 0.0) & (w < math.inf)
-            if not np.all(direct):
-                w = np.where(direct, w, np.exp(math.log(k) + L + self._log_pmf(n - 1, lam)))
-        return w
+        """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi."""
+        return weight(self.n, self.k)(u, L)
 
     def _tail(self, lam: float) -> float:
         """P(N >= n) = 1 - phi for 0 < lam < n, without the cancellation: the

@@ -328,11 +328,15 @@ class TestOneEvaluator:
 
     def test_kernel_rows_are_the_kernels_to_the_bit(self):
         # every kernel of a (4, 4, 4) grid, in the table's order and reversed: the
-        # stack takes one partial-sum pass per k, each kernel alone its own phi;
+        # stack evaluates each distinct base once, each kernel alone its own;
         # and every kernel as a one-kernel stack, as a measure or oracle takes it;
         # the nodes reach lam > 680 (the log-domain sum) and 1 - u near 1
         kernels = list({row.kernel(n, k, m): None for row in M.KERNELS.values()
                         for n, k, m in itertools.product(range(1, 5), repeat=3)})
+        # and kernels whose bases take the log domain at every node (n = 200) or
+        # wherever their direct value overflows (n = 150)
+        kernels += list({row.kernel(n, k, m): None for row in M.KERNELS.values()
+                         for n, k, m in itertools.product((150, 200), (1, 2), (1, 3))})
         tiny = np.array([5e-324, 1e-310, 1e-300, 1e-250, 1e-200, 1e-100, 1e-10, 1e-4, 0.3, 0.5])
         u = np.concatenate([tiny, 1.0 - tiny, [1.0 - 2.0 ** -53, 0.9999999999]])
         assert M._Stack(kernels)(u).tobytes() == np.array([K(u) for K in kernels]).tobytes()

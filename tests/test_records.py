@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
-from extrec.measures import _record_weight
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import PhiKernel, RecordLaw, _scan_one, simulate_records
+from extrec.records import (PhiKernel, RecordLaw, _scan_one, phi_power, simulate_records, u_phi,
+                            weight)
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -139,6 +139,48 @@ class TestPhiKernel:
         assert 0.0 <= v <= 1.0 and math.isfinite(v)
 
 
+class TestKernelEdges:
+    """Every kernel builder at u = 0, at u = 1 and below the smallest normal
+    float, at orders whose bases take the log domain at every node (from
+    n = 172 at k = 1, where 1/171! is subnormal) or where b L passes
+    _LAM_DIRECT_MAX."""
+
+    U = np.array([0.0, 1.0, 5e-324, 1e-310, 1e-300])
+
+    @pytest.mark.parametrize("n", [1, 2, 150, 171, 200])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_builder(self, n, k):
+        u = self.U
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phis = [K(u) for K in (*(phi_power(n, k, m) for m in (1, 2, 3)), u_phi(n, k))]
+            w = weight(n, k)(u)
+        for phi in phis:
+            assert np.isfinite(phi).all() and ((0.0 <= phi) & (phi <= 1.0)).all(), phi
+            assert phi[0] == 0.0 and phi[1] == 1.0, phi
+        # the weight's limit at u = 0 is +inf where its power of u, k - 1, is 0
+        assert w[0] == (math.inf if k == 1 and n >= 2 else 0.0 if k > 1 else 1.0)
+        assert np.isfinite(w[1:]).all(), w
+        assert w[1] == (0.0 if n >= 2 else k)
+        L = -np.log(u[1:])
+        exact = np.exp(math.log(k) + L + stats.gamma(n).logpdf(k * L))  # (k/u) Gamma(n).pdf(kL)
+        normal = np.isfinite(exact) & (exact >= np.finfo(float).tiny)
+        assert (exact[~normal] < np.finfo(float).tiny).all() and (w[1:][~normal] < 1e-300).all()
+        assert (np.abs(w[1:] - exact)[normal] <= 1e-12 * exact[normal]).all(), (w, exact)
+
+    @pytest.mark.parametrize("n", [171, 200, 400])
+    def test_large_n_between_the_edges(self, n):
+        # 1/i! is a normal float up to i = 170 and subnormal or 0 past it, so at
+        # n = 171 these bases are direct here and at n >= 172 they are summed in
+        # the log domain, also where a direct value would be finite but wrong:
+        # phi_{n,1}(u) is the Gamma(n) sf at L = -log u, and the weight its pdf
+        L = np.linspace(0.5 * n, 1.5 * n, 21)
+        u = np.exp(-L)
+        for got, exact in ((phi_power(n, 1)(u), stats.gamma(n).sf(L)),
+                           (weight(n, 1)(u), stats.gamma(n).pdf(L) / u)):
+            assert (np.abs(got - exact) <= 1e-12 * exact).all(), np.max(np.abs(got / exact - 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),
@@ -255,11 +297,11 @@ class TestRecordLaw:
         n, k = 200, 2
         u = np.exp(-np.linspace(1.0, 400.0, 64))
         exact = (k / u) * stats.gamma(n).pdf(-k * np.log(u))
-        got = _record_weight(n, k, 1)(u)
+        got = weight(n, k)(u)
         assert (np.abs(got - exact) <= 1e-12 * exact).all(), np.max(np.abs(got / exact - 1))
 
     def test_weight_array_matches_scalar_past_overflow(self):
-        w = _record_weight(200, 2, 1)
+        w = weight(200, 2)
         u = np.exp(-np.linspace(1.0, 400.0, 64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

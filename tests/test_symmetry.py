@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from extrec import dist as D
 from extrec import measures as M
+from extrec import records as R
 from extrec import symmetry as S
 from extrec.dist import (Distribution, Exponential, Laplace, Normal, Pareto, PowerFunction,
                          Uniform)
 from extrec.quad import DEFAULT_TOL, QuadStatus, integrate_support_stack
-from extrec.records import PhiKernel
 
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
                       UserNormal, UserNormalNoSf, assert_close)
@@ -521,38 +521,43 @@ class TestVerify:
         assert len(seen) == len(set(seen)) == 74
 
     def test_each_phi_evaluated_once_per_round(self, monkeypatch):
-        # the K/dqf stack derives its 48 phi^m and 12 u*phi kernels from the 12
-        # distinct phi_{n,k} with n >= 2: one partial-sum pass per distinct k per
-        # bisection round gives phi_{2..4,k}, so 4 passes, not one per kernel or
-        # per phi; the w*dqf stack's kij weights use no phi
-        passes, rounds = [], []
-        partials, integrate = PhiKernel._partials, M.integrate_support_stack
+        # the K/dqf stack's 70 kernels have 22 distinct bases u^b P(L): the 12
+        # phi_{n,k} with n >= 2, which their phi^m and u*phi kernels share, and
+        # the 10 powers u^p; each bisection round evaluates them in one call, a
+        # Horner pass of four steps (degree 3 to 0), and the w*dqf stack's 4
+        # kij weights in another round of their own
+        calls, rounds = [], []
+        stack, integrate = R._Stack.__call__, M.integrate_support_stack
 
-        def counted(self, u, ns, L=None):
-            passes.append((self.n, self.k, tuple(ns)))
-            return partials(self, u, ns, L)
+        def counted(self, u, L=None):
+            calls.append((len(self), len(self.horner),
+                          tuple(sorted({(K.b, len(K.logc)) for K in self}))))
+            return stack(self, u, L)
 
         def counting(F, *args):
             def G(u):
-                start = len(passes)
+                start = len(calls)
                 out = F(u)
-                rounds.append(passes[start:])
+                rounds.append(calls[start:])
                 return out
             return integrate(G, *args)
 
-        monkeypatch.setattr(PhiKernel, "_partials", counted)
+        monkeypatch.setattr(R._Stack, "__call__", counted)
         monkeypatch.setattr(M, "integrate_support_stack", counting)
         S.verify_characterizations(P2)
-        assert {len(r) for r in rounds} == {0, 4}
-        assert all(sorted(r) == [(4, k, (2, 3, 4)) for k in range(1, 5)] for r in rounds if r)
+        phi = [(k, n) for k in range(1, 5) for n in range(2, 5)]
+        powers = [(p, 1) for p in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16)]
+        weights = [(0, n) for n in range(1, 5)]
+        assert {tuple(r) for r in rounds} == {((70, 4, tuple(sorted(phi + powers))),),
+                                              ((4, 4, tuple(weights)),)}
 
     @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
     def test_symmetric_law_takes_no_phi_pass(self, monkeypatch, d):
         # eta is 0 at every node, so the stacks evaluate no kernel, and every
         # gap row is exactly zero
-        calls, partials = [], PhiKernel._partials
-        monkeypatch.setattr(PhiKernel, "_partials", lambda self, u, ns, L=None: calls.append(ns)
-                            or partials(self, u, ns, L))
+        calls, stack = [], R._Stack.__call__
+        monkeypatch.setattr(R._Stack, "__call__", lambda self, u, L=None: calls.append(len(self))
+                            or stack(self, u, L))
         rep = S.verify_characterizations(d)
         assert calls == []
         assert rep.verdict is S.Verdict.SYMMETRIC
