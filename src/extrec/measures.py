@@ -37,8 +37,7 @@ shared nodes; a measure point is a stack of its own.  The evaluation
 per stack, one integration call per stack the rule does not decide, and
 the prefactor per point.  verify plans each (n, k, m) grid once and evaluates that plan on
 every law; :func:`measure_value` and :func:`oracle_value` plan their one
-point afresh, and only its one-kernel stack is kept
-(:func:`~extrec.records.stack`, the last 256 stacks).
+point afresh, and only its one-kernel stack is kept, on its kernel.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,

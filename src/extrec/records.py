@@ -42,9 +42,10 @@ METHODS = ("exact", "scan")
 #: base is summed in the log domain.
 _LAM_DIRECT_MAX = 680.0
 
-#: Log of the smallest normal float: a base with a coefficient below it is
-#: summed in the log domain at every node.
+#: Logs of the smallest normal and the largest float: a base with a
+#: coefficient outside them is summed in the log domain at every node.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 #: Largest batch of the record scan's stream, and the length of its one buffer.
 _MAX_BATCH = 65536
@@ -64,8 +65,7 @@ def check_params(**values) -> None:
 @dataclass(frozen=True)
 class Kernel:
     """K(u) = (u^b P(L))^m u^e on [0, 1], L = -log u, P(L) = sum_j exp(logc[j]) L^j,
-    at one u or an array of them, as a stack of itself; ``L`` is -log u where
-    a caller takes it from the complement of u."""
+    at one u or an array of them; ``L`` is -log u where a caller takes it from 1 - u."""
 
     b: int
     logc: tuple[float, ...]
@@ -73,9 +73,13 @@ class Kernel:
     e: int = 0
 
     def __call__(self, u, L=None):
-        out = stack((self,))(np.atleast_1d(np.asarray(u, dtype=float)),
-                             None if L is None else np.atleast_1d(np.asarray(L, dtype=float)))[0]
-        return out if np.ndim(u) else out[0]
+        out = self.alone(np.array(u, float, ndmin=1), L if L is None else np.array(L, float, ndmin=1))
+        return out[0] if np.ndim(u) else out[0, 0]
+
+    @cached_property
+    def alone(self) -> _Stack:
+        """This kernel's one-kernel stack, built on first use and kept with it."""
+        return _Stack((self,))
 
 
 @functools.cache
@@ -108,25 +112,28 @@ class _Stack(tuple):
     takes its power m and its factor u^e, so a row gets the same bits in any
     stack.  A base of degree >= 1 is exp(-bL + logsumexp_j(logc[j] + j log L))
     where b L > _LAM_DIRECT_MAX, where its direct value is not positive and
-    finite, and everywhere if a coefficient is below the smallest normal
-    float; at u = 0 it takes its limit, 0 for b > 0."""
+    finite, and everywhere if a coefficient is not a normal float; at u = 0 it
+    takes its limit.  A base with each coefficient at most b^j / j!, as phi's,
+    is at most u^b e^(bL) = 1, and is capped there."""
 
     def __init__(self, kernels):
         bases = sorted({(K.b, K.logc) for K in self}, key=lambda base: -len(base[1]))
         at = {base: i for i, base in enumerate(bases)}
         self.rows = [(at[K.b, K.logc], K.m, K.e) for K in self]
         degree = [len(logc) - 1 for _, logc in bases]
-        self.coef = np.array([[math.exp(c) for c in logc] + [0.0] * (degree[0] - len(logc) + 1)
-                              for _, logc in bases])
+        # a coefficient that is not a normal float is nan, so its base's direct value is
+        # never positive and finite, and the base is summed in the log domain everywhere
+        self.coef = np.array([[math.exp(c) if c == -math.inf or _LOG_TINY <= c <= _LOG_HUGE
+                               else math.nan for c in logc]
+                              + [0.0] * (degree[0] - len(logc) + 1) for _, logc in bases])
         # per j: the bases of degree above j, which go on, and those of degree j, which start
         self.horner = [(j, sum(d > j for d in degree), sum(d >= j for d in degree))
                        for j in range(degree[0], -1, -1)]
         self.powers = {b: [i for i, (c, _) in enumerate(bases) if c == b] for b, _ in bases if b}
-        # the bases of degree >= 1, the first rows: b, logc and whether a coefficient is subnormal
-        self.poly = [(b, logc, any(-math.inf < c < _LOG_TINY for c in logc))
-                     for b, logc in bases if len(logc) > 1]
-        self.bmax = max((b for b, _, _ in self.poly), default=0)
-        self.subnormal = any(sub for _, _, sub in self.poly)
+        self.poly = [base for base in bases if len(base[1]) > 1]  # degree >= 1, the first rows
+        self.capped = [i for i, (b, logc) in enumerate(self.poly) if b > 0 and all(
+            c <= j * math.log(b) - math.lgamma(j + 1) for j, c in enumerate(logc))]
+        self.bmax = max((b for b, _ in self.poly), default=0)
         self.factors = {e for _, _, e in self.rows if e}
 
     def __call__(self, u: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
@@ -145,14 +152,16 @@ class _Stack(tuple):
                     base[i] *= ub
             if self.poly:
                 top, poly = L.max(), base[:len(self.poly)]
-                if (top * self.bmax > _LAM_DIRECT_MAX or self.subnormal
+                if (top * self.bmax > _LAM_DIRECT_MAX
                         or not (poly.min() > 0.0 and poly.max() < math.inf)):
-                    for row, (b, logc, sub) in zip(poly, self.poly):
-                        far = ~((row > 0.0) & (row < math.inf)) | sub
+                    for row, (b, logc) in zip(poly, self.poly):
+                        far = ~((row > 0.0) & (row < math.inf))
                         if b * top > _LAM_DIRECT_MAX:
                             far |= b * L > _LAM_DIRECT_MAX
                         if far.any():
                             row[far] = _log_base(b, logc, L[far])
+                for i in self.capped:
+                    np.minimum(poly[i], 1.0, out=poly[i])
             ue = {e: u ** e for e in self.factors}
             out = np.empty((len(self), u.size))
             for row, (i, m, e) in zip(out, self.rows):
@@ -165,11 +174,9 @@ class _Stack(tuple):
         return out
 
 
-@functools.lru_cache(maxsize=256)
 def stack(kernels: tuple[Kernel, ...]) -> _Stack:
-    """The stack of these kernels, kept for the last 256 tuples, so that a
-    measure point's one-kernel stack is not built again on every call."""
-    return _Stack(kernels)
+    """The stack of these kernels; one kernel's is the one kept on it."""
+    return kernels[0].alone if len(kernels) == 1 else _Stack(kernels)
 
 
 def _log_base(b: int, logc: tuple[float, ...], L: np.ndarray) -> np.ndarray:
@@ -204,13 +211,9 @@ class PhiKernel:
         _check_unit_open(u)
         return float(self._eval(u))
 
-    def _log_pmf(self, i: int, lam: float) -> float:
-        """log P(N = i) for N ~ Poisson(lam)."""
-        return i * math.log(lam) - lam - math.lgamma(i + 1)
-
     def _eval(self, x, L=None):
         """phi at one u or at each u of an array, in [0, 1]."""
-        return np.minimum(1.0, phi_power(self.n, self.k)(x, L))
+        return phi_power(self.n, self.k)(x, L)
 
     def _weight(self, u, L=None):
         """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi."""
@@ -219,7 +222,7 @@ class PhiKernel:
     def _tail(self, lam: float) -> float:
         """P(N >= n) = 1 - phi for 0 < lam < n, without the cancellation: the
         terms from P(N = n), the largest, up until they stop adding."""
-        term = total = math.exp(self._log_pmf(self.n, lam))
+        term = total = math.exp(self.n * math.log(lam) - lam - math.lgamma(self.n + 1))
         j = self.n
         while term > 1e-17 * total:
             j += 1

@@ -10,8 +10,8 @@ from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import (PhiKernel, RecordLaw, _scan_one, phi_power, simulate_records, u_phi,
-                            weight)
+from extrec.records import (PhiKernel, RecordLaw, _scan_one, _Stack, phi_power, simulate_records,
+                            u_phi, weight)
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -179,6 +179,34 @@ class TestKernelEdges:
         for got, exact in ((phi_power(n, 1)(u), stats.gamma(n).sf(L)),
                            (weight(n, 1)(u), stats.gamma(n).pdf(L) / u)):
             assert (np.abs(got - exact) <= 1e-12 * exact).all(), np.max(np.abs(got / exact - 1))
+
+    @pytest.mark.parametrize("n, k", [(800, 800), (720, 720), (135, 10**4)])
+    def test_coefficients_past_the_largest_float(self, n, k):
+        # a coefficient above the largest float (phi's from n = k = 715, the
+        # weight's at n = k = 720 and at n = 135 for k = 10^4) sends its base to
+        # the log domain: phi_{n,k}(u) is the Gamma(n) sf at kL and the weight
+        # (k/u) times its pdf; scipy's own values are off by up to 1.3e-12 here
+        # (the kernels are within 6e-13 of 40-digit ones)
+        L = np.linspace(0.5, 1.5, 21) * n / k
+        u = np.exp(-L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = phi_power(n, k)(u), weight(n, k)(u), PhiKernel(n, k)(0.5)
+        for got, exact in zip(values, (stats.gamma(n).sf(k * L), k * stats.gamma(n).pdf(k * L) / u,
+                                    stats.gamma(n).sf(k * math.log(2)))):
+            assert (np.abs(got - exact) <= 3e-12 * exact).all(), np.max(np.abs(got / exact - 1))
+
+    @pytest.mark.parametrize("n", [2, 5, 50, 171, 200, 400])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_phi_rows_are_at_most_one(self, n, k):
+        # phi's base is capped at 1: its sum reaches 1 + 1 ulp directly and
+        # 1 + 1.4e-13 in the log domain, which the power m would multiply
+        u = np.concatenate([np.linspace(0.0, 1.0, 4001), -np.expm1(-np.logspace(-16, 0, 400)),
+                            np.exp(-np.linspace(0.0, 800.0, 4001))])
+        kernels = (phi_power(n, k), phi_power(n, k, 3), u_phi(n, k))
+        for rows in (_Stack(kernels)(u), [K(u) for K in kernels]):
+            assert all((0.0 <= row).all() and (row <= 1.0).all() for row in rows)
+            assert (rows[2] <= u).all()
 
 
 @settings(max_examples=200, deadline=None)
