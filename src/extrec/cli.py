@@ -219,7 +219,7 @@ def _cmd_records_sim(args) -> int:
 
 def _read_sample(path: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not data
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read input file {path!r}: {exc.strerror}") from None

@@ -196,11 +196,18 @@ class Distribution:
     def spec_string(self) -> str:
         if not self.params:
             return self.name
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ",".join(f"{k}={_spec_number(v)}" for k, v in self.params.items())
         return f"{self.name}:{inner}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+
+def _spec_number(v: float) -> str:
+    """``v`` as a spec writes it: ``{v:g}`` where that parses back to v, else
+    the shortest string that does."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def _ordinal(x: float) -> int:

@@ -1,10 +1,14 @@
 """Extropy-type information functionals of distributions and their k-records.
 
 The kernel table :data:`KERNELS` is the single source of every measure, gap,
-CLI ``--measure`` id and verify residual family; :func:`measure_value`
-evaluates any row, gaps included, for the public functions and the CLI, and
-verify evaluates its whole grid the same way.  A row's kernel, built from
-(n, k, m) in :mod:`extrec.records`, is a value ``(u^b P(-log u))^m u^e``.
+CLI ``--measure`` id and verify residual family, and each of its rows is the
+public function of its ``measure_id``: ``crj = KERNELS["crj"]`` here, and the
+gap rows such as ``delta1`` in :mod:`extrec.symmetry`.  A row is called as
+``row(d, *params, tol=...)``, its params given in ``row.params`` order or by
+name, and evaluates as :func:`measure_value`, which the CLI calls for any
+row, gaps included; verify evaluates its whole grid the same way.  A row's
+kernel, built from (n, k, m) in :mod:`extrec.records`, is a value
+``(u^b P(-log u))^m u^e``.
 
 Every row, extropy (``kij`` at n = k = 1) included, is an integral of
 ``K(u) / dqf`` or ``K(u) * dqf`` over (0, 1), or a gap's over (0, 1/2), and
@@ -14,9 +18,13 @@ takes no quantile).  The primary integrates in u, which treats bounded and
 unbounded supports uniformly, unless the law's quantile is the generic
 inverter, a bisection per node; then it integrates in x, unless a ``K/dqf``
 kernel reaches an infinite end of the support, where the x form diverges.
-:func:`oracle_value` takes a measure row in the other variable, from the
-same kernel, as an independent cross-check (``*_via_support``,
-``extropy_via_quantile``), so no row names an oracle.  Plain and
+:func:`oracle_value`, called as ``row.oracle(d, *params, tol=...)``, takes a
+measure row in the other variable, from the same kernel, as an independent
+cross-check, so no row names an oracle.  The ``*_via_support`` names are
+aliases of their rows' ``oracle``, kept because perfbench's measure-sweep
+calls them; ``extropy_via_quantile`` is ``extropy.oracle``, which on a
+catalog law, with its own quantile, is the support form, whatever the name
+says.  Plain and
 generalized, base-level and record-level measures share one kernel, so the
 reduction identities (m=2 generalized == plain, n=1 record of order m ==
 base of order k*m) hold exactly.  A gap row
@@ -141,7 +149,12 @@ def scaled_result(measure_id: str, qr: QuadResult, scale: float,
 
 @dataclass(frozen=True)
 class KernelRow:
-    """A measure or gap: ``prefactor`` times the integral of its kernel."""
+    """A measure or gap: ``prefactor`` times the integral of its kernel.
+
+    The row is its measure's public function: ``row(d, *params, tol=...)``
+    is :func:`measure_value` and ``row.oracle(d, *params, tol=...)`` is
+    :func:`oracle_value`, each param given once, in ``params`` order or by
+    name.  ``doc`` defines the measure."""
 
     id: str | None             # CLI --measure id; None if the CLI does not offer it
     measure_id: str            # MeasureValue.measure_id
@@ -153,36 +166,79 @@ class KernelRow:
     prefactor: float
     family: str | None = None  # verify residual family, set on gap rows
     fixed: Mapping[str, int] = field(default_factory=dict)
+    doc: str = field(default="", repr=False, compare=False)
+
+    def __call__(self, d: Distribution, *values, tol: float = DEFAULT_TOL,
+                 **by_name) -> MeasureValue:
+        return measure_value(self, d, **self._bind(values, by_name), tol=tol)
+
+    def oracle(self, d: Distribution, *values, tol: float = DEFAULT_TOL,
+               **by_name) -> MeasureValue:
+        return oracle_value(self, d, **self._bind(values, by_name), tol=tol)
+
+    def _bind(self, values: tuple, by_name: dict) -> dict:
+        """{param: value}, as a function with the parameters ``params`` binds
+        them: each given once, by position or by name, else TypeError."""
+        bound = {**dict(zip(self.params, values)), **by_name}
+        if len(bound) != len(values) + len(by_name) or bound.keys() != set(self.params):
+            raise TypeError(f"{self.measure_id}({', '.join(('d', *self.params))}, *, tol) "
+                            f"takes each param once; got {len(values)} positional and "
+                            f"{sorted(by_name)} by name")
+        return bound
 
 
 #: The kernel table, keyed by ``measure_id``; gap rows in verify order.
 KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
-    KernelRow("extropy", "extropy", (), weight, "w*dqf", "lower", -0.5),
-    KernelRow("crj", "crj", (), phi_power, "K/dqf", "upper", -0.5),
-    KernelRow("cpj", "cpj", (), phi_power, "K/dqf", "lower", -0.5),
-    KernelRow("gcrj", "gcrj", ("m",), phi_power, "K/dqf", "upper", -0.5),
-    KernelRow("gcpj", "gcpj", ("m",), phi_power, "K/dqf", "lower", -0.5),
+    KernelRow("extropy", "extropy", (), weight, "w*dqf", "lower", -0.5, doc=(
+        'J(X) = -1/2 * integral of pdf**2 = -1/2 * integral of dqf: kij_record(d, 1, 1, "lower").')),
+    KernelRow("crj", "crj", (), phi_power, "K/dqf", "upper", -0.5, doc=(
+        "Cumulative residual extropy, -1/2 * integral of u^2/dqf(1-u).")),
+    KernelRow("cpj", "cpj", (), phi_power, "K/dqf", "lower", -0.5, doc=(
+        "Cumulative past extropy, -1/2 * integral of u^2/dqf(u).")),
+    KernelRow("gcrj", "gcrj", ("m",), phi_power, "K/dqf", "upper", -0.5, doc=(
+        "Generalized cumulative residual extropy of order m.")),
+    KernelRow("gcpj", "gcpj", ("m",), phi_power, "K/dqf", "lower", -0.5, doc=(
+        "Generalized cumulative past extropy of order m.")),
     KernelRow("record_crj_upper", "record_crj_upper", ("n", "k"), phi_power, "K/dqf",
-              "upper", -0.5),
+              "upper", -0.5, doc=(
+        "CRJ of the n-th upper k-record, -1/2 * integral of phi_n^2(u)/dqf(1-u).")),
     KernelRow("record_cpj_lower", "record_cpj_lower", ("n", "k"), phi_power, "K/dqf",
-              "lower", -0.5),
+              "lower", -0.5, doc=(
+        "CPJ of the n-th lower k-record, -1/2 * integral of phi_n^2(u)/dqf(u).")),
     KernelRow("record_gcrj_upper", "record_gcrj_upper", ("n", "k", "m"), phi_power, "K/dqf",
-              "upper", -0.5),
+              "upper", -0.5, doc="Order-m GCRJ of the n-th upper k-record."),
     KernelRow("record_gcpj_lower", "record_gcpj_lower", ("n", "k", "m"), phi_power, "K/dqf",
-              "lower", -0.5),
-    KernelRow("kij", "kij_record", ("n", "k", "side"), weight, "w*dqf", None, -0.5),
-    KernelRow("crij_upper", "crij_upper", ("n", "k"), u_phi, "K/dqf", "upper", -0.5),
-    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), u_phi, "K/dqf", "lower", -0.5),
-    KernelRow("delta1", "delta1", (), phi_power, "K/dqf", None, -0.5, family="crj_cpj"),
+              "lower", -0.5, doc="Order-m GCPJ of the n-th lower k-record."),
+    KernelRow("kij", "kij_record", ("n", "k", "side"), weight, "w*dqf", None, -0.5, doc=(
+        "Inaccuracy extropy between the (n, k) record law and the base law.  Upper: "
+        "-1/2 * integral of w(u) * dqf(1-u); lower: same with dqf(u), where w is the "
+        "record density transported to u-space.")),
+    KernelRow("crij_upper", "crij_upper", ("n", "k"), u_phi, "K/dqf", "upper", -0.5, doc=(
+        "Cumulative residual extropy inaccuracy of the upper record vs the base.  Kernel "
+        "psi(u) = u * phi_n(u) = u^(k+1) * sum_{i<n} (-k log u)^i / i!.")),
+    KernelRow("cpij_lower", "cpij_lower", ("n", "k"), u_phi, "K/dqf", "lower", -0.5, doc=(
+        "Cumulative past extropy inaccuracy of the lower record vs the base.")),
+    KernelRow("delta1", "delta1", (), phi_power, "K/dqf", None, -0.5, family="crj_cpj", doc=(
+        "Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(u^2 - (1-u)^2) du.")),
     KernelRow("delta2", "delta2", ("n", "k"), phi_power, "K/dqf", None, -0.5,
-              family="record_crj_cpj"),
-    KernelRow("delta3", "delta3", ("m",), phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj"),
+              family="record_crj_cpj", doc=(
+        "Record-level gap crj(upper record) - cpj(lower record), antisymmetrized.")),
+    KernelRow("delta3", "delta3", ("m",), phi_power, "K/dqf", None, 0.5, family="gcrj_gcpj", doc=(
+        "Past-minus-residual gap gcpj - gcrj, as +1/2 * int eta(u)(u^m - (1-u)^m) du.  The "
+        "sign convention makes delta3 equal gcpj - gcrj whenever both converge.  At m = 2 "
+        "the weight is delta1's u^2 - (1-u)^2, so delta3(d, 2) == -delta1(d) exactly.")),
     KernelRow(None, "delta2_generalized", ("n", "k", "m"), phi_power, "K/dqf", None, -0.5,
-              family="record_gcrj_gcpj"),
+              family="record_gcrj_gcpj", doc=(
+        "Order-m record-level gap gcrj(upper record) - gcpj(lower record).")),
     KernelRow("delta_kij", "delta_kij", ("n",), weight, "w*dqf", None, -0.5,
-              family="kij", fixed={"k": 1}),  # the KIJ equality only characterizes at k = 1
+              family="kij", fixed={"k": 1}, doc=(  # the KIJ equality only characterizes at k = 1
+        "Inaccuracy gap kij(upper (n,1) record) - kij(lower (n,1) record).  Uses the "
+        "antisymmetrized (0, 1/2) integral of the log-kernel against the density-quantile "
+        "gap; identical to the difference of the two inaccuracy measures whenever both "
+        "converge, and identically zero at n=1.")),
     KernelRow("delta_crij", "delta_crij", ("n", "k"), u_phi, "K/dqf", None, -0.5,
-              family="crij_cpij"),
+              family="crij_cpij", doc=(
+        "Cumulative inaccuracy gap crij(upper record) - cpij(lower record).")),
 )}
 
 
@@ -345,124 +401,30 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
     return scaled_result(row.measure_id, qr, row.prefactor, params)
 
 
-def extropy(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """J(X) = -1/2 * integral of pdf**2 = -1/2 * integral of dqf: kij_record(d, 1, 1, "lower")."""
-    return measure_value(KERNELS["extropy"], d, tol=tol)
+# Each measure row is the public function of its measure_id; the gap rows are
+# named in :mod:`extrec.symmetry`.
+extropy = KERNELS["extropy"]
+crj = KERNELS["crj"]
+cpj = KERNELS["cpj"]
+gcrj = KERNELS["gcrj"]
+gcpj = KERNELS["gcpj"]
+record_crj_upper = KERNELS["record_crj_upper"]
+record_cpj_lower = KERNELS["record_cpj_lower"]
+record_gcrj_upper = KERNELS["record_gcrj_upper"]
+record_gcpj_lower = KERNELS["record_gcpj_lower"]
+kij_record = KERNELS["kij_record"]
+crij_upper = KERNELS["crij_upper"]
+cpij_lower = KERNELS["cpij_lower"]
 
-
-def crj(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Cumulative residual extropy, -1/2 * integral of u^2/dqf(1-u)."""
-    return measure_value(KERNELS["crj"], d, tol=tol)
-
-
-def cpj(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Cumulative past extropy, -1/2 * integral of u^2/dqf(u)."""
-    return measure_value(KERNELS["cpj"], d, tol=tol)
-
-
-def gcrj(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Generalized cumulative residual extropy of order m."""
-    return measure_value(KERNELS["gcrj"], d, m=m, tol=tol)
-
-
-def gcpj(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Generalized cumulative past extropy of order m."""
-    return measure_value(KERNELS["gcpj"], d, m=m, tol=tol)
-
-
-def record_crj_upper(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """CRJ of the n-th upper k-record, -1/2 * integral of phi_n^2(u)/dqf(1-u)."""
-    return measure_value(KERNELS["record_crj_upper"], d, n, k, tol=tol)
-
-
-def record_cpj_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """CPJ of the n-th lower k-record, -1/2 * integral of phi_n^2(u)/dqf(u)."""
-    return measure_value(KERNELS["record_cpj_lower"], d, n, k, tol=tol)
-
-
-def record_gcrj_upper(d: Distribution, n: int, k: int, m: int,
-                      tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Order-m GCRJ of the n-th upper k-record."""
-    return measure_value(KERNELS["record_gcrj_upper"], d, n, k, m, tol=tol)
-
-
-def record_gcpj_lower(d: Distribution, n: int, k: int, m: int,
-                      tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Order-m GCPJ of the n-th lower k-record."""
-    return measure_value(KERNELS["record_gcpj_lower"], d, n, k, m, tol=tol)
-
-
-def kij_record(d: Distribution, n: int, k: int, side: str,
-               tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Inaccuracy extropy between the (n, k) record law and the base law.
-
-    Upper: -1/2 * integral of w(u) * dqf(1-u); lower: same with dqf(u),
-    where w is the record density transported to u-space.
-    """
-    return measure_value(KERNELS["kij_record"], d, n, k, side=side, tol=tol)
-
-
-def crij_upper(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Cumulative residual extropy inaccuracy of the upper record vs the base.
-
-    Kernel psi(u) = u * phi_n(u) = u^(k+1) * sum_{i<n} (-k log u)^i / i!.
-    """
-    return measure_value(KERNELS["crij_upper"], d, n, k, tol=tol)
-
-
-def cpij_lower(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Cumulative past extropy inaccuracy of the lower record vs the base."""
-    return measure_value(KERNELS["cpij_lower"], d, n, k, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Each measure in the other variable's form (:func:`oracle_value`), a
-# cross-check of the primaries above: the support form where the primary
-# integrates in u, the quantile form where it integrates in x.
-
-
-def extropy_via_quantile(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Extropy in the other variable's form; on a law with its own quantile
-    that is the support form, -1/2 * integral of pdf**2, whatever the name says."""
-    return oracle_value(KERNELS["extropy"], d, tol=tol)
-
-
-def crj_via_support(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["crj"], d, tol=tol)
-
-
-def cpj_via_support(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["cpj"], d, tol=tol)
-
-
-def gcrj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["gcrj"], d, m=m, tol=tol)
-
-
-def gcpj_via_support(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["gcpj"], d, m=m, tol=tol)
-
-
-def record_crj_upper_via_support(d: Distribution, n: int, k: int,
-                                 tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["record_crj_upper"], d, n, k, tol=tol)
-
-
-def record_cpj_lower_via_support(d: Distribution, n: int, k: int,
-                                 tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["record_cpj_lower"], d, n, k, tol=tol)
-
-
-def kij_record_via_support(d: Distribution, n: int, k: int, side: str,
-                           tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["kij_record"], d, n, k, side=side, tol=tol)
-
-
-def crij_upper_via_support(d: Distribution, n: int, k: int,
-                           tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["crij_upper"], d, n, k, tol=tol)
-
-
-def cpij_lower_via_support(d: Distribution, n: int, k: int,
-                           tol: float = DEFAULT_TOL) -> MeasureValue:
-    return oracle_value(KERNELS["cpij_lower"], d, n, k, tol=tol)
+# The oracle names perfbench's measure-sweep calls, each its row's ``oracle``;
+# extropy's is the support form on a law with its own quantile.
+extropy_via_quantile = extropy.oracle
+crj_via_support = crj.oracle
+cpj_via_support = cpj.oracle
+gcrj_via_support = gcrj.oracle
+gcpj_via_support = gcpj.oracle
+record_crj_upper_via_support = record_crj_upper.oracle
+record_cpj_lower_via_support = record_cpj_lower.oracle
+kij_record_via_support = kij_record.oracle
+crij_upper_via_support = crij_upper.oracle
+cpij_lower_via_support = cpij_lower.oracle

@@ -53,12 +53,12 @@ _MAX_BATCH = 65536
 
 def check_params(**values) -> None:
     """The one check of record parameters and counts: ``side`` in SIDES, every
-    other label (n, k, m, a grid bound, a count) an integer >= 1."""
+    other label (n, k, m, a grid bound, a count) an integer >= 1, not a bool."""
     for label, v in values.items():
         if label == "side":
             if v not in SIDES:
                 raise ValueError(f"side must be one of {SIDES}, got {v!r}")
-        elif not (isinstance(v, int) and v >= 1):
+        elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
             raise ValueError(f"{label} must be an integer >= 1, got {v!r}")
 
 

@@ -7,8 +7,9 @@ its k-records, plain, generalized, and inaccuracy-type) all reduce to
 weighted integrals of ``eta`` over (0, 1/2); those antisymmetrized forms are
 how every residual here is computed, because they stay finite in cases where
 the individual measures diverge.  The gaps and their kernels are the rows of
-:data:`extrec.measures.KERNELS` that name a verify family.  Each ``delta*``
-function is one :func:`extrec.measures.measure_value` call.
+:data:`extrec.measures.KERNELS` that name a verify family, and each row is its
+gap's public function: ``delta1 = KERNELS["delta1"]``, called as
+``row(d, *params, tol=...)``, which is :func:`extrec.measures.measure_value`.
 :func:`verify_characterizations` plans its whole (n, k, m) grid once per
 grid, not per law, with the planner every measure takes
 (:func:`extrec.measures._plan`), and evaluates that plan on each law,
@@ -37,7 +38,7 @@ import numpy as np
 from .dist import Distribution
 from .quad import DEFAULT_TOL, QuadStatus, check_tol
 from .records import check_params
-from .measures import KERNELS, MeasureValue, _Plan, _evaluate, _plan, eta, measure_value
+from .measures import KERNELS, _Plan, _evaluate, _plan, eta
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -95,45 +96,13 @@ def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     return ClassC.NOT_MEMBER
 
 
-def delta1(d: Distribution, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Residual-minus-past gap crj - cpj, as -1/2 * int_0^1/2 eta(u)(u^2 - (1-u)^2) du."""
-    return measure_value(KERNELS["delta1"], d, tol=tol)
-
-
-def delta2(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Record-level gap crj(upper record) - cpj(lower record), antisymmetrized."""
-    return measure_value(KERNELS["delta2"], d, n, k, tol=tol)
-
-
-def delta2_generalized(d: Distribution, n: int, k: int, m: int,
-                       tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Order-m record-level gap gcrj(upper record) - gcpj(lower record)."""
-    return measure_value(KERNELS["delta2_generalized"], d, n, k, m, tol=tol)
-
-
-def delta3(d: Distribution, m: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Past-minus-residual gap gcpj - gcrj, as +1/2 * int eta(u)(u^m - (1-u)^m) du.
-
-    The sign convention makes delta3 equal gcpj - gcrj whenever both converge.
-    At m = 2 the weight is delta1's u^2 - (1-u)^2, so delta3(d, 2) == -delta1(d)
-    exactly.
-    """
-    return measure_value(KERNELS["delta3"], d, m=m, tol=tol)
-
-
-def delta_kij(d: Distribution, n: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Inaccuracy gap kij(upper (n,1) record) - kij(lower (n,1) record).
-
-    Uses the antisymmetrized (0, 1/2) integral of the log-kernel against the
-    density-quantile gap; identical to the difference of the two inaccuracy
-    measures whenever both converge, and identically zero at n=1.
-    """
-    return measure_value(KERNELS["delta_kij"], d, n, tol=tol)
-
-
-def delta_crij(d: Distribution, n: int, k: int, tol: float = DEFAULT_TOL) -> MeasureValue:
-    """Cumulative inaccuracy gap crij(upper record) - cpij(lower record)."""
-    return measure_value(KERNELS["delta_crij"], d, n, k, tol=tol)
+# The gap rows of KERNELS, each the public function of its measure_id.
+delta1 = KERNELS["delta1"]
+delta2 = KERNELS["delta2"]
+delta3 = KERNELS["delta3"]
+delta2_generalized = KERNELS["delta2_generalized"]
+delta_kij = KERNELS["delta_kij"]
+delta_crij = KERNELS["delta_crij"]
 
 
 class Verdict(str, enum.Enum):

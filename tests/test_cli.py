@@ -206,6 +206,18 @@ class TestSymtestCommand:
         assert payload["decision"] == "reject"
         assert payload["n"] == 200  # header line auto-skipped
 
+    @pytest.mark.parametrize("name", ["exponential_200.txt", "symmetric_20.txt"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, name):
+        # a file saved with a UTF-8 BOM runs on every value of the plain one;
+        # symmetric_20.txt has no header, so its first line is data
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        (plain, a), (marked, b) = (run_cli("symtest", "--input", str(f), "--seed", "0",
+                                           "--output", "json", check_json="symtest")
+                                   for f in (DATA / name, bom))
+        assert plain.returncode == marked.returncode == 0, marked.stderr
+        assert {**b, "input": str(DATA / name)} == a
+
     def test_missing_file_exits_2(self):
         proc, _ = run_cli("symtest", "--input", "does/not/exist.txt")
         assert proc.returncode == 2

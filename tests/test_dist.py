@@ -92,6 +92,10 @@ class TestSpecGrammar:
             d = make_distribution(spec)
             again = make_distribution(d.spec_string())
             assert again.params == d.params
+        # a value that {v:g} would round to 6 digits is written in full
+        for v in (1.2345678, 1 / 3, 0.1, 2.0, 1e-300, 123456789.0):
+            d = Normal(mu=-v, sigma=v)
+            assert make_distribution(d.spec_string()) == d, d.spec_string()
 
 
 def _out_of_domain():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import extrec
 from extrec import measures as M
 from extrec import symmetry as S
 from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFunction, Uniform, scale
@@ -301,18 +302,33 @@ class TestSupportFormAgreement:
 
 
 class TestOneEvaluator:
-    """measure_value evaluates every row of the table, gaps included, exactly
-    as the row's public function does; only measure rows have a support form."""
+    """Every row of the table, gaps included, is the public function of its
+    measure_id, and calling it is measure_value; only measure rows have a
+    support form."""
 
     @pytest.mark.parametrize("row", list(M.KERNELS.values()), ids=lambda row: row.measure_id)
     @pytest.mark.parametrize("d", [P2, E1], ids=lambda d: d.spec_string())
     def test_measure_value_is_the_public_function(self, d, row):
         point = {"n": 2, "k": 2, "m": 3, "side": "lower"}
         public = getattr(M, row.measure_id, None) or getattr(S, row.measure_id)
-        a = public(d, **{p: point[p] for p in row.params})
-        b = M.measure_value(row, d, **point)
-        assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
-        assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+        assert public is row and getattr(extrec, row.measure_id, row) is row
+        given = {p: point[p] for p in row.params}
+        # by name at the default tol, and by position at another, to the bit
+        for a, b in ((public(d, **given), M.measure_value(row, d, **point)),
+                     (public(d, *given.values(), tol=1e-9),
+                      M.measure_value(row, d, **point, tol=1e-9))):
+            assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
+            assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+        # as a function binds them: a param too many, an unknown keyword, one
+        # twice, or one left out is a TypeError, in the oracle's call too
+        values = list(given.values())
+        calls = [(values + [2], {}), (values, {"bogus": 1}), (values, {"tol_": 1e-9})]
+        if row.params:
+            calls += [(values, {row.params[0]: values[0]}), (values[:-1], {})]
+        for form in (row, row.oracle):
+            for args, kwargs in calls:
+                with pytest.raises(TypeError, match=rf"^{row.measure_id}\(d.*\) takes each param once"):
+                    form(d, *args, **kwargs)
 
     @pytest.mark.parametrize("d", [P2, E1, NM], ids=lambda d: d.spec_string())
     def test_evaluated_plan_is_measure_value_per_point(self, d):
@@ -352,27 +368,29 @@ class TestOneEvaluator:
             M.oracle_value(row, P2)
 
 
-#: each support-form wrapper, the row it names, and the point it is called at
+#: each oracle name, the row it names, and the point it is called at
 SUPPORT_WRAPPERS = [
-    (M.extropy_via_quantile, "extropy", {}),
-    (M.crj_via_support, "crj", {}),
-    (M.cpj_via_support, "cpj", {}),
-    (M.gcrj_via_support, "gcrj", {"m": 3}),
-    (M.gcpj_via_support, "gcpj", {"m": 3}),
-    (M.record_crj_upper_via_support, "record_crj_upper", {"n": 2, "k": 3}),
-    (M.record_cpj_lower_via_support, "record_cpj_lower", {"n": 2, "k": 3}),
-    (M.kij_record_via_support, "kij_record", {"n": 2, "k": 3, "side": "upper"}),
-    (M.kij_record_via_support, "kij_record", {"n": 2, "k": 3, "side": "lower"}),
-    (M.crij_upper_via_support, "crij_upper", {"n": 2, "k": 3}),
-    (M.cpij_lower_via_support, "cpij_lower", {"n": 2, "k": 3}),
+    ("extropy_via_quantile", "extropy", {}),
+    ("crj_via_support", "crj", {}),
+    ("cpj_via_support", "cpj", {}),
+    ("gcrj_via_support", "gcrj", {"m": 3}),
+    ("gcpj_via_support", "gcpj", {"m": 3}),
+    ("record_crj_upper_via_support", "record_crj_upper", {"n": 2, "k": 3}),
+    ("record_cpj_lower_via_support", "record_cpj_lower", {"n": 2, "k": 3}),
+    ("kij_record_via_support", "kij_record", {"n": 2, "k": 3, "side": "upper"}),
+    ("kij_record_via_support", "kij_record", {"n": 2, "k": 3, "side": "lower"}),
+    ("crij_upper_via_support", "crij_upper", {"n": 2, "k": 3}),
+    ("cpij_lower_via_support", "cpij_lower", {"n": 2, "k": 3}),
 ]
 
 
-@pytest.mark.parametrize("wrapper, measure_id, point", SUPPORT_WRAPPERS,
-                         ids=[f"{w.__name__}-{p['side']}" if "side" in p else w.__name__
+@pytest.mark.parametrize("name, measure_id, point", SUPPORT_WRAPPERS,
+                         ids=[f"{w}-{p['side']}" if "side" in p else w
                               for w, _, p in SUPPORT_WRAPPERS])
-def test_support_wrapper_is_the_oracle(wrapper, measure_id, point):
-    # measure-sweep's oracle gate calls these names: each must be its row's oracle
+def test_support_wrapper_is_the_oracle(name, measure_id, point):
+    # measure-sweep's oracle gate calls these names: each is its row's oracle
+    wrapper = getattr(M, name)
+    assert wrapper == M.KERNELS[measure_id].oracle and wrapper.__self__ is M.KERNELS[measure_id]
     a, b = wrapper(NM, **point), M.oracle_value(M.KERNELS[measure_id], NM, **point)
     assert (a.measure_id, a.params, a.quad_status) == (b.measure_id, b.params, b.quad_status)
     assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
@@ -390,7 +408,8 @@ class TestInputChecks:
         ({"n": 0}, "n must be an integer >= 1, got 0"),
         ({"m": 0}, "m must be an integer >= 1, got 0"),
         ({"side": "middle"}, "side must be one of"),
-    ], ids=["n", "m", "side"])
+        ({"k": True}, "k must be an integer >= 1, got True"),
+    ], ids=["n", "m", "side", "bool"])
     def test_unused_parameters_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             M.measure_value(M.KERNELS["crj"], U, **kwargs)
