@@ -41,11 +41,13 @@ and its row in that stack, and each stack its form, side and kernels as a
 :class:`~extrec.records._Stack`, which evaluates each distinct base of its
 kernels once per node array.  The gap rows of one form share a stack on
 shared nodes; a measure point is a stack of its own.  The evaluation
-(:func:`_evaluate`) is per law: the structural rule and the variable once
-per stack, one integration call per stack the rule does not decide, and
-the prefactor per point.  verify plans each (n, k, m) grid once and evaluates that plan on
-every law; :func:`measure_value` and :func:`oracle_value` plan their one
-point afresh, and only its one-kernel stack is kept, on its kernel.
+(:func:`_evaluate`) is per law: the tolerance check, the structural rule
+and the variable once per stack, one integration call per stack the rule
+does not decide, and the prefactor per point; the oracle's takes each stack
+in the other variable, without the rule.  verify plans each (n, k, m) grid
+once and evaluates that plan on every law; :func:`measure_value` and
+:func:`oracle_value` plan their one point afresh, and only its one-kernel
+stack is kept, on its kernel.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
@@ -133,18 +135,18 @@ class MeasureValue:
 
 
 def scaled_result(measure_id: str, qr: QuadResult, scale: float,
-                  params: Mapping[str, object] | None = None) -> MeasureValue:
+                  params: Mapping[str, object]) -> MeasureValue:
     """Apply a constant prefactor to a QuadResult, reorienting divergence signs."""
     status = qr.status
     if status is QuadStatus.CONVERGED:
         return MeasureValue(measure_id, scale * qr.value, status,
-                            abs(scale) * qr.abs_error_estimate, dict(params or {}))
+                            abs(scale) * qr.abs_error_estimate, dict(params))
     if status is QuadStatus.DIVERGED_POSITIVE or status is QuadStatus.DIVERGED_NEGATIVE:
         positive = (status is QuadStatus.DIVERGED_POSITIVE) == (scale > 0)
         status = QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE
         return MeasureValue(measure_id, math.inf if positive else -math.inf,
-                            status, math.inf, dict(params or {}))
-    return MeasureValue(measure_id, math.nan, status, math.inf, dict(params or {}))
+                            status, math.inf, dict(params))
+    return MeasureValue(measure_id, math.nan, status, math.inf, dict(params))
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,10 @@ KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
 
 
 def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upper") -> tuple:
-    """The row's free parameters and its kernel's (n, k, m); all four arguments
-    are checked, whether or not the row uses them."""
-    given = {"n": n, "k": k, "m": m, "side": side}
-    check_params(**given)
+    """The row's free parameters and its kernel's (n, k, m), each a plain int;
+    all four arguments are checked, whether or not the row uses them."""
+    check_params(n=n, k=k, m=m, side=side)
+    given = {"n": int(n), "k": int(k), "m": int(m), "side": side}
     params = {p: given[p] for p in row.params}
     point = {"n": 1, "k": 1, "m": 2, **row.fixed, **params}
     return params, (point["n"], point["k"], point["m"])
@@ -364,14 +366,20 @@ def _plan(points) -> _Plan:
                                        for (form, side, _), (_, kernels) in stacks.items()))
 
 
-def _evaluate(d: Distribution, plan: _Plan, tol: float) -> list[MeasureValue]:
-    """The plan's points on ``d``: a stack whose divergence :func:`_structural`
-    decides is not integrated, and every other stack is one integration call."""
+def _evaluate(d: Distribution, plan: _Plan, tol: float,
+              oracle: bool = False) -> list[MeasureValue]:
+    """The plan's points on ``d``: each stack one integration call in the
+    primary's variable, unless :func:`_structural` decides its divergence, or
+    with ``oracle`` one in the other variable, without that rule."""
+    check_tol(tol=tol)
     done = []
     for form, side, kernels in plan.stacks:
-        qr = _structural(d, form, side)
+        qr = None if oracle else _structural(d, form, side)
+        variable = _variable(d, form, side)
+        if oracle:
+            variable = "u" if variable == "x" else "x"
         done.append([qr] * len(kernels) if qr else integrate_support_stack(
-            *_integrand(form, kernels, d, side, _variable(d, form, side)), tol))
+            *_integrand(form, kernels, d, side, variable), tol))
     return [scaled_result(row.measure_id, done[s][j], row.prefactor, params)
             for row, params, s, j in plan.points]
 
@@ -381,7 +389,6 @@ def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: in
     """Evaluate any row of :data:`KERNELS` on ``d``: a gap row by its integral
     over (0, 1/2), every other row over (0, 1), each in the primary's
     variable.  The point is planned afresh, a stack of its own."""
-    check_tol(tol=tol)
     return _evaluate(d, _plan([(row, {"n": n, "k": k, "m": m, "side": side})]), tol)[0]
 
 
@@ -394,11 +401,7 @@ def oracle_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int
     """
     if row.family is not None:
         raise ValueError(f"{row.measure_id} is a gap and has no support form")
-    plan = _plan([(row, {"n": n, "k": k, "m": m, "side": side})])
-    ((_, params, _, _),), ((form, side, kernels),) = plan.points, plan.stacks
-    variable = "u" if _variable(d, form, side) == "x" else "x"
-    qr = integrate_support_stack(*_integrand(form, kernels, d, side, variable), tol)[0]
-    return scaled_result(row.measure_id, qr, row.prefactor, params)
+    return _evaluate(d, _plan([(row, {"n": n, "k": k, "m": m, "side": side})]), tol, oracle=True)[0]
 
 
 # Each measure row is the public function of its measure_id; the gap rows are

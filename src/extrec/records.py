@@ -9,9 +9,11 @@ Both records share one law in u = p(x), the base sf (upper) or cdf (lower):
 with N ~ Poisson(-k log u), ``phi_n(u) = u^k sum_{i<n} (-k log u)^i / i!`` is
 P(N < n), the lower record's cdf; P(N >= n) is the upper record's; and the
 density of phi, the record weight, times f is the record density.
-:class:`PhiKernel` holds all three.  With L = -log u, phi^m, u phi, the
+:class:`RecordLaw` calls the kernels :func:`phi_power` and :func:`weight`,
+and :class:`PhiKernel` is phi at one u.  With L = -log u, phi^m, u phi, the
 weight and u^p are each a :class:`Kernel` ``(u^b P(L))^m u^e``, P with
-coefficients >= 0, and one evaluator, :class:`_Stack`, takes every kernel.
+coefficients >= 0, a value kept in a bounded cache, and one evaluator,
+:class:`_Stack`, takes every kernel.
 
 The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
 G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,15 +53,18 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 #: Largest batch of the record scan's stream, and the length of its one buffer.
 _MAX_BATCH = 65536
 
+#: Kernels each builder keeps: more than a (4, 4, 4) grid takes, and a bound for a sweep.
+_KERNEL_CACHE = 256
+
 
 def check_params(**values) -> None:
     """The one check of record parameters and counts: ``side`` in SIDES, every
-    other label (n, k, m, a grid bound, a count) an integer >= 1, not a bool."""
+    other label (n, k, m, a grid bound, a count) an Integral >= 1, not a bool."""
     for label, v in values.items():
         if label == "side":
             if v not in SIDES:
                 raise ValueError(f"side must be one of {SIDES}, got {v!r}")
-        elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+        elif not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
             raise ValueError(f"{label} must be an integer >= 1, got {v!r}")
 
 
@@ -82,7 +88,7 @@ class Kernel:
         return _Stack((self,))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
 def phi_power(n: int, k: int, m: int = 1, e: int = 0) -> Kernel:
     """phi_{n,k}(u)^m u^e, with phi's P(L) = sum_{i<n} (kL)^i / i!; phi_{1,k}(u)
     is u^k, so n = 1 is the power u^(km + e)."""
@@ -96,7 +102,7 @@ def u_phi(n: int, k: int, m: int = 1) -> Kernel:
     return phi_power(n, k, 1, 1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
 def weight(n: int, k: int, m: int = 1) -> Kernel:
     """The record weight k u^(k-1) (kL)^(n-1) / (n-1)!, the density of
     phi_{n,k} and the record density in u-space; m is unused."""
@@ -193,13 +199,23 @@ def _log_base(b: int, logc: tuple[float, ...], L: np.ndarray) -> np.ndarray:
     return out
 
 
+def _poisson_tail(n: int, lam: float) -> float:
+    """P(N >= n) = 1 - phi_n for N ~ Poisson(lam), 0 < lam < n, without the
+    cancellation: the terms from P(N = n), the largest, up until they stop adding."""
+    term = total = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+    j = n
+    while term > 1e-17 * total:
+        j += 1
+        term *= lam / j
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class PhiKernel:
-    """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u: nondecreasing
-    on [0, 1] from 0 to 1.  phi and its density ``_weight`` are the kernels
-    :func:`phi_power` and :func:`weight`, and ``_tail`` is 1 - phi without
-    the cancellation.  ``L`` is -log u where a caller takes it from the
-    complement of u."""
+    """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u, at one u in
+    (0, 1), with n, k and u checked: ``float(phi_power(n, k)(u))``.  It is
+    nondecreasing on [0, 1] from 0 to 1."""
 
     n: int
     k: int
@@ -209,26 +225,7 @@ class PhiKernel:
 
     def __call__(self, u: float) -> float:
         _check_unit_open(u)
-        return float(self._eval(u))
-
-    def _eval(self, x, L=None):
-        """phi at one u or at each u of an array, in [0, 1]."""
-        return phi_power(self.n, self.k)(x, L)
-
-    def _weight(self, u, L=None):
-        """k u^(k-1) (-k log u)^(n-1) / (n-1)!, the density of phi."""
-        return weight(self.n, self.k)(u, L)
-
-    def _tail(self, lam: float) -> float:
-        """P(N >= n) = 1 - phi for 0 < lam < n, without the cancellation: the
-        terms from P(N = n), the largest, up until they stop adding."""
-        term = total = math.exp(self.n * math.log(lam) - lam - math.lgamma(self.n + 1))
-        j = self.n
-        while term > 1e-17 * total:
-            j += 1
-            term *= lam / j
-            total += term
-        return total
+        return float(phi_power(self.n, self.k)(u))
 
 
 @dataclass(frozen=True)
@@ -242,10 +239,6 @@ class RecordLaw:
 
     def __post_init__(self):
         check_params(n=self.n, k=self.k, side=self.side)
-
-    @cached_property
-    def _phi(self) -> PhiKernel:
-        return PhiKernel(self.n, self.k)
 
     def _p_and_log(self, x: float) -> tuple[float, float]:
         """p(x), the base sf (upper) or cdf (lower), and -log p, from the complement q
@@ -266,18 +259,19 @@ class RecordLaw:
             # sf/cdf underflow deep in a tail, where the weight's log is undefined:
             # the (1, 1) record is the base law itself, any other density is 0 there
             return self.base.pdf(x) if self.n == self.k == 1 else 0.0
-        return self._phi._weight(p, L) * self.base.pdf(x)
+        return weight(self.n, self.k)(p, L) * self.base.pdf(x)
 
     def cdf(self, x: float) -> float:
         """Record cdf: phi_n(cdf(x)) for a lower record, and P(N >= n) for an upper
         one, which is 1 - phi_n(sf(x)) unless lam < n, where that would cancel."""
+        phi = phi_power(self.n, self.k)
         if self.side == "lower":
-            return float(self._phi._eval(self.base.cdf(x)))
+            return float(phi(self.base.cdf(x)))
         p, L = self._p_and_log(x)
         lam = self.k * L
         if lam >= self.n:
-            return 1.0 - float(self._phi._eval(p, L))
-        return self._phi._tail(lam) if lam > 0.0 else 0.0
+            return 1.0 - float(phi(p, L))
+        return _poisson_tail(self.n, lam) if lam > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,25 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             M.measure_value(M.KERNELS["crj"], U, **kwargs)
 
+    @pytest.mark.parametrize("d", [NM, E1], ids=["whole-line", "half-line"])
+    def test_oracle_reports_the_tol_it_was_given(self, d):
+        # the whole line is integrated as two halves, each at tol / 2
+        with pytest.raises(ValueError, match=r"tol must be a positive finite number, got -1\.0$"):
+            M.crj.oracle(d, tol=-1.0)
+
+    def test_gap_oracle_is_refused_before_tol(self):
+        with pytest.raises(ValueError, match="delta1 is a gap"):
+            S.delta1.oracle(NM, tol=-1.0)
+
+    def test_numpy_integers_are_integers(self):
+        a, b = M.gcrj(E1, np.int64(3)), M.gcrj(E1, 3)
+        assert a.quad_status is b.quad_status
+        assert struct.pack("<2d", a.value, a.abs_error) == struct.pack("<2d", b.value, b.abs_error)
+        assert type(a.params["m"]) is int and a.params == b.params
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="m must be an integer >= 1"):
+                M.gcrj(E1, flag)
+
 
 def _log_power_integral(n, k, m, a):
     """Integral over (0, 1) of u^(a-1) * P(-log u)^m with P(L) = sum_{i<n} (kL)^i / i!.

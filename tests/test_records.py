@@ -1,6 +1,8 @@
+import gc
 import heapq
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -100,7 +102,7 @@ class TestPhiKernel:
         ph = PhiKernel(3, 2)
         assert ph(1e-250) < 1e-200
         assert ph(1.0 - 1e-12) > 1.0 - 1e-9
-        assert ph._eval(0.0) == 0.0 and ph._eval(1.0) == 1.0
+        assert phi_power(3, 2)(0.0) == 0.0 and phi_power(3, 2)(1.0) == 1.0
 
     def test_below_1e_300_is_the_gamma_sf(self):
         # phi_n(u) = P(G > -log u) for G ~ Gamma(n) at k = 1; at n = 800 it is near 1
@@ -120,14 +122,13 @@ class TestPhiKernel:
     def test_log_domain_path_tiny_u(self):
         # forces the log-domain branch; Poisson lower tail stays in [0, 1]
         for n, k in ((2, 1), (5, 3), (40, 2)):
-            v = PhiKernel(n, k)._eval(1e-305)
+            v = phi_power(n, k)(1e-305)
             assert 0.0 <= v <= 1.0
 
     def test_log_domain_matches_direct_at_crossover(self):
         # direct and log-domain branches agree near the switch point
-        ph = PhiKernel(4, 2)
         u = math.exp(-330.0)  # lam = 660 (direct); compare to log-domain formula
-        direct = ph._eval(u)
+        direct = phi_power(4, 2)(u)
         lam = -2 * math.log(u)
         logs = [i * math.log(lam) - math.lgamma(i + 1) for i in range(4)]
         m = max(logs)
@@ -135,7 +136,7 @@ class TestPhiKernel:
         assert abs(direct - via_log) <= 1e-12 * max(direct, via_log)
 
     def test_large_n_no_overflow(self):
-        v = PhiKernel(500, 1)._eval(math.exp(-400.0))
+        v = phi_power(500, 1)(math.exp(-400.0))
         assert 0.0 <= v <= 1.0 and math.isfinite(v)
 
 
@@ -231,6 +232,41 @@ def test_phi_monotone_dense_grid():
             ph = PhiKernel(n, k)
             vals = [ph(float(u)) for u in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_kernel_caches_are_bounded():
+    # the builders keep their last few hundred kernels each; a kernel and its
+    # one-kernel stack form a cycle, so it is freed at the next collection
+    phi, w = weakref.ref(phi_power(97, 5, 3)), weakref.ref(weight(97, 5))
+    for n in range(1, 301):
+        phi_power(n, 13, 7), weight(n, 13)
+    gc.collect()
+    assert phi() is None and w() is None
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (4, 2), (30, 1)])
+@pytest.mark.parametrize("d", CATALOG_MEMBERS, ids=lambda d: d.spec_string())
+def test_record_law_reads_the_kernel_table(d, n, k):
+    """PhiKernel and the lower record's cdf and pdf are the kernels phi_power
+    and weight, to the bit; L is passed so that both take the same -log p."""
+    lower = RecordLaw(d, n, k, "lower")
+    for u in (0.01, 0.2, 0.5, 0.8, 0.99):
+        assert PhiKernel(n, k)(u) == float(phi_power(n, k)(u))
+        x = float(d.quantile(u))
+        p = d.cdf(x)
+        assert lower.cdf(x) == float(phi_power(n, k)(p))
+        if p <= 0.5:
+            assert lower.pdf(x) == weight(n, k)(p, -math.log(p)) * d.pdf(x)
+
+
+def test_numpy_integer_record_counts():
+    d = Exponential(rate=1.0)
+    a = simulate_records(d, np.int64(2), 1, "upper", 5, 0)
+    b = simulate_records(d, 2, 1, "upper", 5, 0)
+    assert a.values.tobytes() == b.values.tobytes() and a.aborted == b.aborted
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            simulate_records(d, flag, 1, "upper", 5, 0)
 
 
 class TestRecordLaw:

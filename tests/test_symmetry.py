@@ -441,6 +441,16 @@ class TestVerify:
         with pytest.raises(ValueError, match=re.escape(message)):
             S.verify_characterizations(U, **kwargs)
 
+    def test_numpy_integer_bounds(self):
+        def bits(rep):
+            return [(e.family, e.n, e.k, e.m, e.status, struct.pack("<d", e.value))
+                    for e in rep.residuals]
+        a, b = (S.verify_characterizations(P2, max_n=n) for n in (np.int64(2), 2))
+        assert a.verdict is b.verdict and bits(a) == bits(b)
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="max_n must be an integer >= 1"):
+                S.verify_characterizations(P2, max_n=flag)
+
     def test_not_member_is_inconclusive(self):
         rep = S.verify_characterizations(TiltedCubic(), 1, 1, 1)
         assert rep.verdict is S.Verdict.INCONCLUSIVE
