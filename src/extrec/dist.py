@@ -20,15 +20,16 @@ Spec-string grammar (see :func:`make_distribution`)::
     name:key=value
     name:key=value,key=value
 
-Keys are case-sensitive, values are decimal literals (scientific notation
-accepted).  Catalog: ``uniform``, ``exponential(rate)``, ``power(theta)``,
-``pareto(theta)``, ``normal(mu, sigma)``, ``laplace(mu, b)``,
-``logistic(mu, s)``.
+Keys are case-sensitive, values are ASCII decimal literals (scientific
+notation accepted, ``_`` digit groups not).  Catalog: ``uniform``,
+``exponential(rate)``, ``power(theta)``, ``pareto(theta)``,
+``normal(mu, sigma)``, ``laplace(mu, b)``, ``logistic(mu, s)``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 import struct
 from dataclasses import dataclass, fields
@@ -208,6 +209,22 @@ def _spec_number(v: float) -> str:
     the shortest string that does."""
     text = f"{v:g}"
     return text if float(text) == v else repr(float(v))
+
+
+def _decimal(text: str, parse=float):
+    """``parse(text)``, float or int, of ASCII text without underscores: both
+    also read PEP 515 digit groups ("1_0" is 10) and non-ASCII digits, which
+    are no decimal literal.  ValueError on those and on what ``parse`` rejects."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal literal: {text!r}")
+    return parse(text)
+
+
+def _check_seed(seed, label: str = "seed") -> None:
+    """The one check of a seed: an Integral >= 0, not a bool, as
+    ``np.random.default_rng`` takes it, with ``label`` naming its source."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"{label} must be an integer >= 0, got {seed!r}")
 
 
 def _ordinal(x: float) -> int:
@@ -564,7 +581,7 @@ def make_distribution(spec: str) -> Distribution:
             if key in kwargs:
                 raise SpecParseError(f"duplicate parameter {key!r} in spec {spec!r}")
             try:
-                val = float(raw.strip())
+                val = _decimal(raw.strip())
             except ValueError:
                 raise SpecParseError(f"parameter {key!r} has non-decimal value {raw.strip()!r}") from None
             kwargs[key] = val
@@ -578,6 +595,7 @@ def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _check_seed(seed)
     u = np.random.default_rng(seed).random(count)
     np.maximum(u, U_FLOOR, out=u)
     return d.quantile(u)

@@ -40,12 +40,15 @@ resolves and checks each point once and gives each its params, its stack
 and its row in that stack, and each stack its form, side and kernels as a
 :class:`~extrec.records._Stack`, which evaluates each distinct base of its
 kernels once per node array.  The gap rows of one form share a stack on
-shared nodes; a measure point is a stack of its own.  The evaluation
-(:func:`_evaluate`) is per law: the tolerance check, the structural rule
-and the variable once per stack, one integration call per stack the rule
-does not decide, and the prefactor per point; the oracle's takes each stack
-in the other variable, without the rule.  verify plans each (n, k, m) grid
-once and evaluates that plan on every law; :func:`measure_value` and
+shared nodes; a measure point is a stack of its own.  The integration
+(:func:`_integrate`) is per law: the tolerance check, the structural rule
+and the variable once per stack, and one integration call per stack the
+rule does not decide; the oracle's takes each stack in the other variable,
+without the rule.  :func:`_evaluate` then scales each point by its
+prefactor into a :class:`MeasureValue`; verify scales its residuals with
+:func:`_scaled`, the arithmetic :func:`scaled_result` wraps, and builds no
+MeasureValue.  verify plans each (n, k, m) grid once and integrates that
+plan on every law; :func:`measure_value` and
 :func:`oracle_value` plan their one point afresh, and only its one-kernel
 stack is kept, on its kernel.
 
@@ -134,19 +137,23 @@ class MeasureValue:
         return f"{self.value:.12g}"
 
 
+def _scaled(qr: QuadResult, scale: float) -> tuple[float, QuadStatus, float]:
+    """(value, status, abs_error) of a constant prefactor times a QuadResult,
+    reorienting divergence signs."""
+    status = qr.status
+    if status is QuadStatus.CONVERGED:
+        return scale * qr.value, status, abs(scale) * qr.abs_error_estimate
+    if status is QuadStatus.DIVERGED_POSITIVE or status is QuadStatus.DIVERGED_NEGATIVE:
+        positive = (status is QuadStatus.DIVERGED_POSITIVE) == (scale > 0)
+        return ((math.inf, QuadStatus.DIVERGED_POSITIVE, math.inf) if positive
+                else (-math.inf, QuadStatus.DIVERGED_NEGATIVE, math.inf))
+    return math.nan, status, math.inf
+
+
 def scaled_result(measure_id: str, qr: QuadResult, scale: float,
                   params: Mapping[str, object]) -> MeasureValue:
     """Apply a constant prefactor to a QuadResult, reorienting divergence signs."""
-    status = qr.status
-    if status is QuadStatus.CONVERGED:
-        return MeasureValue(measure_id, scale * qr.value, status,
-                            abs(scale) * qr.abs_error_estimate, dict(params))
-    if status is QuadStatus.DIVERGED_POSITIVE or status is QuadStatus.DIVERGED_NEGATIVE:
-        positive = (status is QuadStatus.DIVERGED_POSITIVE) == (scale > 0)
-        status = QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE
-        return MeasureValue(measure_id, math.inf if positive else -math.inf,
-                            status, math.inf, dict(params))
-    return MeasureValue(measure_id, math.nan, status, math.inf, dict(params))
+    return MeasureValue(measure_id, *_scaled(qr, scale), dict(params))
 
 
 @dataclass(frozen=True)
@@ -316,7 +323,9 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
                 if not against.any():  # a symmetric law: 0 whatever the kernels are
                     return np.zeros((len(kernels), u.size))
                 w = kernels(np.concatenate([u, 1.0 - u]))  # one call per node pair
-                return (w[:, :u.size] - w[:, u.size:]) * against
+                out = np.subtract(w[:, :u.size], w[:, u.size:])
+                out *= against
+                return out
             return F, (0.0, 0.5)
         den = d.dqf_c if side == "upper" else d.dqf
 
@@ -366,11 +375,12 @@ def _plan(points) -> _Plan:
                                        for (form, side, _), (_, kernels) in stacks.items()))
 
 
-def _evaluate(d: Distribution, plan: _Plan, tol: float,
-              oracle: bool = False) -> list[MeasureValue]:
-    """The plan's points on ``d``: each stack one integration call in the
-    primary's variable, unless :func:`_structural` decides its divergence, or
-    with ``oracle`` one in the other variable, without that rule."""
+def _integrate(d: Distribution, plan: _Plan, tol: float,
+               oracle: bool = False) -> list[list[QuadResult]]:
+    """Per stack of the plan, the raw result of each of its rows on ``d``:
+    one integration call in the primary's variable, unless
+    :func:`_structural` decides the stack's divergence, or with ``oracle``
+    one in the other variable, without that rule."""
     check_tol(tol=tol)
     done = []
     for form, side, kernels in plan.stacks:
@@ -380,6 +390,14 @@ def _evaluate(d: Distribution, plan: _Plan, tol: float,
             variable = "u" if variable == "x" else "x"
         done.append([qr] * len(kernels) if qr else integrate_support_stack(
             *_integrand(form, kernels, d, side, variable), tol))
+    return done
+
+
+def _evaluate(d: Distribution, plan: _Plan, tol: float,
+              oracle: bool = False) -> list[MeasureValue]:
+    """The plan's points on ``d``, each its prefactor times its row of
+    :func:`_integrate`."""
+    done = _integrate(d, plan, tol, oracle)
     return [scaled_result(row.measure_id, done[s][j], row.prefactor, params)
             for row, params, s, j in plan.points]
 

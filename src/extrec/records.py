@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import U_FLOOR, Distribution, _check_unit_open
+from .dist import U_FLOOR, Distribution, _check_seed, _check_unit_open
 
 __all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
@@ -370,6 +370,7 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     Both methods are deterministic in ``seed``.
     """
     check_params(n=n, k=k, side=side, count=count)
+    _check_seed(seed)
     if max_draws < k:
         raise ValueError(f"max_draws must be >= k, got {max_draws}")
     if method not in METHODS:

@@ -12,14 +12,15 @@ gap's public function: ``delta1 = KERNELS["delta1"]``, called as
 ``row(d, *params, tol=...)``, which is :func:`extrec.measures.measure_value`.
 :func:`verify_characterizations` plans its whole (n, k, m) grid once per
 grid, not per law, with the planner every measure takes
-(:func:`extrec.measures._plan`), and evaluates that plan on each law,
-integrating each distinct kernel once; ``eta`` is defined there and
-re-exported here.  On a support
-with one infinite end every gap but ``kij`` diverges without quadrature: its
-weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw integral is -inf when
-the upper end is infinite and +inf when the lower is, before the prefactor.
-Where ``eta`` is 0.0 at every node, as on the symmetric catalog laws, no
-kernel is evaluated.
+(:func:`extrec.measures._plan`), and integrates that plan on each law,
+each distinct kernel once, scaling each residual from its raw result
+without a MeasureValue; ``eta`` is defined there and re-exported here.  On
+a support with one infinite end every gap but ``kij`` diverges without
+quadrature: its weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw
+integral is -inf when the upper end is infinite and +inf when the lower is,
+before the prefactor.  Where ``eta`` is 0.0 at every node, as on the
+symmetric catalog laws, no kernel is evaluated, and the stack ends on its
+first round of quadrature.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -35,10 +36,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import Distribution, _check_seed
 from .quad import DEFAULT_TOL, QuadStatus, check_tol
 from .records import check_params
-from .measures import KERNELS, _Plan, _evaluate, _plan, eta
+from .measures import KERNELS, _integrate, _Plan, _plan, _scaled, eta
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -172,8 +173,9 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
     labels, plan = _grid(max_n, max_k, max_m)
-    entries = [ResidualEntry(*label, mv.value, mv.quad_status)
-               for label, mv in zip(labels, _evaluate(d, plan, quad_tol))]
+    done = _integrate(d, plan, quad_tol)
+    entries = [ResidualEntry(*label, *_scaled(done[s][j], row.prefactor)[:2])
+               for label, (row, _, s, j) in zip(labels, plan.points)]
 
     if cls.is_member and any(e.is_finite and abs(e.value) >= tol for e in entries):
         verdict = Verdict.ASYMMETRIC
@@ -254,6 +256,7 @@ def symmetry_test(sample: Iterable[float], replicates: int = 999,
         raise ValueError(f"replicates must be >= 199, got {replicates}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_seed(seed)
     if x.max() == x.min():
         raise ValueError("degenerate sample: all values equal")
     n = x.size

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -184,11 +185,29 @@ class TestRecordsSimCommand:
     @pytest.mark.parametrize("argv, raw", [
         (("records-sim", "--dist", "uniform", "--count", "5"), "1.5"),
         (("symtest", "--input", str(DATA / "symmetric_20.txt")), "abc"),
-    ], ids=["records-sim", "symtest"])
+        # int reads "1_0" as 10 and an Arabic-Indic one as 1
+        (("records-sim", "--dist", "uniform", "--count", "5"), "1_0"),
+        (("records-sim", "--dist", "uniform", "--count", "5"), "\u0661"),
+    ], ids=["records-sim", "symtest", "digit-groups", "non-ascii"])
     def test_non_integer_env_seed_exits_2(self, argv, raw):
         proc, _ = run_cli(*argv, env_extra={"EXTROPY_SEED": raw})
         assert proc.returncode == 2
         assert proc.stderr == f"error: environment variable EXTROPY_SEED={raw!r} is not an integer\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("records-sim", "--dist", "uniform", "--count", "5"),
+        ("symtest", "--input", str(DATA / "symmetric_20.txt")),
+    ], ids=["records-sim", "symtest"])
+    def test_negative_seed_names_its_source(self, monkeypatch, capsys, argv):
+        # numpy's own message, "expected non-negative integer", named neither
+        from extrec import cli
+
+        assert cli.main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        monkeypatch.setenv("EXTROPY_SEED", "-3")
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr().err == ("error: environment variable EXTROPY_SEED must be "
+                                           "an integer >= 0, got -3\n")
 
 
 class TestSymtestCommand:
@@ -230,6 +249,28 @@ class TestSymtestCommand:
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {f}:11: not a decimal value: 'oops'\n"
+
+    @pytest.mark.parametrize("line", [1, 5])
+    @pytest.mark.parametrize("text", ["1_000", "\u0661", "0.\u0665"])
+    def test_only_ascii_decimals_are_data(self, tmp_path, capsys, line, text):
+        # float reads "1_000" as 1000: on line 5 of a 30-value N(0, 1) sample it
+        # made the statistic -465.8; on line 1 it is data, not a header
+        from extrec import cli
+
+        values = [f"{v:.6f}" for v in np.random.default_rng(3).normal(size=30)]
+        values[line - 1] = text
+        f = tmp_path / "data.txt"
+        f.write_text("\n".join(values) + "\n", encoding="utf-8")
+        assert cli.main(["symtest", "--input", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {f}:{line}: not a decimal value: {text!r}\n"
+
+    def test_decimal_forms_are_data(self, tmp_path, capsys):
+        from extrec import cli
+
+        f = tmp_path / "forms.txt"
+        f.write_text("\n".join(["1e3", ".5", "+2", " 2 ", "-1.25E-1"] + ["0.0"] * 15) + "\n")
+        assert cli.main(["symtest", "--input", str(f), "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 20
 
     def test_short_file_exits_2(self, tmp_path):
         f = tmp_path / "short.txt"

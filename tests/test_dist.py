@@ -71,6 +71,9 @@ class TestSpecGrammar:
         "power:alpha=2",           # unknown key
         "power:theta",             # missing '='
         "power:theta=abc",         # non-decimal
+        "exponential:rate=1_0",    # float reads PEP 515 digit groups: 10
+        "exponential:rate=\u0661", # and non-ASCII digits: 1
+        "normal:mu=0.\u0665",
         "power:theta=inf",         # non-finite
         "power:theta=1,theta=2",   # duplicate
         "normal:",                 # empty parameter list
@@ -80,6 +83,10 @@ class TestSpecGrammar:
     def test_parse_errors(self, bad):
         with pytest.raises(SpecParseError):
             make_distribution(bad)
+
+    @pytest.mark.parametrize("raw, value", [("1e3", 1000.0), (".5", 0.5), ("+2", 2.0), (" 2 ", 2.0)])
+    def test_decimal_forms_parse(self, raw, value):
+        assert make_distribution(f"exponential:rate={raw}").params == {"rate": value}
 
     def test_keys_case_sensitive(self):
         with pytest.raises(SpecParseError):
@@ -436,6 +443,11 @@ class TestSampling:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample(Uniform(), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, True, 0.5, None])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            sample(Uniform(), 4, seed=seed)
 
     def test_ks_against_cdf(self, catalog_member):
         from conftest import ks_distance

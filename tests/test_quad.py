@@ -274,9 +274,25 @@ def _replayed(F, tol=Q.DEFAULT_TOL):
             for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
 
 
+def _signed_zeros(calls):
+    """A three-row integrand that is +0.0, -0.0 and +-0.0 at every node,
+    counting its calls."""
+    def F(x):
+        calls.append(x.size)
+        return np.stack([0.0 * x, -0.0 * x, np.where(x < 0.5, -0.0, 0.0)])
+    return F
+
+
+def _no_sums(*args):
+    raise AssertionError("a stack that is zero on its first round takes no piece sums")
+
+
 class TestZeroRows:
     """A row that is exactly 0.0 with zero error on every piece takes the
-    ladder's answer without the replay; it must be that answer to the bit."""
+    ladder's answer without the replay; it must be that answer to the bit.
+    A stack that is +-0.0 at every node of its first round ends on that
+    round, every row that answer; a nan, an inf or one nonzero node takes
+    the full path."""
 
     @pytest.mark.parametrize("tol", [1e-6, Q.DEFAULT_TOL, 1e-12])
     def test_zero_rows_are_the_ladder_replayed(self, tol):
@@ -310,6 +326,48 @@ class TestZeroRows:
     def test_whole_line_zero_row(self):
         (r,) = integrate_support_stack(lambda x: 0.0 * x, (-math.inf, math.inf))
         assert r.converged and r.value == 0.0 and r.abs_error_estimate == 0.0 and r.detail == ""
+
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (0.0, 0.5), (2.0, math.inf)])
+    def test_one_round_every_row_the_zero_row(self, monkeypatch, support):
+        monkeypatch.setattr(Q, "_piece_sums", _no_sums)
+        calls = []
+        got = integrate_support_stack(_signed_zeros(calls), support)
+        assert calls == [21 * Q._A0.size]
+        assert len(got) == 3 and all(r is Q._ZERO_ROW for r in got)
+
+    def test_whole_line_one_round_per_half(self, monkeypatch):
+        monkeypatch.setattr(Q, "_piece_sums", _no_sums)
+        halves, combine = [], Q._combine
+        monkeypatch.setattr(Q, "_combine", lambda a, b: halves.append((a, b)) or combine(a, b))
+        calls = []
+        got = integrate_support_stack(_signed_zeros(calls), (-math.inf, math.inf))
+        assert calls == [21 * Q._A0.size] * 2
+        assert len(halves) == 3 and all(a is b is Q._ZERO_ROW for a, b in halves)
+        assert _bits(got) == _bits([combine(Q._ZERO_ROW, Q._ZERO_ROW)] * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_non_finite_node_replays(self, bad):
+        def F(u):  # 1/2 is a node of the first round
+            return np.stack([np.where(u == 0.5, bad, -0.0), 0.0 * u])
+
+        got = integrate_support_stack(F, (0.0, 1.0))
+        assert _bits(got) == _bits(_replayed(F))
+        assert got[0].status is QuadStatus.NO_CONVERGENCE
+        assert "non-finite integrand value at an interior point (u=0.5)" in got[0].detail
+        assert got[1] is Q._ZERO_ROW
+
+    def test_one_nonzero_node_refines(self):
+        calls = []
+
+        def F(u):
+            calls.append(u.size)
+            return np.where(u == 0.5, 1.0, 0.0)
+
+        # the round after the first bisects 1/2's interval, which makes 1/2 an
+        # end, so the row's sums are 0.0 again and it ends a zero row
+        got = integrate_support_stack(F, (0.0, 1.0))
+        assert len(calls) == 2 and calls[0] == 21 * Q._A0.size
+        assert _bits(got) == _bits(_replayed(F))
 
 
 def test_rule_is_exact_on_polynomials():

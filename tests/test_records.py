@@ -424,6 +424,16 @@ class TestSimulateRecords:
         b = simulate_records(Uniform(), 2, 2, "upper", 64, seed=5)
         assert np.array_equal(a.values, b.values) and a.aborted == b.aborted
 
+    @pytest.mark.parametrize("method", ["exact", "scan"])
+    def test_seed_checked(self, method):
+        # numpy's own error, "expected non-negative integer", named no argument
+        for seed in (-1, True, 2.0, None):
+            with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+                simulate_records(Uniform(), 2, 2, "upper", 8, seed=seed, method=method)
+        a, b = (simulate_records(Uniform(), 2, 2, "upper", 8, seed=s, method=method)
+                for s in (np.int64(5), 5))
+        assert np.array_equal(a.values, b.values)
+
     def test_abort_guard_counts(self):
         # a tiny draw budget cannot reach the 3rd record most of the time
         rs = simulate_records(Uniform(), 3, 1, "upper", 50, seed=1, max_draws=4, method="scan")

@@ -21,6 +21,10 @@ from extrec.quad import DEFAULT_TOL, QuadStatus, integrate_support_stack
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
                       UserNormal, UserNormalNoSf, assert_close)
 
+#: The catalog laws scripts/sweep.py sweeps.
+SWEEP_SPECS = ["uniform", "normal", "laplace", "logistic", "exponential:rate=1", "power:theta=0.5",
+               "power:theta=2", "pareto:theta=1", "pareto:theta=2"]
+
 U, E1, P2, PA2, NM = Uniform(), Exponential(rate=1.0), PowerFunction(theta=2.0), Pareto(theta=2.0), Normal()
 
 
@@ -451,6 +455,23 @@ class TestVerify:
             with pytest.raises(ValueError, match="max_n must be an integer >= 1"):
                 S.verify_characterizations(P2, max_n=flag)
 
+    @pytest.mark.parametrize("d", [*map(D.make_distribution, SWEEP_SPECS), KUMA],
+                             ids=lambda d: d.spec_string())
+    def test_residuals_are_the_scaled_results(self, monkeypatch, d):
+        # verify scales each residual without a MeasureValue; value and status
+        # must be those of the MeasureValue _evaluate gives for the plan point
+        _, plan = S._grid(4, 4, 4)
+        want = [(struct.pack("<d", mv.value), mv.quad_status)
+                for mv in M._evaluate(d, plan, DEFAULT_TOL)]
+
+        def no_measure_value(*args):
+            raise AssertionError("verify builds no MeasureValue")
+
+        monkeypatch.setattr(M, "scaled_result", no_measure_value)
+        got = [(struct.pack("<d", e.value), e.status)
+               for e in S.verify_characterizations(d).residuals]
+        assert len(got) == 105 and got == want
+
     def test_not_member_is_inconclusive(self):
         rep = S.verify_characterizations(TiltedCubic(), 1, 1, 1)
         assert rep.verdict is S.Verdict.INCONCLUSIVE
@@ -778,6 +799,12 @@ class TestSymmetryTest:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.decision == "fail_to_reject"
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+    def test_seed_checked(self, seed):
+        x = np.random.default_rng(8).normal(size=30)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            S.symmetry_test(x, replicates=199, seed=seed)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
