@@ -52,6 +52,15 @@ def _seed_default() -> int:
     return seed
 
 
+def _ascii(parse: type) -> Callable[[str], object]:
+    """A numeric flag's type: ``parse``, int or float, of ASCII decimals only
+    (:func:`_decimal`), named as ``parse`` is for argparse's error message."""
+    def read(text: str):
+        return _decimal(text, parse)
+    read.__name__ = parse.__name__
+    return read
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="extrec", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -64,43 +73,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="compute one measure of a distribution")
     common(p)
     p.add_argument("--measure", required=True, choices=sorted(_MEASURES))
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--n", type=_ascii(int), default=1)
+    p.add_argument("--k", type=_ascii(int), default=1)
+    p.add_argument("--m", type=_ascii(int), default=2)
     p.add_argument("--side", choices=SIDES, default="upper")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
 
     p = sub.add_parser("verify", help="verify the symmetry characterizations")
     common(p)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--tol", type=float, default=S.RESIDUAL_TOL)
-    p.add_argument("--quad-tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-n", type=_ascii(int), default=4)
+    p.add_argument("--max-k", type=_ascii(int), default=4)
+    p.add_argument("--max-m", type=_ascii(int), default=4)
+    p.add_argument("--tol", type=_ascii(float), default=S.RESIDUAL_TOL)
+    p.add_argument("--quad-tol", type=_ascii(float), default=DEFAULT_TOL)
 
     p = sub.add_parser("classc", help="one-signed comparison class membership")
     common(p)
-    p.add_argument("--grid-size", type=int, default=512)
+    p.add_argument("--grid-size", type=_ascii(int), default=512)
 
     p = sub.add_parser("records-sim", help="simulate n-th upper/lower k-records")
     common(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=_ascii(int), default=1)
+    p.add_argument("--k", type=_ascii(int), default=1)
     p.add_argument("--side", choices=SIDES, default="upper")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=_ascii(int), default=1000)
+    p.add_argument("--seed", type=_ascii(int), default=None)
     p.add_argument("--method", choices=METHODS, default="exact",
                    help="exact: one Gamma draw and one inversion per realization; "
                         "scan: the definitional stream scan")
-    p.add_argument("--max-draws", type=int, default=10_000_000,
+    p.add_argument("--max-draws", type=_ascii(int), default=10_000_000,
                    help="stream length at which a scan realization is aborted")
 
     p = sub.add_parser("symtest", help="bootstrap symmetry test on a data file")
     common(p, dist=False)
     p.add_argument("--input", required=True, help="newline-delimited decimals, optional header line")
-    p.add_argument("--replicates", type=int, default=999)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--replicates", type=_ascii(int), default=999)
+    p.add_argument("--alpha", type=_ascii(float), default=0.05)
+    p.add_argument("--seed", type=_ascii(int), default=None)
     return ap
 
 

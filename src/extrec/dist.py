@@ -5,7 +5,8 @@ density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 ``dqf_c(u) = f(F^-1(1-u))``.  The complement is a first-class method because
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
-provide closed forms (for symmetric laws it coincides with ``dqf`` exactly).
+provide closed forms, and a symmetric law's class declares its symmetry by
+``_dqf_c = _dqf``, so :mod:`extrec.measures` takes its gaps as 0 unintegrated.
 ``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of them, so
 the quadrature and the samplers make one call per array.  Each checks u once,
 on :class:`Distribution`, and calls its hook (``_quantile``, ``_isf``, ``_dqf``,
@@ -225,6 +226,14 @@ def _check_seed(seed, label: str = "seed") -> None:
     ``np.random.default_rng`` takes it, with ``label`` naming its source."""
     if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"{label} must be an integer >= 0, got {seed!r}")
+
+
+def _check_count(value, label: str, least: int, bound: str | None = None) -> None:
+    """A count: an Integral, not a bool, >= ``least`` (``bound`` if named)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"{label} must be an integer >= {bound or least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{label} must be >= {bound or least}, got {value}")
 
 
 def _ordinal(x: float) -> int:

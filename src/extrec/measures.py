@@ -42,24 +42,23 @@ and its row in that stack, and each stack its form, side and kernels as a
 kernels once per node array.  The gap rows of one form share a stack on
 shared nodes; a measure point is a stack of its own.  The integration
 (:func:`_integrate`) is per law: the tolerance check, the structural rule
-and the variable once per stack, and one integration call per stack the
-rule does not decide; the oracle's takes each stack in the other variable,
-without the rule.  :func:`_evaluate` then scales each point by its
-prefactor into a :class:`MeasureValue`; verify scales its residuals with
-:func:`_scaled`, the arithmetic :func:`scaled_result` wraps, and builds no
-MeasureValue.  verify plans each (n, k, m) grid once and integrates that
-plan on every law; :func:`measure_value` and
-:func:`oracle_value` plan their one point afresh, and only its one-kernel
-stack is kept, on its kernel.
+and the variable once per stack, one integration call per stack the rule
+does not decide (the oracle's in the other variable, without the rule), and
+each point's ``(value, status, abs_error)``, scaled by its prefactor, in
+point order.  :func:`_evaluate` wraps each in a :class:`MeasureValue`;
+verify builds its residuals from the same list.  verify plans each
+(n, k, m) grid once and integrates that plan on every law;
+:func:`measure_value` and :func:`oracle_value` plan their one point afresh,
+and only its one-kernel stack is kept, on its kernel.
 
 Divergent measures come back as signed markers (value +/-inf), never as a
 saturated finite number.  Every ``K/dqf`` kernel has K(0) = 0 and K(1) = 1,
 so some divergences take no quadrature (:func:`_structural`): a ``K/dqf``
 measure whose kernel meets an infinite end of the support, and every ``K/dqf``
 gap on a support with one infinite end, whose weight tends to -1 as u -> 0:
-its raw integral is -inf if the upper end is infinite, +inf if the lower.  A
-u-form gap whose ``eta`` (or dqf_c - dqf) is 0 at every node evaluates no
-kernel.
+its raw integral is -inf if the upper end is infinite, +inf if the lower.
+Any other gap of a law that sets ``_dqf_c = _dqf`` (the symmetric catalog
+laws) is 0, also without quadrature: its ``eta`` is 0 at every u.
 """
 
 from __future__ import annotations
@@ -71,7 +70,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dist import Distribution, lift
-from .quad import DEFAULT_TOL, QuadResult, QuadStatus, check_tol, integrate_support_stack
+from .quad import (_ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, check_tol,
+                   integrate_support_stack)
 from .records import _Stack, check_params, phi_power, stack, u_phi, weight
 
 __all__ = [
@@ -148,12 +148,6 @@ def _scaled(qr: QuadResult, scale: float) -> tuple[float, QuadStatus, float]:
         return ((math.inf, QuadStatus.DIVERGED_POSITIVE, math.inf) if positive
                 else (-math.inf, QuadStatus.DIVERGED_NEGATIVE, math.inf))
     return math.nan, status, math.inf
-
-
-def scaled_result(measure_id: str, qr: QuadResult, scale: float,
-                  params: Mapping[str, object]) -> MeasureValue:
-    """Apply a constant prefactor to a QuadResult, reorienting divergence signs."""
-    return MeasureValue(measure_id, *_scaled(qr, scale), dict(params))
 
 
 @dataclass(frozen=True)
@@ -277,19 +271,21 @@ def _diverges_in_x(d: Distribution, form: str, side: str | None) -> bool:
 
 
 def _structural(d: Distribution, form: str, side: str | None) -> QuadResult | None:
-    """The raw integral of a row whose divergence that constant decides, or
-    None: +inf for a measure, and for a gap with one infinite end -inf (the
-    upper) or +inf (the lower).  In u, K(0) = 0 and K(1) = 1 for every such
-    kernel, so the gap weight K(u) - K(1-u) tends to -1 as u -> 0, where
-    1/dqf_c (upper) or 1/dqf (lower) has an infinite integral.  A gap on the
-    whole line meets both ends."""
+    """The raw integral of a row that the law's structure decides, or None.
+    First a divergence that constant decides: +inf for a measure, and for a
+    gap with one infinite end -inf (the upper) or +inf (the lower).  In u,
+    K(0) = 0 and K(1) = 1 for every such kernel, so the gap weight
+    K(u) - K(1-u) tends to -1 as u -> 0, where 1/dqf_c (upper) or 1/dqf
+    (lower) has an infinite integral; a gap on the whole line meets both
+    ends.  Then a gap of a law whose class sets ``_dqf_c`` to be ``_dqf`` is
+    the ladder's zero answer: its eta and dqf_c - dqf are 0 at every u."""
     lo, hi = (math.isinf(e) for e in d.support)
-    if not _diverges_in_x(d, form, side) or side is None and lo and hi:
-        return None
-    positive = side is not None or lo
-    return QuadResult(math.inf if positive else -math.inf, math.inf,
-                      QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE,
-                      "integrand tends to a nonzero constant at an infinite end of the support")
+    if _diverges_in_x(d, form, side) and not (side is None and lo and hi):
+        positive = side is not None or lo
+        status = QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE
+        return QuadResult(math.inf if positive else -math.inf, math.inf, status,
+                          "integrand tends to a nonzero constant at an infinite end of the support")
+    return _ZERO_ROW if side is None and type(d)._dqf_c is type(d)._dqf else None
 
 
 def _variable(d: Distribution, form: str, side: str | None) -> str:
@@ -319,12 +315,9 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
     if variable == "u":
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
-                against = eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
-                if not against.any():  # a symmetric law: 0 whatever the kernels are
-                    return np.zeros((len(kernels), u.size))
                 w = kernels(np.concatenate([u, 1.0 - u]))  # one call per node pair
                 out = np.subtract(w[:, :u.size], w[:, u.size:])
-                out *= against
+                out *= eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
                 return out
             return F, (0.0, 0.5)
         den = d.dqf_c if side == "upper" else d.dqf
@@ -376,11 +369,11 @@ def _plan(points) -> _Plan:
 
 
 def _integrate(d: Distribution, plan: _Plan, tol: float,
-               oracle: bool = False) -> list[list[QuadResult]]:
-    """Per stack of the plan, the raw result of each of its rows on ``d``:
-    one integration call in the primary's variable, unless
-    :func:`_structural` decides the stack's divergence, or with ``oracle``
-    one in the other variable, without that rule."""
+               oracle: bool = False) -> list[tuple[float, QuadStatus, float]]:
+    """Per point of the plan, in point order, its ``(value, status,
+    abs_error)`` on ``d``, its prefactor times its kernel's raw result: one
+    integration call per stack in the primary's variable, unless
+    :func:`_structural` decides it, or with ``oracle`` in the other one."""
     check_tol(tol=tol)
     done = []
     for form, side, kernels in plan.stacks:
@@ -390,16 +383,15 @@ def _integrate(d: Distribution, plan: _Plan, tol: float,
             variable = "u" if variable == "x" else "x"
         done.append([qr] * len(kernels) if qr else integrate_support_stack(
             *_integrand(form, kernels, d, side, variable), tol))
-    return done
+    return [_scaled(done[s][j], row.prefactor) for row, _, s, j in plan.points]
 
 
 def _evaluate(d: Distribution, plan: _Plan, tol: float,
               oracle: bool = False) -> list[MeasureValue]:
-    """The plan's points on ``d``, each its prefactor times its row of
-    :func:`_integrate`."""
-    done = _integrate(d, plan, tol, oracle)
-    return [scaled_result(row.measure_id, done[s][j], row.prefactor, params)
-            for row, params, s, j in plan.points]
+    """The plan's points on ``d``, each :func:`_integrate`'s result as a
+    :class:`MeasureValue`."""
+    return [MeasureValue(row.measure_id, *result, dict(params)) for (row, params, _, _), result
+            in zip(plan.points, _integrate(d, plan, tol, oracle))]
 
 
 def measure_value(row: KernelRow, d: Distribution, n: int = 1, k: int = 1, m: int = 2,

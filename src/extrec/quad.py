@@ -19,12 +19,9 @@ interval is bisected while some row's |K21 - G10| is above its width's
 share of the piece's error budget, up to 120 subintervals per piece; a
 piece that stops above its budget is named in ``QuadResult.detail``.
 
-Each row's piece sums are then replayed through the ladder, in ladder order.
-A row that is exactly 0.0 with zero error on every piece, with no non-finite
-value and no stopped piece, is the ladder's fixed answer (``converged``, every
-rung 0.0) and takes it without the replay: a gap on a symmetric law is one.
-A stack that is +-0.0 at every node of its first round ends on that round,
-every row that answer, with no piece sums taken.
+Each row's piece sums are then replayed through the ladder, in ladder order;
+a stack that is +-0.0 at every node ends on its first round, no piece over
+its budget, and each of its rows replays to ``converged``, every rung 0.0.
 The first check that holds decides the row.  At each rung, in order:
 
 1. a non-finite integrand value at an interior point of a piece the rung
@@ -189,9 +186,7 @@ def _gk_pieces(F, abs_tol: float):
     budget on that piece.  Per (row, piece) it returns the sum, the summed
     error estimate, the lowest node with a non-finite value (nan if none;
     such a row is not refined further) and whether the piece stopped above
-    its budget, plus the subinterval count per piece.  If F is +-0.0 at every
-    node of the first round, it returns only F's row count: each row is then
-    ``_ZERO_ROW``, which needs neither sums nor bookkeeping.
+    its budget, plus the subinterval count per piece.
     """
     npieces, width = _LO.size, _HI - _LO
     a, b, owner = _A0, _B0, _OWN0
@@ -203,8 +198,6 @@ def _gk_pieces(F, abs_tol: float):
         x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
         y = _stack(F, x.ravel()).reshape(-1, a.size, _NODES.size)
         if bad is None:
-            if not y.any():  # +-0.0 at every node; a nan or an inf is nonzero
-                return y.shape[0]
             bad = np.full((y.shape[0], npieces), np.nan)
             VAL = ERR = np.empty((y.shape[0], 0))
         finite = np.isfinite(y)
@@ -354,10 +347,8 @@ def _ladder(v: list[float], e: list[float], bad: list[float], stopped: list[bool
 
 #: The ladder's answer for a zero row, exactly 0.0 with zero error on every
 #: piece, with no non-finite value and no stopped piece, whatever ``tol`` and
-#: the counts: every rung is 0.0 and rule 5 holds.  Such a row, ``delta_kij``
-#: at n = 1, takes it without the replay, and every row of a stack that is
-#: zero at each node of its first round, as a gap stack on a symmetric law
-#: is, takes it without the piece sums.
+#: the counts: every rung is 0.0 and rule 5 holds.  A gap of a law that
+#: declares its symmetry takes it without quadrature (``measures._structural``).
 _ZERO_ROW = _ladder([0.0] * _LO.size, [0.0] * _LO.size, [math.nan] * _LO.size,
                     [False] * _LO.size, [0] * _LO.size, DEFAULT_TOL)
 
@@ -435,14 +426,10 @@ def integrate_support_stack(F, support: tuple[float, float],
             return _stack(F, end + sign * (t / s)) / (s * s)
 
     check_tol(tol=tol)
-    pieces = _gk_pieces(g, tol / 50.0)
-    if isinstance(pieces, int):  # zero at every node of the first round
-        return [_ZERO_ROW] * pieces
-    v, e, bad, stopped, count = pieces
-    zero = ~((v != 0.0) | (e != 0.0) | stopped | ~np.isnan(bad)).any(axis=1)
+    v, e, bad, stopped, count = _gk_pieces(g, tol / 50.0)
     count = count.tolist()
-    return [_ZERO_ROW if z else _ladder(*rows, count, tol) for z, *rows in
-            zip(zero.tolist(), v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
+    return [_ladder(*rows, count, tol)
+            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
 
 
 def integrate_support(f, support: tuple[float, float], tol: float = DEFAULT_TOL) -> QuadResult:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import U_FLOOR, Distribution, _check_seed, _check_unit_open
+from .dist import U_FLOOR, Distribution, _check_count, _check_seed, _check_unit_open
 
 __all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
@@ -371,8 +371,7 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
     """
     check_params(n=n, k=k, side=side, count=count)
     _check_seed(seed)
-    if max_draws < k:
-        raise ValueError(f"max_draws must be >= k, got {max_draws}")
+    _check_count(max_draws, "max_draws", k, "k")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     upper = side == "upper"

@@ -13,14 +13,15 @@ gap's public function: ``delta1 = KERNELS["delta1"]``, called as
 :func:`verify_characterizations` plans its whole (n, k, m) grid once per
 grid, not per law, with the planner every measure takes
 (:func:`extrec.measures._plan`), and integrates that plan on each law,
-each distinct kernel once, scaling each residual from its raw result
+each distinct kernel once, taking each residual's value and status from
+the scaled results :func:`extrec.measures._integrate` gives per point,
 without a MeasureValue; ``eta`` is defined there and re-exported here.  On
 a support with one infinite end every gap but ``kij`` diverges without
 quadrature: its weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw
 integral is -inf when the upper end is infinite and +inf when the lower is,
-before the prefactor.  Where ``eta`` is 0.0 at every node, as on the
-symmetric catalog laws, no kernel is evaluated, and the stack ends on its
-first round of quadrature.
+before the prefactor.  Every other gap of a law whose class declares its
+symmetry (``_dqf_c`` is ``_dqf``, as on the symmetric catalog laws) is 0
+without quadrature, as ``eta`` is 0 at every u.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -36,10 +37,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .dist import Distribution, _check_seed
+from .dist import Distribution, _check_count, _check_seed
 from .quad import DEFAULT_TOL, QuadStatus, check_tol
 from .records import check_params
-from .measures import KERNELS, _integrate, _Plan, _plan, _scaled, eta
+from .measures import KERNELS, _integrate, _plan, eta
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -84,8 +85,7 @@ class ClassC(str, enum.Enum):
 
 def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     """Sign pattern of eta on a uniform grid over (1e-4, 1/2 - 1e-4)."""
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
+    _check_count(grid_size, "grid_size", 64)
     values = eta(d, np.linspace(1e-4, 0.5 - 1e-4, grid_size))
     tol = 1e-10
     if np.all(np.abs(values) <= tol):
@@ -143,20 +143,19 @@ class SymmetryReport:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(max_n: int, max_k: int, max_m: int) -> tuple[tuple, _Plan]:
-    """The grid's residual labels ``(family, n, k, m)`` and its plan, which
-    depend on the bounds alone, so each grid is planned once and every law
-    takes the same plan.  A label shows the row's planned params and its
-    ``fixed`` ones.  The last few grids are kept, so a caller that sweeps the
-    bounds does not grow the cache."""
+def _grid(max_n: int, max_k: int, max_m: int) -> tuple:
+    """The grid's residual labels ``(family, n, k, m)`` and the plan of its
+    points, which depend on the bounds alone, so each grid is planned once
+    and every law takes the same plan.  A label shows the point's params and
+    its row's ``fixed`` ones.  The last few grids are kept, so a caller that
+    sweeps the bounds does not grow the cache."""
     limits = {"n": max_n, "k": max_k, "m": max_m}
-    plan = _plan([(row, dict(zip(row.params, values)))
-                  for row in KERNELS.values() if row.family is not None
-                  for values in itertools.product(*(range(1, limits[p] + 1)
-                                                    for p in row.params))])
+    points = [(row, dict(zip(row.params, values)))
+              for row in KERNELS.values() if row.family is not None
+              for values in itertools.product(*(range(1, limits[p] + 1) for p in row.params))]
     labels = tuple((row.family, *map({**row.fixed, **params}.get, "nkm"))
-                   for row, params, _, _ in plan.points)
-    return labels, plan
+                   for row, params in points)
+    return labels, _plan(points)
 
 
 def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
@@ -173,9 +172,8 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
     labels, plan = _grid(max_n, max_k, max_m)
-    done = _integrate(d, plan, quad_tol)
-    entries = [ResidualEntry(*label, *_scaled(done[s][j], row.prefactor)[:2])
-               for label, (row, _, s, j) in zip(labels, plan.points)]
+    entries = [ResidualEntry(*label, value, status)
+               for label, (value, status, _) in zip(labels, _integrate(d, plan, quad_tol))]
 
     if cls.is_member and any(e.is_finite and abs(e.value) >= tol for e in entries):
         verdict = Verdict.ASYMMETRIC
@@ -252,8 +250,7 @@ def symmetry_test(sample: Iterable[float], replicates: int = 999,
     exact arithmetic, as ties on lattice data make common, always counts.
     """
     x = _clean_sample(sample, min_size=20)
-    if replicates < 199:
-        raise ValueError(f"replicates must be >= 199, got {replicates}")
+    _check_count(replicates, "replicates", 199)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_seed(seed)

@@ -332,6 +332,38 @@ def test_out_of_range_value_is_the_library_error(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+#: numeric flags read ASCII decimals only: int and float also take PEP 515
+#: digit groups and non-ASCII digits, which no flag may read
+NON_DECIMAL_FLAGS = [
+    (("records-sim", "--dist", "uniform", "--count", "1_0"), "--count", "int"),
+    (("records-sim", "--dist", "uniform", "--seed", "\u0661"), "--seed", "int"),
+    (("measure", "--dist", "uniform", "--measure", "crj", "--tol", "1_0e-9"), "--tol", "float"),
+    (("measure", "--dist", "uniform", "--measure", "crj", "--n", "x"), "--n", "int"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, kind", NON_DECIMAL_FLAGS,
+                         ids=[f"{flag} {argv[-1]!a}" for argv, flag, _ in NON_DECIMAL_FLAGS])
+def test_numeric_flags_read_ascii_decimals_only(argv, flag, kind, capsys):
+    from extrec import cli
+
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid {kind} value: {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("flag, text, value", [
+    ("--tol", "1e-9", 1e-9), ("--tol", ".5e-8", 5e-9), ("--n", "+2", 2)])
+def test_numeric_flags_read_decimal_literals(flag, text, value, capsys):
+    from extrec import cli
+
+    argv = ["measure", "--dist", "uniform", "--measure", "record_crj_upper", flag, text,
+            "--output", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["tol"] if flag == "--tol" else payload["params"]["n"]) == value
+
+
 #: one line of each command's default text table; measure's is in TestMeasureCommand
 TABLES = [
     (("verify", "--dist", "normal"), "verdict      : symmetric   (tolerance 1e-06)"),

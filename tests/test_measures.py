@@ -9,6 +9,7 @@ import pytest
 
 import extrec
 from extrec import measures as M
+from extrec import records as R
 from extrec import symmetry as S
 from extrec.dist import Exponential, Laplace, Logistic, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import DEFAULT_TOL, QuadStatus
@@ -434,6 +435,17 @@ class TestInputChecks:
                 M.gcrj(E1, flag)
 
 
+def _phi_poly(n, k, m):
+    """The coefficients c_j of P(L)^m, P(L) = sum_{i<n} (kL)^i / i!, the
+    polynomial of phi_{n,k}(u) = u^k P(-log u), as Fractions."""
+    p = [Fraction(k ** i, math.factorial(i)) for i in range(n)]
+    c = [Fraction(1)]
+    for _ in range(m):
+        c = [sum(c[j - i] * p[i] for i in range(n) if 0 <= j - i < len(c))
+             for j in range(len(c) + n - 1)]
+    return c
+
+
 def _log_power_integral(n, k, m, a):
     """Integral over (0, 1) of u^(a-1) * P(-log u)^m with P(L) = sum_{i<n} (kL)^i / i!.
 
@@ -442,12 +454,8 @@ def _log_power_integral(n, k, m, a):
     integral is this sum: exponential upper a = km; power(theta) lower
     a = km + 1/theta and pareto(theta) upper a = km - 1/theta, both times 1/theta.
     """
-    p = [Fraction(k ** i, math.factorial(i)) for i in range(n)]
-    c = [Fraction(1)]
-    for _ in range(m):
-        c = [sum(c[j - i] * p[i] for i in range(n) if 0 <= j - i < len(c))
-             for j in range(len(c) + n - 1)]
-    return float(sum(cj * math.factorial(j) / Fraction(a) ** (j + 1) for j, cj in enumerate(c)))
+    return float(sum(cj * math.factorial(j) / Fraction(a) ** (j + 1)
+                     for j, cj in enumerate(_phi_poly(n, k, m))))
 
 
 EXACT_RECORD_KERNELS = [  # (measure_id, law, side, closed form in (n, k, m))
@@ -465,6 +473,82 @@ EXACT_RECORD_KERNELS = [  # (measure_id, law, side, closed form in (n, k, m))
                                                 for i in range(n)))
       for t in (0.5, 2.0)),
 ]
+
+
+def _paper_kernel(builder, n, k, m):
+    """(b, c): the kernel u^b * sum_j c_j L^j, L = -log u, of a row's
+    builder at (n, k, m), from the paper's formulas and not from the
+    library's kernel: phi_{n,k}^m, u * phi_{n,k}, and the (n, k) record
+    density in u, k^n u^(k-1) L^(n-1) / (n-1)!."""
+    if builder is R.phi_power:
+        return k * m, _phi_poly(n, k, m)
+    if builder is R.u_phi:
+        return k + 1, _phi_poly(n, k, 1)
+    return k - 1, [Fraction(0)] * (n - 1) + [Fraction(k ** n, math.factorial(n - 1))]
+
+
+#: (law, side, C, p): the law-sides where dqf is a pure power C * u^p, so
+#: every measure row's integrand is a sum of terms u^e (-log u)^j
+PURE_POWER_SIDES = [
+    (U, "upper", Fraction(1), Fraction(0)), (U, "lower", Fraction(1), Fraction(0)),
+    (E1, "upper", Fraction(1), Fraction(1)),
+    *((PowerFunction(theta=t), "lower", Fraction(t), 1 - 1 / Fraction(t)) for t in (0.5, 2.0)),
+    *((Pareto(theta=t), "upper", Fraction(t), 1 + 1 / Fraction(t)) for t in (0.5, 2.0)),
+]
+
+#: The misses of the exact-value test: each is no_convergence at a
+#: log-singular end, a (-log u)^j factor that keeps the trim ladder from
+#: settling (ROADMAP item 2).
+_LOG_SINGULAR = {
+    ("record_crj_upper", "pareto:theta=0.5", "oracle"): {(3, 2), (4, 2)},
+    ("record_gcrj_upper", "pareto:theta=0.5", "primary"): {(3, 1, 3), (4, 1, 3), (4, 1, 4),
+                                                            (4, 3, 1)},
+    ("record_gcrj_upper", "pareto:theta=0.5", "oracle"): {
+        (2, 1, 3), (2, 1, 4), (2, 3, 1), (3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 3, 1), (4, 1, 3),
+        (4, 1, 4), (4, 2, 2), (4, 3, 1)},
+    ("record_gcrj_upper", "pareto:theta=2", "primary"): {(2, 1, 1), (3, 1, 1), (4, 1, 1)},
+    ("kij_record", "power:theta=0.5", "oracle"): {(2, 2), (3, 2), (4, 2)},
+    ("crij_upper", "pareto:theta=0.5", "oracle"): {(2, 2), (3, 2), (4, 2)},
+}
+
+
+def _exact_cases():
+    """One case per measure row, pure-power law-side, grid point and form:
+    n and k in 1..4, and m in 1..4 where the row takes m."""
+    for row in (row for row in M.KERNELS.values() if row.family is None):
+        grid = [p for p in row.params if p != "side"]
+        for d, side, C, p in PURE_POWER_SIDES:
+            if row.side not in (None, side):
+                continue
+            for values in itertools.product(range(1, 5), repeat=len(grid)):
+                given = {**dict(zip(grid, values)), **({"side": side} if row.side is None else {})}
+                for form in ("primary", "oracle"):
+                    case = f"{row.measure_id}-{d.spec_string()}-{side}-{form}-" + ",".join(
+                        f"{q}={v}" for q, v in zip(grid, values))
+                    missed = (row.measure_id, d.spec_string(), form)
+                    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                        "ROADMAP item 2: a (-log u)^j factor at a log-singular end keeps "
+                        "the trim ladder from settling"))] if values in _LOG_SINGULAR.get(
+                        missed, ()) else []
+                    yield pytest.param(row, d, given, C, p, form, id=case, marks=marks)
+
+
+@pytest.mark.parametrize("row, d, given, C, p, form", _exact_cases())
+def test_measure_row_exact_value(row, d, given, C, p, form):
+    # the integrand is prefactor * C^-+1 * sum_j c_j u^e (-log u)^j, with
+    # e = b - p (K/dqf) or b + p (w*dqf); each term integrates over (0, 1)
+    # to j!/(e+1)^(j+1), and diverges, to the prefactor's sign, iff e <= -1
+    _, (n, k, m) = M.resolve(row, **given)
+    b, c = _paper_kernel(row.kernel, n, k, m)
+    e, scale = (b - p, 1 / C) if row.form == "K/dqf" else (b + p, C)
+    mv = (row if form == "primary" else row.oracle)(d, **given)
+    if e <= -1:
+        assert mv.quad_status is QuadStatus.DIVERGED_NEGATIVE, mv.display()
+        return
+    exact = float(Fraction(row.prefactor) * scale * sum(
+        cj * math.factorial(j) / (e + 1) ** (j + 1) for j, cj in enumerate(c)))
+    assert mv.is_finite and abs(mv.value - exact) <= 1e-8 * max(1.0, abs(exact)), \
+        (mv.display(), exact)
 
 
 class TestExactRecordKernels:

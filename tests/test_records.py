@@ -1,6 +1,7 @@
 import gc
 import heapq
 import math
+import re
 import warnings
 import weakref
 
@@ -12,8 +13,8 @@ from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import (PhiKernel, RecordLaw, _scan_one, _Stack, phi_power, simulate_records,
-                            u_phi, weight)
+from extrec.records import (METHODS, PhiKernel, RecordLaw, _scan_one, _Stack, phi_power,
+                            simulate_records, u_phi, weight)
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -502,6 +503,17 @@ class TestSimulateRecords:
             simulate_records(Uniform(), 1, 3, "upper", 5, seed=1, max_draws=2)
         with pytest.raises(ValueError, match="method"):
             simulate_records(Uniform(), 1, 1, "upper", 5, seed=1, method="stream")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("max_draws", [100.5, 100.0, True, np.float64(100)])
+    def test_max_draws_must_be_an_integer(self, method, max_draws):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_draws must be an integer >= k, got {max_draws!r}")):
+            simulate_records(Uniform(), 1, 1, "upper", 5, seed=1, max_draws=max_draws,
+                             method=method)
+        rs = simulate_records(Uniform(), 1, 1, "upper", 5, seed=1, max_draws=np.int64(100),
+                              method=method)
+        assert rs.values.size == 5
 
 
 #: exact-sampler sweep: 24 one-sample KS tests, so each runs at the 0.1% level

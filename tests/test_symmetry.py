@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from extrec import dist as D
 from extrec import measures as M
+from extrec import quad as Q
 from extrec import records as R
 from extrec import symmetry as S
-from extrec.dist import (Distribution, Exponential, Laplace, Normal, Pareto, PowerFunction,
-                         Uniform)
+from extrec.dist import (Distribution, Exponential, Laplace, Logistic, Normal, Pareto,
+                         PowerFunction, Uniform)
 from extrec.quad import DEFAULT_TOL, QuadStatus, integrate_support_stack
 
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
@@ -181,6 +182,13 @@ class TestClassC:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             S.class_c_check(U, grid_size=32)
+
+    @pytest.mark.parametrize("grid_size", [100.5, 128.0, True, "128", np.float64(128)])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid_size must be an integer >= 64, got {grid_size!r}")):
+            S.class_c_check(U, grid_size=grid_size)
+        assert S.class_c_check(U, grid_size=np.int64(128)) is S.ClassC.MEMBER_EQUAL
 
 
 class TestDelta1:
@@ -458,8 +466,9 @@ class TestVerify:
     @pytest.mark.parametrize("d", [*map(D.make_distribution, SWEEP_SPECS), KUMA],
                              ids=lambda d: d.spec_string())
     def test_residuals_are_the_scaled_results(self, monkeypatch, d):
-        # verify scales each residual without a MeasureValue; value and status
-        # must be those of the MeasureValue _evaluate gives for the plan point
+        # verify takes each residual from _integrate's scaled results without a
+        # MeasureValue; value and status must be those of the MeasureValue
+        # _evaluate gives for the plan point
         _, plan = S._grid(4, 4, 4)
         want = [(struct.pack("<d", mv.value), mv.quad_status)
                 for mv in M._evaluate(d, plan, DEFAULT_TOL)]
@@ -467,7 +476,7 @@ class TestVerify:
         def no_measure_value(*args):
             raise AssertionError("verify builds no MeasureValue")
 
-        monkeypatch.setattr(M, "scaled_result", no_measure_value)
+        monkeypatch.setattr(M, "MeasureValue", no_measure_value)
         got = [(struct.pack("<d", e.value), e.status)
                for e in S.verify_characterizations(d).residuals]
         assert len(got) == 105 and got == want
@@ -536,7 +545,8 @@ class TestVerify:
     def test_distinct_kernels_integrated_once(self, monkeypatch):
         # 105 residuals over 74 distinct kernels: the 48 record kernels at n >= 2,
         # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights;
-        # one stacked integrand per form, each kernel in exactly one stack
+        # one stacked integrand per form, each kernel in exactly one stack, on
+        # a bounded asymmetric law, where no gap is decided without quadrature
         calls = []
         integrand = M._integrand
 
@@ -545,7 +555,7 @@ class TestVerify:
             return integrand(form, kernels, *args)
 
         monkeypatch.setattr(M, "_integrand", counting)
-        rep = S.verify_characterizations(U)
+        rep = S.verify_characterizations(P2)
         assert len(rep.residuals) == 105
         assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
         seen = [K for _, kernels in calls for K in kernels]
@@ -668,7 +678,9 @@ class TestVerify:
 
 class TestStructuralGaps:
     """On a support with one infinite end every K/dqf gap diverges, with the
-    sign of that end, so verify takes no quadrature for it."""
+    sign of that end, and every other gap of a law that declares its
+    symmetry is the ladder's zero answer, so verify takes no quadrature for
+    either."""
 
     def test_every_kernel_runs_from_zero_to_one(self):
         assert len(KDQF_GAPS) == 70
@@ -696,8 +708,46 @@ class TestStructuralGaps:
 
     @pytest.mark.parametrize("d", [NM, U, P2, UserNormal()], ids=repr)
     def test_whole_line_and_bounded_gaps_are_integrated(self, d):
-        assert M._structural(d, "K/dqf", None) is None
-        assert M._structural(d, "w*dqf", None) is None
+        # normal and uniform declare their symmetry, so theirs are zero instead
+        want = Q._ZERO_ROW if d in (NM, U) else None
+        assert M._structural(d, "K/dqf", None) is want
+        assert M._structural(d, "w*dqf", None) is want
+
+    @pytest.mark.parametrize("form", ["K/dqf", "w*dqf"])
+    def test_declared_symmetry_is_the_zero_row(self, form):
+        for d in SYMMETRIC_MEMBERS:
+            assert M._structural(d, form, None) is Q._ZERO_ROW, d
+        for d in (D.Scaled(Normal(), 2.0), UserNormal()):
+            assert M._structural(d, form, None) is None, d
+        # a measure row is never decided by symmetry
+        assert M._structural(U, form, "upper") is None
+
+    def test_undeclared_symmetry_integrates_to_the_zero_row(self):
+        # a scaled normal does not declare its symmetry, but its eta is 0.0 at
+        # every node: quadrature gives the rule's answer, and verify the
+        # normal's residuals, to the bit
+        def bits(qr):
+            return qr.status, qr.detail, [x.hex() for x in (qr.value, qr.abs_error_estimate,
+                                                             *qr.ladder)]
+
+        def residuals(rep):
+            return [(e.key(), e.status, e.value.hex()) for e in rep.residuals]
+
+        d = D.Scaled(Normal(), 2.0)
+        _, plan = S._grid(4, 4, 4)
+        for form, side, kernels in plan.stacks:
+            got = integrate_support_stack(*M._integrand(form, kernels, d, side, "u"), DEFAULT_TOL)
+            assert [bits(qr) for qr in got] == [bits(Q._ZERO_ROW)] * len(kernels), form
+        assert residuals(S.verify_characterizations(d)) == residuals(S.verify_characterizations(NM))
+
+    @pytest.mark.parametrize("d", [Normal(0.0, 1e300), Logistic(0.0, 1e300), Laplace(0.0, 1e300)],
+                             ids=repr)
+    def test_wide_symmetric_laws_are_symmetric(self, d):
+        # 1/dqf overflows to inf at both u and 1-u near the ends, so a gap
+        # integrated there meets inf - inf; the declared symmetry decides it
+        rep = S.verify_characterizations(d)
+        assert rep.verdict is S.Verdict.SYMMETRIC
+        assert sum(e.is_finite for e in rep.residuals) == 105
 
 
 class TestEmpiricalEstimators:
@@ -838,6 +888,14 @@ class TestSymmetryTest:
             S.symmetry_test(ok, alpha=1.5)
         with pytest.raises(ValueError):
             S.symmetry_test([1.0] * 25)          # degenerate
+
+    @pytest.mark.parametrize("replicates", [250.5, 250.0, True, np.float64(250)])
+    def test_replicates_must_be_an_integer(self, replicates):
+        ok = list(range(20))
+        with pytest.raises(ValueError, match=re.escape(
+                f"replicates must be an integer >= 199, got {replicates!r}")):
+            S.symmetry_test(ok, replicates=replicates)
+        assert S.symmetry_test(ok, replicates=np.int64(250)).bootstrap_replicates == 250
 
     @pytest.mark.parametrize("n", [20, 37, 200])
     def test_lattice_ties_count_as_exceedances(self, n):
