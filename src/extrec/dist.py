@@ -6,7 +6,8 @@ density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
 provide closed forms, and a symmetric law's class declares its symmetry by
-``_dqf_c = _dqf``, so :mod:`extrec.measures` takes its gaps as 0 unintegrated.
+``_dqf_c = _dqf`` (:attr:`Distribution.symmetric`, which a scaled law takes
+from its base), so :mod:`extrec.measures` takes its gaps as 0 unintegrated.
 ``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of them, so
 the quadrature and the samplers make one call per array.  Each checks u once,
 on :class:`Distribution`, and calls its hook (``_quantile``, ``_isf``, ``_dqf``,
@@ -135,6 +136,12 @@ class Distribution:
         """Complement form f(F^-1(1-u)), u in (0, 1); one u or an array."""
         _check_unit_open(u)
         return self._dqf_c(u)
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the law declares its symmetry: its class sets
+        ``_dqf_c = _dqf``, so dqf(1-u) is dqf(u) by construction."""
+        return type(self)._dqf_c is type(self)._dqf
 
     def _quantile(self, u):
         return lift(partial(self._invert, upper=False), u)
@@ -545,6 +552,11 @@ class Scaled(Distribution):
 
     def _isf(self, p):
         return self.a * self.base.isf(p)
+
+    @property
+    def symmetric(self) -> bool:
+        """a*X is symmetric where X is: its base's declaration."""
+        return self.base.symmetric
 
     def _dqf(self, u):
         return self.base.dqf(u) / self.a

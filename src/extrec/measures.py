@@ -40,7 +40,9 @@ resolves and checks each point once and gives each its params, its stack
 and its row in that stack, and each stack its form, side and kernels as a
 :class:`~extrec.records._Stack`, which evaluates each distinct base of its
 kernels once per node array.  The gap rows of one form share a stack on
-shared nodes; a measure point is a stack of its own.  The integration
+shared nodes; a measure point is a stack of its own.  A gap point whose
+kernel is constant (``delta_kij`` at n = 1) is in no stack: its weight
+K(u) - K(1-u) is 0, so it takes the ladder's zero answer.  The integration
 (:func:`_integrate`) is per law: the tolerance check, the structural rule
 and the variable once per stack, one integration call per stack the rule
 does not decide (the oracle's in the other variable, without the rule), and
@@ -57,8 +59,9 @@ so some divergences take no quadrature (:func:`_structural`): a ``K/dqf``
 measure whose kernel meets an infinite end of the support, and every ``K/dqf``
 gap on a support with one infinite end, whose weight tends to -1 as u -> 0:
 its raw integral is -inf if the upper end is infinite, +inf if the lower.
-Any other gap of a law that sets ``_dqf_c = _dqf`` (the symmetric catalog
-laws) is 0, also without quadrature: its ``eta`` is 0 at every u.
+Any other gap of a law that declares its symmetry
+(:attr:`~extrec.dist.Distribution.symmetric`: the symmetric catalog laws and
+their scalings) is 0, also without quadrature: its ``eta`` is 0 at every u.
 """
 
 from __future__ import annotations
@@ -277,15 +280,15 @@ def _structural(d: Distribution, form: str, side: str | None) -> QuadResult | No
     K(0) = 0 and K(1) = 1 for every such kernel, so the gap weight
     K(u) - K(1-u) tends to -1 as u -> 0, where 1/dqf_c (upper) or 1/dqf
     (lower) has an infinite integral; a gap on the whole line meets both
-    ends.  Then a gap of a law whose class sets ``_dqf_c`` to be ``_dqf`` is
-    the ladder's zero answer: its eta and dqf_c - dqf are 0 at every u."""
+    ends.  Then a gap of a law that declares itself ``symmetric`` is the
+    ladder's zero answer: its eta and dqf_c - dqf are 0 at every u."""
     lo, hi = (math.isinf(e) for e in d.support)
     if _diverges_in_x(d, form, side) and not (side is None and lo and hi):
         positive = side is not None or lo
         status = QuadStatus.DIVERGED_POSITIVE if positive else QuadStatus.DIVERGED_NEGATIVE
         return QuadResult(math.inf if positive else -math.inf, math.inf, status,
                           "integrand tends to a nonzero constant at an infinite end of the support")
-    return _ZERO_ROW if side is None and type(d)._dqf_c is type(d)._dqf else None
+    return _ZERO_ROW if side is None and d.symmetric else None
 
 
 def _variable(d: Distribution, form: str, side: str | None) -> str:
@@ -348,7 +351,8 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
 class _Plan:
     """What evaluating a list of points takes that does not depend on the law."""
 
-    points: tuple[tuple[KernelRow, dict, int, int], ...]  # (row, params, stack, row in it)
+    # (row, params, stack, row in it); a zero point's stack and row are None
+    points: tuple[tuple[KernelRow, dict, int | None, int | None], ...]
     stacks: tuple[tuple[str, str | None, _Stack], ...]   # (form, side, kernels)
 
 
@@ -356,14 +360,20 @@ def _plan(points) -> _Plan:
     """The plan of the points ``(row, {param: value})``, each resolved, and so
     checked, here; a param left out takes :func:`resolve`'s default.  The gap
     rows of one form share a stack, in which each distinct kernel is one row,
-    and a measure point is a stack of its own."""
+    and a measure point is a stack of its own.  A gap point whose kernel is
+    constant (b = e = 0 and one coefficient, as ``delta_kij``'s at n = 1) is a
+    zero point, in no stack: its weight K(u) - K(1-u) is 0 at every u."""
     stacks: dict[tuple, tuple[int, dict]] = {}  # (form, side, point or None) -> (s, {K: row})
     planned = []
     for i, (row, given) in enumerate(points):
         params, nkm = resolve(row, **given)
+        K = row.kernel(*nkm)
+        if row.family and K.b == K.e == 0 and len(K.logc) == 1:  # constant: its gap weight is 0
+            planned.append((row, params, None, None))
+            continue
         key = (row.form, params.get("side", row.side), None if row.family else i)
         s, kernels = stacks.setdefault(key, (len(stacks), {}))
-        planned.append((row, params, s, kernels.setdefault(row.kernel(*nkm), len(kernels))))
+        planned.append((row, params, s, kernels.setdefault(K, len(kernels))))
     return _Plan(tuple(planned), tuple((form, side, stack(tuple(kernels)))
                                        for (form, side, _), (_, kernels) in stacks.items()))
 
@@ -373,7 +383,8 @@ def _integrate(d: Distribution, plan: _Plan, tol: float,
     """Per point of the plan, in point order, its ``(value, status,
     abs_error)`` on ``d``, its prefactor times its kernel's raw result: one
     integration call per stack in the primary's variable, unless
-    :func:`_structural` decides it, or with ``oracle`` in the other one."""
+    :func:`_structural` decides it, or with ``oracle`` in the other one.  A
+    zero point takes the ladder's zero answer, ``quad._ZERO_ROW``."""
     check_tol(tol=tol)
     done = []
     for form, side, kernels in plan.stacks:
@@ -383,7 +394,8 @@ def _integrate(d: Distribution, plan: _Plan, tol: float,
             variable = "u" if variable == "x" else "x"
         done.append([qr] * len(kernels) if qr else integrate_support_stack(
             *_integrand(form, kernels, d, side, variable), tol))
-    return [_scaled(done[s][j], row.prefactor) for row, _, s, j in plan.points]
+    return [_scaled(_ZERO_ROW if s is None else done[s][j], row.prefactor)
+            for row, _, s, j in plan.points]
 
 
 def _evaluate(d: Distribution, plan: _Plan, tol: float,

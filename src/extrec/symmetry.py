@@ -19,9 +19,10 @@ without a MeasureValue; ``eta`` is defined there and re-exported here.  On
 a support with one infinite end every gap but ``kij`` diverges without
 quadrature: its weight K(u) - K(1-u) tends to -1 as u -> 0, so the raw
 integral is -inf when the upper end is infinite and +inf when the lower is,
-before the prefactor.  Every other gap of a law whose class declares its
-symmetry (``_dqf_c`` is ``_dqf``, as on the symmetric catalog laws) is 0
-without quadrature, as ``eta`` is 0 at every u.
+before the prefactor.  Every other gap of a law that declares its symmetry
+(:attr:`~extrec.dist.Distribution.symmetric`, as the symmetric catalog laws
+and their scalings do) is 0 without quadrature, as ``eta`` is 0 at every u,
+and such a law is ``MEMBER_EQUAL`` without the ``eta`` grid.
 
 The empirical side estimates the residual/past gap from data with plug-in
 spacings estimators and calibrates it against a symmetrized bootstrap null.
@@ -84,8 +85,11 @@ class ClassC(str, enum.Enum):
 
 
 def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
-    """Sign pattern of eta on a uniform grid over (1e-4, 1/2 - 1e-4)."""
+    """Sign pattern of eta on a uniform grid over (1e-4, 1/2 - 1e-4); a law
+    that declares itself ``symmetric`` is ``MEMBER_EQUAL`` without the grid."""
     _check_count(grid_size, "grid_size", 64)
+    if d.symmetric:
+        return ClassC.MEMBER_EQUAL
     values = eta(d, np.linspace(1e-4, 0.5 - 1e-4, grid_size))
     tol = 1e-10
     if np.all(np.abs(values) <= tol):

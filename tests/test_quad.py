@@ -435,6 +435,93 @@ def test_ladder_criteria(case):
     assert re.fullmatch(detail, r.detail), r.detail
 
 
+#: case -> (rung-0 piece sum, the sums each deeper rung adds as in
+#: LADDER_CASES, a non-finite piece or None, a stopped piece or None, status,
+#: detail pattern, whether the array pass settles it).  Together the rows hit
+#: every rule of the ladder, the early exits at an early rung.
+ARRAY_CASES = {
+    "raw, aitken step applies": (1.0, _geometric(1e-10, 0.5), None, None,
+                                 QuadStatus.CONVERGED, "", True),
+    "raw, no aitken step": (1.0, _alternating(1e-9), None, None, QuadStatus.CONVERGED, "", True),
+    "aitken-1": (1.0, _geometric(1e-2, 0.5), None, None, QuadStatus.CONVERGED, "", True),
+    "aitken-2": (1.0, [1e-2 * (0.5 ** j + 0.05 ** j) for j in range(1, 7)], None, None,
+                 QuadStatus.CONVERGED, "", True),
+    # the first step's diffs are 0 and 5e-3, so Aitken-1 skips it and
+    # settles on the other four
+    "skipped aitken step": (1.0, [0.0] + _geometric(1e-2, 0.5)[1:], None, None,
+                            QuadStatus.CONVERGED, "", False),
+    # Aitken-1 applies at every step, Aitken-2 at two of three, and settles
+    "skipped aitken-2 step": (1.0, [-0.0015430631752208171, -0.00019807214089692226,
+                                    -3.278952326741129e-05, -5.18555018968405e-06,
+                                    -8.262705518391729e-07, -3.8803522792954176e-07], None, None,
+                              QuadStatus.CONVERGED, "", False),
+    "non-finite piece": (1.0, _geometric(1e-2, 0.5), 3, None, QuadStatus.NO_CONVERGENCE,
+                         r"non-finite integrand value at an interior point \(u=0.25\)", False),
+    "stopped piece": (1.0, _geometric(1e-10, 0.5), None, 2, QuadStatus.CONVERGED,
+                      r"piece \(0.9999, 0.99999\) stopped above its error budget at 120 "
+                      r"subintervals", False),
+    "magnitude cap": (1.0, [2e12] + [0.0] * 5, None, None, QuadStatus.DIVERGED_POSITIVE,
+                      r"magnitude cap 1e\+12 exceeded at eps=1e-05", False),
+    # the steps grow tenfold to rung 3, then stop, so the rungs settle as raw
+    # would take them
+    "fast growth": (1.0, [1e-3, 1e-2, 1e-1, 0.0, 0.0, 0.0], None, None,
+                    QuadStatus.DIVERGED_POSITIVE, r"unbounded growth detected at eps=1e-07", False),
+    "two ends, early exit": (1.0, [(10.0 ** j, -1.0) for j in range(1, 7)], None, None,
+                             QuadStatus.NO_CONVERGENCE, r"opposite-sign divergence at the two ends",
+                             False),
+    # the ends cancel, so the rungs settle as raw would take them
+    "two ends, last rung": (1.0, [(1.0, -1.0)] * 6, None, None, QuadStatus.NO_CONVERGENCE,
+                            r"opposite-sign divergence at the two ends", False),
+    "monotone growth": (1.0, [-1.0] * 6, None, None, QuadStatus.DIVERGED_NEGATIVE,
+                        r"monotone non-contracting ladder growth", False),
+    "not settled": (1.0, _alternating(1e-3), None, None, QuadStatus.NO_CONVERGENCE,
+                    r"ladder did not settle: last diffs \[.*\]", False),
+    "-0.0 sums": (-0.0, [(-0.0, -0.0)] * 6, None, None, QuadStatus.CONVERGED, "", True),
+    "-0.0 middle": (-0.0, _geometric(1e-10, 0.5), None, None, QuadStatus.CONVERGED, "", True),
+    "-0.0 strips": (1.0, [(-0.0, -0.0)] * 6, None, None, QuadStatus.CONVERGED, "", True),
+}
+
+
+def test_array_pass_is_the_ladder(monkeypatch):
+    """A stack of piece sums whose rows hit every rule: each row the array
+    pass settles, and each it leaves to ``_ladder``, gets ``_ladder``'s bits."""
+    n = Q._LO.size
+    v = np.array([[middle] + [x for s in steps for x in (s if isinstance(s, tuple) else (s, 0.0))]
+                  for middle, steps, *_ in ARRAY_CASES.values()])
+    e = np.full(v.shape, 1e-13)
+    bad = np.full(v.shape, math.nan)
+    stopped = np.zeros(v.shape, dtype=bool)
+    for i, (_, _, bad_at, stopped_at, *_) in enumerate(ARRAY_CASES.values()):
+        if bad_at is not None:
+            bad[i, bad_at] = 0.25
+        if stopped_at is not None:
+            stopped[i, stopped_at] = True
+    count = np.full(n, 120)
+    monkeypatch.setattr(Q, "_gk_pieces", lambda F, abs_tol: (v, e, bad, stopped, count))
+    assert len(v) >= Q._ARRAY_ROWS
+    got = integrate_support_stack(lambda u: u, (0.0, 1.0))
+    want = [Q._ladder(*rows, count.tolist(), Q.DEFAULT_TOL)
+            for rows in zip(v.tolist(), e.tolist(), bad.tolist(), stopped.tolist())]
+    assert _bits(got) == _bits(want)
+    settled = Q._settle(v, e, bad, stopped, Q.DEFAULT_TOL)
+    for (case, (*_, status, detail, by_array)), r, done in zip(ARRAY_CASES.items(), got, settled):
+        assert r.status is status and re.fullmatch(detail, r.detail), (case, r)
+        assert (done is not None) == by_array, case
+    # the ladder's 0.0 + -0.0 is 0.0
+    assert [x.hex() for x in (got[-3].value, *got[-3].ladder)] == ["0x0.0p+0"] * 8
+
+
+def test_small_stack_takes_the_scalar_ladder(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Q, "_settle", lambda *args: calls.append(args) or [None] * len(args[0]))
+    integrate_support_stack(lambda u: np.stack([u ** j for j in range(Q._ARRAY_ROWS - 1)]),
+                            (0.0, 1.0))
+    assert calls == []
+    integrate_support_stack(lambda u: np.stack([u ** j for j in range(Q._ARRAY_ROWS)]),
+                            (0.0, 1.0))
+    assert len(calls) == 1
+
+
 def _quadpack_ladder(f, tol):
     """The ladder fed with QUADPACK's QAGS on each piece, one piece at a time,
     with the budget the core gives a piece; returns the piece sums and the

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from pathlib import Path
 import struct
 import tracemalloc
 import warnings
@@ -381,6 +382,20 @@ class TestDeltaKij:
         for d in (U, E1, P2, PA2, NM):
             assert S.delta_kij(d, 1).value == 0.0
 
+    @pytest.mark.parametrize("d", [U, E1, P2, PA2, NM, Kumaraswamy(2.2, 2.7)], ids=repr)
+    def test_n1_is_a_zero_point_without_quadrature(self, monkeypatch, d):
+        # the weight at n = 1 is the constant 1, so its gap weight is 0: the
+        # ladder's zero answer, in no stack, and -1/2 * 0.0 is -0.0 as when
+        # the zero row was integrated
+        (entry,) = [e for e in S.verify_characterizations(d, 1, 1, 1).residuals
+                    if e.family == "kij"]
+        assert (entry.value.hex(), entry.status) == ("-0x0.0p+0", QuadStatus.CONVERGED)
+        assert [form for form, _, _ in S._grid(1, 1, 1)[1].stacks] == ["K/dqf"]
+        monkeypatch.setattr(M, "integrate_support_stack", lambda *a: pytest.fail("integrated"))
+        mv = S.delta_kij(d, 1)
+        assert (mv.value.hex(), mv.abs_error, mv.quad_status) == ("-0x0.0p+0", 0.0,
+                                                                 QuadStatus.CONVERGED)
+
     def test_uniform_zero(self):
         for n in (2, 3, 5):
             assert abs(S.delta_kij(U, n).value) < 1e-8
@@ -481,6 +496,23 @@ class TestVerify:
                for e in S.verify_characterizations(d).residuals]
         assert len(got) == 105 and got == want
 
+    @pytest.mark.parametrize("spec", [*SWEEP_SPECS, "power:theta=0.777", "kumaraswamy"])
+    def test_array_pass_moves_no_bit(self, monkeypatch, spec):
+        # the 70-row K/dqf gap stack takes quad._settle at the default
+        # threshold; every stack taking it, or none, gives the same report
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from userlaw import Kumaraswamy as PerfbenchKumaraswamy
+
+        d = PerfbenchKumaraswamy(2.2, 2.7) if spec == "kumaraswamy" else D.make_distribution(spec)
+        default = Q._ARRAY_ROWS
+
+        def report(rows):
+            monkeypatch.setattr(Q, "_ARRAY_ROWS", rows)
+            rep = S.verify_characterizations(d)
+            return rep.class_c, rep.verdict, _residuals(rep)
+
+        assert report(1) == report(default) == report(10 ** 9)
+
     def test_not_member_is_inconclusive(self):
         rep = S.verify_characterizations(TiltedCubic(), 1, 1, 1)
         assert rep.verdict is S.Verdict.INCONCLUSIVE
@@ -547,6 +579,7 @@ class TestVerify:
         # u^p for p in {1, 2, 3, 4, 5, 6, 8, 9, 12, 16}, 12 u*phi and 4 kij weights;
         # one stacked integrand per form, each kernel in exactly one stack, on
         # a bounded asymmetric law, where no gap is decided without quadrature
+        # but delta_kij's at n = 1, whose constant weight is a zero point
         calls = []
         integrand = M._integrand
 
@@ -559,14 +592,15 @@ class TestVerify:
         assert len(rep.residuals) == 105
         assert sorted(form for form, _ in calls) == ["K/dqf", "w*dqf"]
         seen = [K for _, kernels in calls for K in kernels]
-        assert len(seen) == len(set(seen)) == 74
+        assert len(seen) == len(set(seen)) == 73
 
     def test_each_phi_evaluated_once_per_round(self, monkeypatch):
         # the K/dqf stack's 70 kernels have 22 distinct bases u^b P(L): the 12
         # phi_{n,k} with n >= 2, which their phi^m and u*phi kernels share, and
         # the 10 powers u^p; each bisection round evaluates them in one call, a
-        # Horner pass of four steps (degree 3 to 0), and the w*dqf stack's 4
-        # kij weights in another round of their own
+        # Horner pass of four steps (degree 3 to 0), and the w*dqf stack's 3
+        # kij weights at n >= 2 in another round of their own (n = 1's is
+        # constant, so its gap is a zero point in no stack)
         calls, rounds = [], []
         stack, integrate = R._Stack.__call__, M.integrate_support_stack
 
@@ -588,9 +622,9 @@ class TestVerify:
         S.verify_characterizations(P2)
         phi = [(k, n) for k in range(1, 5) for n in range(2, 5)]
         powers = [(p, 1) for p in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16)]
-        weights = [(0, n) for n in range(1, 5)]
+        weights = [(0, n) for n in range(2, 5)]
         assert {tuple(r) for r in rounds} == {((70, 4, tuple(sorted(phi + powers))),),
-                                              ((4, 4, tuple(weights)),)}
+                                              ((3, 4, tuple(weights)),)}
 
     @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
     def test_symmetric_law_takes_no_phi_pass(self, monkeypatch, d):
@@ -676,6 +710,19 @@ class TestVerify:
                 assert all(abs(e.value) < rep.tolerance for e in rep.residuals if e.is_finite)
 
 
+class _UndeclaredNormal(Normal):
+    """A normal whose class does not declare its symmetry: its ``_dqf_c`` is
+    its own function, which returns ``_dqf``'s bits."""
+
+    def _dqf_c(self, u):
+        return self._dqf(u)
+
+
+def _residuals(rep):
+    """Each residual's key, status and value bits."""
+    return [(e.key(), e.status, e.value.hex()) for e in rep.residuals]
+
+
 class TestStructuralGaps:
     """On a support with one infinite end every K/dqf gap diverges, with the
     sign of that end, and every other gap of a law that declares its
@@ -715,30 +762,45 @@ class TestStructuralGaps:
 
     @pytest.mark.parametrize("form", ["K/dqf", "w*dqf"])
     def test_declared_symmetry_is_the_zero_row(self, form):
-        for d in SYMMETRIC_MEMBERS:
-            assert M._structural(d, form, None) is Q._ZERO_ROW, d
-        for d in (D.Scaled(Normal(), 2.0), UserNormal()):
-            assert M._structural(d, form, None) is None, d
+        # a scaled law declares its base's symmetry
+        for d in [*SYMMETRIC_MEMBERS, D.Scaled(Normal(), 2.0)]:
+            assert d.symmetric and M._structural(d, form, None) is Q._ZERO_ROW, d
+        for d in (D.Scaled(P2, 2.0), UserNormal(), _UndeclaredNormal()):
+            assert not d.symmetric and M._structural(d, form, None) is None, d
         # a measure row is never decided by symmetry
         assert M._structural(U, form, "upper") is None
 
     def test_undeclared_symmetry_integrates_to_the_zero_row(self):
-        # a scaled normal does not declare its symmetry, but its eta is 0.0 at
+        # a normal whose class does not declare its symmetry has eta 0.0 at
         # every node: quadrature gives the rule's answer, and verify the
         # normal's residuals, to the bit
         def bits(qr):
             return qr.status, qr.detail, [x.hex() for x in (qr.value, qr.abs_error_estimate,
                                                              *qr.ladder)]
 
-        def residuals(rep):
-            return [(e.key(), e.status, e.value.hex()) for e in rep.residuals]
-
-        d = D.Scaled(Normal(), 2.0)
+        d = _UndeclaredNormal(0.0, 2.0)
         _, plan = S._grid(4, 4, 4)
         for form, side, kernels in plan.stacks:
             got = integrate_support_stack(*M._integrand(form, kernels, d, side, "u"), DEFAULT_TOL)
             assert [bits(qr) for qr in got] == [bits(Q._ZERO_ROW)] * len(kernels), form
-        assert residuals(S.verify_characterizations(d)) == residuals(S.verify_characterizations(NM))
+        assert _residuals(S.verify_characterizations(d)) == _residuals(
+            S.verify_characterizations(Normal(0.0, 2.0)))
+
+    def test_declared_symmetry_takes_no_eta_grid(self, monkeypatch):
+        monkeypatch.setattr(S, "eta", lambda d, u: pytest.fail("eta evaluated"))
+        for d in [*SYMMETRIC_MEMBERS, D.scale(Normal(), 2.0)]:
+            assert S.class_c_check(d) is S.ClassC.MEMBER_EQUAL, d
+
+    def test_wide_scaled_normal_is_symmetric(self):
+        # 1/dqf of the base times 1e300 overflows near the ends, so its
+        # integrated gaps read inconclusive; the base's declared symmetry decides them
+        rep = S.verify_characterizations(D.scale(Normal(), 1e300))
+        assert rep.class_c is S.ClassC.MEMBER_EQUAL and rep.verdict is S.Verdict.SYMMETRIC
+        assert sum(e.is_finite for e in rep.residuals) == 105
+
+    def test_scaled_normal_is_the_normal_of_that_scale(self):
+        a, b = (S.verify_characterizations(d) for d in (D.scale(Normal(), 2.0), Normal(0.0, 2.0)))
+        assert _residuals(a) == _residuals(b) and (a.class_c, a.verdict) == (b.class_c, b.verdict)
 
     @pytest.mark.parametrize("d", [Normal(0.0, 1e300), Logistic(0.0, 1e300), Laplace(0.0, 1e300)],
                              ids=repr)
