@@ -11,7 +11,7 @@ from .dist import (
     scale,
 )
 from .quad import QuadResult, QuadStatus, integrate_support, integrate_unit
-from .records import PhiKernel, RecordLaw, RecordSample, simulate_records
+from .records import RecordLaw, RecordSample, simulate_records
 from .measures import (
     MeasureValue,
     cpij_lower,

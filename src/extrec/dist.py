@@ -5,16 +5,15 @@ density-quantile function ``dqf(u) = f(F^-1(u))`` and its complement form
 ``dqf_c(u) = f(F^-1(1-u))``.  The complement is a first-class method because
 every quantile-space integral downstream needs it evaluated without the
 catastrophic cancellation of computing ``1 - u`` first; catalog members
-provide closed forms, and a symmetric law's class declares its symmetry by
-``_dqf_c = _dqf`` (:attr:`Distribution.symmetric`, which a scaled law takes
-from its base), so :mod:`extrec.measures` takes its gaps as 0 unintegrated.
-``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of them, so
-the quadrature and the samplers make one call per array.  Each checks u once,
-on :class:`Distribution`, and calls its hook (``_quantile``, ``_isf``, ``_dqf``,
-``_dqf_c``); closed forms go in the hooks, which receive u already checked.
-Catalog laws write each hook once in numpy; a law defined by ``pdf``/``cdf``
-alone gets all four lifted by :func:`lift` over one inverter, which always
-reads the smaller tail: the sf at 1 - u for a quantile at u above 1/2.
+provide closed forms.  Two properties of a law steer :mod:`extrec.measures`,
+and a scaled law takes both from its base: :attr:`Distribution.symmetric`
+(its class sets ``_dqf_c = _dqf``), whose gaps are 0 unintegrated, and
+:attr:`Distribution.bisects` (no quantile of its own), which is integrated
+in x.  ``quantile``, ``isf``, ``dqf`` and ``dqf_c`` take one u or an array of
+them, so the quadrature and the samplers make one call per array.  Catalog
+laws write each hook once in numpy; a law defined by ``pdf``/``cdf`` alone
+gets all four lifted by :func:`lift` over one inverter, which always reads
+the smaller tail: the sf at 1 - u for a quantile at u above 1/2.
 
 Spec-string grammar (see :func:`make_distribution`)::
 
@@ -89,10 +88,9 @@ class Distribution:
     time; unless a law defines ``sf``, it is ``1 - cdf`` and ``isf`` raises
     on p below 2^-53.  ``_dqf`` is
     ``pdf(quantile(u))``, ``_dqf_c`` is ``pdf(isf(u))``.  That costs a
-    bisection per u, so :mod:`extrec.measures` integrates a law whose
-    ``_quantile`` is this generic one in x, from ``pdf``, ``cdf`` and ``sf``,
-    with no quantile but its median; only a ``K/dqf`` gap on a support with
-    an infinite end stays in u.
+    bisection per u: such a law :attr:`bisects`, and :mod:`extrec.measures`
+    integrates it in x, from ``pdf``, ``cdf`` and ``sf``, with no quantile
+    but its median, wherever the integral converges in x.
     All instances are immutable and safe for concurrent use.
     """
 
@@ -142,6 +140,12 @@ class Distribution:
         """Whether the law declares its symmetry: its class sets
         ``_dqf_c = _dqf``, so dqf(1-u) is dqf(u) by construction."""
         return type(self)._dqf_c is type(self)._dqf
+
+    @property
+    def bisects(self) -> bool:
+        """Whether the law's quantile is the generic inverter, a bisection per
+        u: its class writes no ``_quantile`` of its own."""
+        return type(self)._quantile is Distribution._quantile
 
     def _quantile(self, u):
         return lift(partial(self._invert, upper=False), u)
@@ -558,6 +562,11 @@ class Scaled(Distribution):
         """a*X is symmetric where X is: its base's declaration."""
         return self.base.symmetric
 
+    @property
+    def bisects(self) -> bool:
+        """a*X's quantile is a times X's, so it bisects where X's does."""
+        return self.base.bisects
+
     def _dqf(self, u):
         return self.base.dqf(u) / self.a
 
@@ -614,8 +623,7 @@ def make_distribution(spec: str) -> Distribution:
 
 def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count(count, "count", 1)
     _check_seed(seed)
     u = np.random.default_rng(seed).random(count)
     np.maximum(u, U_FLOOR, out=u)

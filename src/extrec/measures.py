@@ -15,22 +15,21 @@ Every row, extropy (``kij`` at n = k = 1) included, is an integral of
 one function, :func:`_integrand`, writes it in either of two variables: u
 (the quantile form) or x with u = sf(x) or cdf(x) (the support form, which
 takes no quantile).  The primary integrates in u, which treats bounded and
-unbounded supports uniformly, unless the law's quantile is the generic
-inverter, a bisection per node; then it integrates in x, unless a ``K/dqf``
-kernel reaches an infinite end of the support, where the x form diverges.
+unbounded supports uniformly, unless the law
+:attr:`~extrec.dist.Distribution.bisects`, a bisection per node (a scaled law
+takes its base's); then it integrates in x, unless a ``K/dqf`` kernel reaches
+an infinite end of the support, where the x form diverges.
 :func:`oracle_value`, called as ``row.oracle(d, *params, tol=...)``, takes a
 measure row in the other variable, from the same kernel, as an independent
 cross-check, so no row names an oracle.  The ``*_via_support`` names are
 aliases of their rows' ``oracle``, kept because perfbench's measure-sweep
 calls them; ``extropy_via_quantile`` is ``extropy.oracle``, which on a
 catalog law, with its own quantile, is the support form, whatever the name
-says.  Plain and
-generalized, base-level and record-level measures share one kernel, so the
-reduction identities (m=2 generalized == plain, n=1 record of order m ==
-base of order k*m) hold exactly.  A gap row
-(one with a verify ``family``) integrates K(u) - K(1-u) against :func:`eta`
-over (0, 1/2), or in x the weight K(sf(x)) - K(cdf(x)) over the support, and
-has no oracle.
+says.  Plain and generalized, base-level and record-level measures share one
+kernel, so the reduction identities (m=2 generalized == plain, n=1 record of
+order m == base of order k*m) hold exactly.  A gap row (one with a verify
+``family``) integrates K(u) - K(1-u) against :func:`eta` over (0, 1/2), or
+in x the weight K(sf(x)) - K(cdf(x)) over the support, and has no oracle.
 
 Kernels, ``eta`` and every integrand here take an array of nodes, so the
 quadrature evaluates each once per array.  Every evaluation goes from points
@@ -73,7 +72,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dist import Distribution, lift
-from .quad import (_ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, check_tol,
+from .quad import (_ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, _lift, check_tol,
                    integrate_support_stack)
 from .records import _Stack, check_params, phi_power, stack, u_phi, weight
 
@@ -291,12 +290,22 @@ def _structural(d: Distribution, form: str, side: str | None) -> QuadResult | No
     return _ZERO_ROW if side is None and d.symmetric else None
 
 
-def _variable(d: Distribution, form: str, side: str | None) -> str:
-    """The primary's variable of integration: u, unless the law's quantile is
-    the generic inverter, a bisection at every node, and the integrand
-    converges in x."""
-    generic = type(d)._quantile is Distribution._quantile
-    return "x" if generic and not _diverges_in_x(d, form, side) else "u"
+def _variable(d: Distribution, form: str, side: str | None, oracle: bool = False) -> str:
+    """The primary's variable of integration, or with ``oracle`` the other
+    one: u, unless the law ``bisects`` (a bisection at every node) and the
+    integrand converges in x."""
+    in_x = d.bisects and not _diverges_in_x(d, form, side)
+    return "x" if in_x != oracle else "u"
+
+
+def _at(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``lift(f, x)``; if f raises an arithmetic error at some node, the array
+    is redone through ``quad._lift``, which reads that node as nan, a
+    non-finite integrand value, as it does for a scalar integrand."""
+    try:
+        return lift(f, x)
+    except ArithmeticError:
+        return _lift(f)(x)
 
 
 def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
@@ -335,15 +344,15 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
     def F(x: np.ndarray) -> np.ndarray:
         x = x + c
         if side is None:
-            sf, cdf = lift(d.sf, x), lift(d.cdf, x)
+            sf, cdf = _at(d.sf, x), _at(d.cdf, x)
             w = kernels(np.concatenate([sf, cdf]))
             w, inside = w[:, :x.size] - w[:, x.size:], (sf > 0.0) & (cdf > 0.0)
         else:
-            u = lift(d.sf if side == "upper" else d.cdf, x)
+            u = _at(d.sf if side == "upper" else d.cdf, x)
             w, inside = kernels(u), u > 0.0
         if form == "K/dqf":
             return w
-        return np.where(inside, w * lift(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where u is
+        return np.where(inside, w * _at(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where u is
     return F, d.support
 
 
@@ -389,11 +398,8 @@ def _integrate(d: Distribution, plan: _Plan, tol: float,
     done = []
     for form, side, kernels in plan.stacks:
         qr = None if oracle else _structural(d, form, side)
-        variable = _variable(d, form, side)
-        if oracle:
-            variable = "u" if variable == "x" else "x"
         done.append([qr] * len(kernels) if qr else integrate_support_stack(
-            *_integrand(form, kernels, d, side, variable), tol))
+            *_integrand(form, kernels, d, side, _variable(d, form, side, oracle)), tol))
     return [_scaled(_ZERO_ROW if s is None else done[s][j], row.prefactor)
             for row, _, s, j in plan.points]
 

@@ -9,11 +9,12 @@ Both records share one law in u = p(x), the base sf (upper) or cdf (lower):
 with N ~ Poisson(-k log u), ``phi_n(u) = u^k sum_{i<n} (-k log u)^i / i!`` is
 P(N < n), the lower record's cdf; P(N >= n) is the upper record's; and the
 density of phi, the record weight, times f is the record density.
-:class:`RecordLaw` calls the kernels :func:`phi_power` and :func:`weight`,
-and :class:`PhiKernel` is phi at one u.  With L = -log u, phi^m, u phi, the
-weight and u^p are each a :class:`Kernel` ``(u^b P(L))^m u^e``, P with
-coefficients >= 0, a value kept in a bounded cache, and one evaluator,
-:class:`_Stack`, takes every kernel.
+:class:`RecordLaw` calls the kernels :func:`phi_power` and :func:`weight`;
+phi at one u is the lower record's cdf on the uniform law,
+``RecordLaw(Uniform(), n, k, "lower").cdf(u)``.  With L = -log u, phi^m,
+u phi, the weight and u^p are each a :class:`Kernel` ``(u^b P(L))^m u^e``,
+P with coefficients >= 0, a value kept in a bounded cache, and one
+evaluator, :class:`_Stack`, takes every kernel.
 
 The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
 G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
@@ -32,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import U_FLOOR, Distribution, _check_count, _check_seed, _check_unit_open
+from .dist import U_FLOOR, Distribution, _check_count, _check_seed
 
-__all__ = ["PhiKernel", "RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
+__all__ = ["RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
 SIDES = ("upper", "lower")
 #: simulate_records methods: the exact Gamma inversion, and the definitional scan
@@ -209,23 +210,6 @@ def _poisson_tail(n: int, lam: float) -> float:
         term *= lam / j
         total += term
     return total
-
-
-@dataclass(frozen=True)
-class PhiKernel:
-    """phi_n(u) = P(N < n) for N ~ Poisson(lam), lam = -k log u, at one u in
-    (0, 1), with n, k and u checked: ``float(phi_power(n, k)(u))``.  It is
-    nondecreasing on [0, 1] from 0 to 1."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        check_params(n=self.n, k=self.k)
-
-    def __call__(self, u: float) -> float:
-        _check_unit_open(u)
-        return float(phi_power(self.n, self.k)(u))
 
 
 @dataclass(frozen=True)

@@ -441,8 +441,13 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("count must be >= 1, got 0")):
             sample(Uniform(), 0, seed=1)
+
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_count_is_an_integer(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 1, got {count!r}")):
+            sample(Normal(), count, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, True, 0.5, None])
     def test_seed_validated(self, seed):
@@ -548,6 +553,14 @@ class TestScaled:
     def test_requires_a_base(self):
         with pytest.raises(DistributionError, match="scaled: base distribution required"):
             Scaled()
+
+    def test_bisects_where_its_base_does(self):
+        # a law bisects when its quantile is the generic inverter; a scaled
+        # law's quantile is a times its base's, whatever its own class
+        for d in HOOK_LAWS:
+            want = isinstance(d, Kumaraswamy)
+            assert d.bisects is want and scale(d, 3.0).bisects is want, d
+            assert scale(scale(d, 0.5), 3.0).bisects is want, d
 
 
 @settings(max_examples=100, deadline=None)

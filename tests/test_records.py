@@ -13,8 +13,8 @@ from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
 from extrec.quad import QuadStatus, integrate_support
-from extrec.records import (METHODS, PhiKernel, RecordLaw, _scan_one, _Stack, phi_power,
-                            simulate_records, u_phi, weight)
+from extrec.records import (METHODS, RecordLaw, _scan_one, _Stack, phi_power, simulate_records,
+                            u_phi, weight)
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -74,33 +74,33 @@ def _simulate_x(base, n, k, side, count, seed, max_draws=10_000_000):
     return np.asarray(kept, dtype=float), count - len(kept)
 
 
+def phi(n, k):
+    """phi_n at one u: the cdf of the n-th lower k-record of the uniform law,
+    whose cdf is u on (0, 1)."""
+    return RecordLaw(Uniform(), n, k, "lower").cdf
+
+
 class TestPhiKernel:
     def test_first_record_is_identity(self):
-        ph = PhiKernel(1, 1)
+        ph = phi(1, 1)
         for u in (0.1, 0.5, 0.9):
             assert ph(u) == u
 
     def test_two_term_value(self):
         # u*(1 - log u) at u = 1/e
-        assert_close(PhiKernel(2, 1)(math.exp(-1)), 2 * math.exp(-1), 1e-15, "phi_2")
+        assert_close(phi(2, 1)(math.exp(-1)), 2 * math.exp(-1), 1e-15, "phi_2")
 
     def test_partial_sums_nondecreasing_in_n(self):
         u = 0.9
-        assert PhiKernel(2, 2)(u) <= PhiKernel(3, 2)(u) <= 1.0
-
-    def test_domain_errors(self):
-        ph = PhiKernel(2, 1)
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                ph(bad)
+        assert phi(2, 2)(u) <= phi(3, 2)(u) <= 1.0
 
     def test_argument_validation(self):
         for n, k in ((0, 1), (1, 0), (-2, 3)):
             with pytest.raises(ValueError):
-                PhiKernel(n, k)
+                phi(n, k)
 
     def test_limits(self):
-        ph = PhiKernel(3, 2)
+        ph = phi(3, 2)
         assert ph(1e-250) < 1e-200
         assert ph(1.0 - 1e-12) > 1.0 - 1e-9
         assert phi_power(3, 2)(0.0) == 0.0 and phi_power(3, 2)(1.0) == 1.0
@@ -110,7 +110,7 @@ class TestPhiKernel:
         # where u is below 1e-300, on the kernel and on the lower record cdf of Exp(1)
         u = 1e-301
         exact = stats.gamma(800).sf(-math.log(u))
-        for got in (PhiKernel(800, 1)(u), RecordLaw(Exponential(rate=1.0), 800, 1, "lower").cdf(u)):
+        for got in (phi_power(800, 1)(u), RecordLaw(Exponential(rate=1.0), 800, 1, "lower").cdf(u)):
             assert abs(got - exact) <= 1e-12 * exact, (got, exact)
 
     def test_subnormal_u_at_large_n(self):
@@ -118,7 +118,7 @@ class TestPhiKernel:
         # recurrence overflows on the way, and that raises no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert PhiKernel(1000, 1)(5e-310) == 1.0
+            assert phi(1000, 1)(5e-310) == 1.0 and phi_power(1000, 1)(5e-310) == 1.0
 
     def test_log_domain_path_tiny_u(self):
         # forces the log-domain branch; Poisson lower tail stays in [0, 1]
@@ -193,7 +193,7 @@ class TestKernelEdges:
         u = np.exp(-L)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = phi_power(n, k)(u), weight(n, k)(u), PhiKernel(n, k)(0.5)
+            values = phi_power(n, k)(u), weight(n, k)(u), phi(n, k)(0.5)
         for got, exact in zip(values, (stats.gamma(n).sf(k * L), k * stats.gamma(n).pdf(k * L) / u,
                                     stats.gamma(n).sf(k * math.log(2)))):
             assert (np.abs(got - exact) <= 3e-12 * exact).all(), np.max(np.abs(got / exact - 1))
@@ -219,7 +219,7 @@ class TestKernelEdges:
     v=st.floats(min_value=1e-6, max_value=1 - 1e-6),
 )
 def test_phi_monotone_and_bounded(n, k, u, v):
-    ph = PhiKernel(n, k)
+    ph = phi(n, k)
     pu, pv = ph(u), ph(v)
     assert 0.0 <= pu <= 1.0
     if u < v:
@@ -230,7 +230,7 @@ def test_phi_monotone_dense_grid():
     grid = np.linspace(0.001, 0.999, 1024)
     for n in range(1, 7):
         for k in range(1, 7):
-            ph = PhiKernel(n, k)
+            ph = phi(n, k)
             vals = [ph(float(u)) for u in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -248,11 +248,12 @@ def test_kernel_caches_are_bounded():
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (4, 2), (30, 1)])
 @pytest.mark.parametrize("d", CATALOG_MEMBERS, ids=lambda d: d.spec_string())
 def test_record_law_reads_the_kernel_table(d, n, k):
-    """PhiKernel and the lower record's cdf and pdf are the kernels phi_power
-    and weight, to the bit; L is passed so that both take the same -log p."""
+    """The lower record's cdf and pdf are the kernels phi_power and weight, to
+    the bit, phi at one u on the uniform law among them; L is passed so that
+    both take the same -log p."""
     lower = RecordLaw(d, n, k, "lower")
     for u in (0.01, 0.2, 0.5, 0.8, 0.99):
-        assert PhiKernel(n, k)(u) == float(phi_power(n, k)(u))
+        assert phi(n, k)(u) == float(phi_power(n, k)(u))
         x = float(d.quantile(u))
         p = d.cdf(x)
         assert lower.cdf(x) == float(phi_power(n, k)(p))

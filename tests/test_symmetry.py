@@ -377,6 +377,92 @@ class TestUserWrittenSymmetricLaw:
                        for e in rep.residuals)
 
 
+def _user_law(name, monkeypatch):
+    """The laws given by pdf and cdf (and sf) alone, perfbench's Kumaraswamy
+    among them."""
+    if name == "perfbench_kumaraswamy":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from userlaw import Kumaraswamy as PerfbenchKumaraswamy
+        return PerfbenchKumaraswamy(2.2, 2.7)
+    return {"kumaraswamy": KUMA, "user_normal": UserNormal(), "user_logistic": UserLogistic(),
+            "user_beta22": UserBeta22(), "tilted_cubic": TiltedCubic(),
+            "user_exponential": UserExponential()}[name]
+
+
+USER_LAWS = ["kumaraswamy", "perfbench_kumaraswamy", "user_normal", "user_logistic",
+             "user_beta22", "tilted_cubic", "user_exponential"]
+
+
+@pytest.mark.parametrize("a", [1.0 / 3.0, 3.0], ids=["a=1/3", "a=3"])
+@pytest.mark.parametrize("name", USER_LAWS)
+class TestScaledUserLaw:
+    """a*X of a law given by pdf and cdf alone ``bisects`` as X does, so it
+    takes X's variable of integration, x for the primary and u for the
+    oracle, and verifies with X's class, verdict and statuses.  (A law with no
+    sf of its own, at a = 1/3, moves with its 1 - cdf tail, whatever the
+    variable: UserNormalNoSf is left out.)"""
+
+    def test_takes_its_base_variable(self, monkeypatch, name, a):
+        d = _user_law(name, monkeypatch)
+        scaled = D.scale(d, a)
+        assert d.bisects and scaled.bisects
+        for form, side, _ in S._grid(4, 4, 4)[1].stacks:
+            for oracle in (False, True):
+                assert M._variable(scaled, form, side, oracle) == M._variable(d, form, side, oracle)
+
+    def test_verifies_as_its_base(self, monkeypatch, name, a):
+        d = _user_law(name, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            base, scaled = S.verify_characterizations(d), S.verify_characterizations(D.scale(d, a))
+        assert len(base.residuals) == len(scaled.residuals) == 105
+        assert (scaled.class_c, scaled.verdict) == (base.class_c, base.verdict)
+        assert [e.status for e in scaled.residuals] == [e.status for e in base.residuals]
+
+
+class OverflowingLogistic(Distribution):
+    """The standard logistic with a cdf and pdf whose math.exp overflows below
+    x = -709, and no sf of its own."""
+
+    name = "overflowing_logistic"
+    support = (-math.inf, math.inf)
+
+    def pdf(self, x):
+        t = math.exp(-x)
+        return t / (1.0 + t) ** 2
+
+    def cdf(self, x):
+        return 1.0 / (1.0 + math.exp(-x))
+
+
+class TestOverflowingUserLaw:
+    """An arithmetic error of a law's pdf, cdf or sf at a node is a non-finite
+    integrand value in x, as in quad's scalar path, not a raised error."""
+
+    def test_measures_return(self):
+        d = OverflowingLogistic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = M.extropy(d), M.kij_record(d, 2, 1, "lower"), M.crj(d)
+        assert values[0].quad_status is QuadStatus.NO_CONVERGENCE
+        assert values[1].quad_status is QuadStatus.NO_CONVERGENCE
+        assert values[2].display() == "divergent(-)"
+        oracle = M.extropy.oracle(d)
+        assert oracle.is_finite and abs(oracle.value + 1.0 / 12.0) <= DEFAULT_TOL, oracle
+
+    def test_verify_returns_a_report(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = S.verify_characterizations(OverflowingLogistic())
+        assert len(rep.residuals) == 105 and rep.verdict is S.Verdict.INCONCLUSIVE
+
+    def test_lift_still_raises(self):
+        # the fallback is the integrand's; a quantile or a sample of x never
+        # reads an error as nan
+        with pytest.raises(OverflowError):
+            D.lift(OverflowingLogistic().cdf, np.array([0.0, -1000.0]))
+
+
 class TestDeltaKij:
     def test_identically_zero_at_n1(self):
         for d in (U, E1, P2, PA2, NM):
