@@ -19,7 +19,10 @@ decides it).  A verify residual's error, counts and variable read ``-``: the
 grid is one call, whose verdict, counts and variables take a line of their
 own with the row ``grid``.  A ``#`` line after each law's results gives its
 grid's class, verdict, counts of finite and other residuals and worst finite
-|residual|; the last two ``#`` lines are totals.
+|residual|; the last two ``#`` lines are totals, the first of them with the
+kernel values the whole sweep evaluated (rows times nodes through
+``records._Stack.__call__``, counted by wrapping it), which falls where a
+stack's table serves a law from the intervals an earlier one evaluated.
 
 The laws are the catalog ``SPECS``, a scaled law, narrow and wide normals
 and exponentials, power theta = 0.777, the pdf/cdf-only Kumaraswamy of
@@ -43,7 +46,7 @@ import random
 import sys
 from pathlib import Path
 
-from extrec import measures, quad, symmetry
+from extrec import measures, quad, records, symmetry
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Scaled, make_distribution
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -76,13 +79,14 @@ def laws() -> list:
 
 
 class Work:
-    """Integrand rounds and nodes, counted by wrapping ``quad._gk_pieces``, and
-    the variables of integration, recorded by wrapping ``measures._integrand``."""
+    """Integrand rounds and nodes, counted by wrapping ``quad._gk_pieces``, the
+    variables of integration, recorded by wrapping ``measures._integrand``, and
+    the running total of kernel values, counted by wrapping ``_Stack.__call__``."""
 
     def __init__(self):
-        self.rounds = self.nodes = 0
+        self.rounds = self.nodes = self.kernel_values = 0
         self.variables = set()
-        gk_pieces, integrand = quad._gk_pieces, measures._integrand
+        gk_pieces, integrand, call = quad._gk_pieces, measures._integrand, records._Stack.__call__
 
         def counting(F, *args):
             def G(x):
@@ -95,7 +99,11 @@ class Work:
             self.variables.add(variable)
             return integrand(form, kernels, d, side, variable)
 
-        quad._gk_pieces, measures._integrand = counting, recording
+        def evaluating(kernels, u, L=None):
+            self.kernel_values += len(kernels) * u.size
+            return call(kernels, u, L)
+
+        quad._gk_pieces, measures._integrand, records._Stack.__call__ = counting, recording, evaluating
 
     def take(self) -> tuple[int, int, str]:
         got = self.rounds, self.nodes, ",".join(sorted(self.variables)) or "-"
@@ -141,7 +149,8 @@ def sweep(out) -> None:
         worst = max((abs(e.value) for e in finite), default=math.nan)
         out.write(f"# {law} class {report.class_c.value} verdict {report.verdict.value} finite "
                   f"{len(finite)} other {len(report.residuals) - len(finite)} worst {worst:.3e}\n")
-    out.write(f"# results {sum(statuses.values())} rounds {rounds} nodes {nodes}\n")
+    out.write(f"# results {sum(statuses.values())} rounds {rounds} nodes {nodes} "
+              f"kernel_values {tally.kernel_values}\n")
     out.write("# " + " ".join(f"{s} {c}" for s, c in sorted(statuses.items())) + "\n")
 
 
@@ -155,6 +164,15 @@ def read(path: str) -> dict[tuple, list[str]]:
 #: What each field of a result line after its key holds; ``--diff`` compares
 #: the fields both lines carry.
 FIELDS = ("status", "value", "error", "counts", "counts", "variable")
+
+
+def kernel_values(path: str) -> str:
+    """The kernel-value total of a sweep output, or ``-`` in one that lacks it."""
+    with open(path) as f:
+        for fields in map(str.split, f):
+            if fields[:2] == ["#", "results"]:
+                return dict(zip(fields[1::2], fields[2::2])).get("kernel_values", "-")
+    return "-"
 
 
 def diff(a_path: str, b_path: str) -> int:
@@ -187,7 +205,8 @@ def diff(a_path: str, b_path: str) -> int:
     print(f"compared {len(a.keys() & b.keys())} results;",
           ", ".join(f"{label} moves {moved[label]}"
                     for label in (*dict.fromkeys(FIELDS), "only in one")))
-    print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}")
+    print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}, "
+          f"kernel values {kernel_values(a_path)} -> {kernel_values(b_path)}")
     print("largest finite value move:", ", ".join(
         f"{label} {size:.3g} at {' '.join(key)}" if key else f"{label} none"
         for label, (size, key) in largest.items()))

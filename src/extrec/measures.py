@@ -38,8 +38,9 @@ quadrature evaluates each once per array.  Every evaluation goes from points
 resolves and checks each point once and gives each its params, its stack
 and its row in that stack, and each stack its form, side and kernels as a
 :class:`~extrec.records._Stack`, which evaluates each distinct base of its
-kernels once per node array.  The gap rows of one form share a stack on
-shared nodes; a measure point is a stack of its own.  A gap point whose
+kernels once per node array and keeps its rows in u per quadrature
+interval for every later law (:func:`_integrand`).  The gap rows of one
+form share a stack on shared nodes; a measure point is a stack of its own.  A gap point whose
 kernel is constant (``delta_kij`` at n = 1) is in no stack: its weight
 K(u) - K(1-u) is 0, so it takes the ladder's zero answer.  The integration
 (:func:`_integrate`) is per law: the tolerance check, the structural rule
@@ -323,19 +324,25 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
     is K(sf(x)) - K(cdf(x)) on both sides of the median.  The quadrature
     splits a whole-line support at 0, so there x is shifted to split it at
     the median.
+
+    In u, F reads the stack's rows, or its gap rows K(u) - K(1-u), from the
+    stack's :meth:`~extrec.records._Stack.table`: the quadrature calls F on
+    whole intervals, the kernels do not depend on the law, so a later law
+    on the same stack evaluates only the intervals the table lacks, and a
+    node's rows have the same bits in any call, so the table changes no
+    output bit.  Only the factor g is the law's.  In x the nodes u are the
+    law's sf or cdf, so the stack is called on them directly.
     """
     if variable == "u":
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
-                w = kernels(np.concatenate([u, 1.0 - u]))  # one call per node pair
-                out = np.subtract(w[:, :u.size], w[:, u.size:])
-                out *= eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u)
-                return out
+                w = kernels.table(u, gap=True)
+                return w * (eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u))
             return F, (0.0, 0.5)
         den = d.dqf_c if side == "upper" else d.dqf
 
         def F(u: np.ndarray) -> np.ndarray:
-            w = kernels(u)
+            w = kernels.table(u)
             return w / den(u) if form == "K/dqf" else w * den(u)
         return F, (0.0, 1.0)
 

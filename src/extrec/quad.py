@@ -14,7 +14,9 @@ intervals, cut at 1e-3, 1e-2, 0.1 and their mirrors, so it is graded by
 decades toward both ends as the strips are: an integrand like 1/u at an end
 settles in a few rounds, where bisecting down from 1/2 takes one round per
 level.  The integrand maps an array of nodes to a stack of C rows, so C
-integrands that share costly factors pay for them once per node.  An
+integrands that share costly factors pay for them once per node.  It is
+always called on whole intervals, the 21 nodes of each in turn, so an
+integrand may keep what it computed at an interval for a later call.  An
 interval is bisected while some row's |K21 - G10| is above its width's
 share of the piece's error budget, up to 120 subintervals per piece; a
 piece that stops above its budget is named in ``QuadResult.detail``.

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrec import quad
+from extrec import quad, records, symmetry
 from extrec.dist import (
     Distribution,
     Exponential,
@@ -147,6 +147,14 @@ def integrand_rounds(monkeypatch):
 
     monkeypatch.setattr(quad, "_gk_pieces", counting)
     return rounds
+
+
+def cold_stacks() -> None:
+    """Drop the kept kernels and grid plans, so the next evaluation builds new
+    stacks whose tables are empty, as in a fresh process."""
+    symmetry._grid.cache_clear()
+    records.phi_power.cache_clear()
+    records.weight.cache_clear()
 
 
 def ks_distance(values, cdf) -> float:

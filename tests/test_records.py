@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from extrec.dist import Exponential, Normal, Pareto, PowerFunction, Uniform, scale
-from extrec.quad import QuadStatus, integrate_support
-from extrec.records import (METHODS, RecordLaw, _scan_one, _Stack, phi_power, simulate_records,
-                            u_phi, weight)
+from extrec.quad import _NODES, QuadStatus, integrate_support
+from extrec.records import (_TABLE_INTERVALS, METHODS, RecordLaw, _scan_one, _Stack, phi_power,
+                            simulate_records, u_phi, weight)
 
 from conftest import CATALOG_MEMBERS, Kumaraswamy, assert_close, ks_distance
 
@@ -209,6 +209,68 @@ class TestKernelEdges:
         for rows in (_Stack(kernels)(u), [K(u) for K in kernels]):
             assert all((0.0 <= row).all() and (row <= 1.0).all() for row in rows)
             assert (rows[2] <= u).all()
+
+
+class TestStackTable:
+    """A stack's table keeps its rows per quadrature interval, keyed by the
+    interval's node bytes.  That is exact because a node's rows have the same
+    bits in any array: the log-domain mask, the direct-or-log test and phi's
+    cap at 1 each work node by node."""
+
+    KERNELS = (phi_power(4, 4), phi_power(3, 2, 3), u_phi(4, 3), phi_power(1, 2, 4),
+               phi_power(50, 5, 2), weight(200, 1), weight(3, 2))
+
+    @staticmethod
+    def nodes() -> np.ndarray:
+        """Seven intervals of quadrature nodes: the middle of (0, 1), u near
+        1e-300, where weight(200, 1) and b L > _LAM_DIRECT_MAX take the log
+        domain, u near 1, where phi's sums reach 1 + 1 ulp and are capped,
+        0 and subnormal u, and the 21 nodes of three quadrature intervals."""
+        quad = [0.5 * (a + b) + 0.5 * (b - a) * _NODES
+                for a, b in ((0.1, 0.2), (1e-10, 1e-9), (1.0 - 1e-4, 1.0 - 1e-5))]
+        return np.concatenate([np.linspace(0.05, 0.95, 21), np.logspace(-305, -295, 21),
+                               1.0 - np.logspace(-16, -1, 21),
+                               [0.0, 5e-324, 1e-310, *np.logspace(-300, -1, 18)], *quad])
+
+    # without weight(200, 1), whose subnormal coefficient sends every node to
+    # the log domain, the nodes near 1e-300 send the whole array there and an
+    # interval of the middle alone is direct
+    @pytest.mark.parametrize("kernels", [KERNELS, KERNELS[:-2] + KERNELS[-1:]],
+                             ids=["log domain everywhere", "log domain where it fires"])
+    def test_rows_at_each_interval_are_its_rows_in_the_array(self, kernels):
+        stack, u, per = _Stack(kernels), self.nodes(), _NODES.size
+        whole = stack(u)
+        assert (whole[:3] <= 1.0).all() and (whole[:3] == 1.0).any()
+        for s in range(0, u.size, per):
+            assert stack(u[s:s + per]).tobytes() == whole[:, s:s + per].tobytes(), s
+
+    # a one-row stack keeps no table and reads every interval from its call
+    @pytest.mark.parametrize("kernels, kept", [(KERNELS, 7), (KERNELS[:1], 0)],
+                             ids=["7 rows", "1 row"])
+    def test_table_is_the_call(self, kernels, kept):
+        # cold, then with some intervals kept and the others new, in another order
+        stack, u, per = _Stack(kernels), self.nodes(), _NODES.size
+        rows, order = len(stack), [4, 0, 6, 1, 5, 2, 3]
+        gap = np.subtract(*np.split(stack(np.concatenate([u, 1.0 - u])), 2, axis=1))
+        for variant, want in ((False, stack(u)), (True, gap)):
+            assert stack.table(u[:2 * per], variant).tobytes() == want[:, :2 * per].tobytes()
+            got = stack.table(u.reshape(-1, per)[order].ravel(), variant)
+            assert got.tobytes() == want.reshape(rows, -1, per)[:, order].tobytes()
+        assert [len(t) for t in stack.tables] == [kept, kept]
+
+    def test_table_keeps_the_first_intervals_read_only(self, monkeypatch):
+        stack, per = _Stack(self.KERNELS), _NODES.size
+        u = np.linspace(0.01, 0.99, (_TABLE_INTERVALS + 6) * per)
+        want = stack(u)
+        calls, call = [], _Stack.__call__
+        monkeypatch.setattr(_Stack, "__call__", lambda self, x, L=None: calls.append(x.size)
+                            or call(self, x, L))
+        for _ in range(2):
+            assert stack.table(u).tobytes() == want.tobytes()
+        assert calls == [u.size, 6 * per]
+        table = stack.tables[False]
+        assert list(table) == [x.tobytes() for x in u.reshape(-1, per)[:_TABLE_INTERVALS]]
+        assert not any(block.flags.writeable for block in table.values())
 
 
 @settings(max_examples=200, deadline=None)

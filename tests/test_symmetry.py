@@ -21,7 +21,7 @@ from extrec.dist import (Distribution, Exponential, Laplace, Logistic, Normal, P
 from extrec.quad import DEFAULT_TOL, QuadStatus, integrate_support_stack
 
 from conftest import (CATALOG_MEMBERS, SYMMETRIC_MEMBERS, Kumaraswamy, UserBeta22, UserLogistic,
-                      UserNormal, UserNormalNoSf, assert_close)
+                      UserNormal, UserNormalNoSf, assert_close, cold_stacks)
 
 #: The catalog laws scripts/sweep.py sweeps.
 SWEEP_SPECS = ["uniform", "normal", "laplace", "logistic", "exponential:rate=1", "power:theta=0.5",
@@ -59,6 +59,13 @@ class TiltedCubic(Distribution):
 
 
 KUMA = Kumaraswamy(2.2, 2.7)
+
+
+class UserLogisticNoSf(UserLogistic):
+    """The user logistic without its own sf, so sf is the generic 1 - cdf."""
+
+    name = "user_logistic_no_sf"
+    sf = Distribution.sf
 
 
 class UserExponential(Distribution):
@@ -157,13 +164,17 @@ class TestEta:
             S.eta(E1, np.array([0.25, 1.0]))
 
     def test_profile_is_one_call(self, monkeypatch):
+        # class_c_check takes the two reciprocals eta subtracts, each in one call
         calls = []
-        eta = S.eta
-        monkeypatch.setattr(S, "eta", lambda d, u: calls.append(u) or eta(d, u))
+        for name in ("dqf_c", "dqf"):
+            f = getattr(D.Distribution, name)
+            monkeypatch.setattr(D.Distribution, name,
+                                lambda d, u, f=f, name=name: calls.append((name, u)) or f(d, u))
         S.class_c_check(E1)
         S.class_c_check(E1, grid_size=128)
-        assert [u.shape for u in calls] == [(512,), (128,)]
-        for grid in calls:
+        assert [(name, u.shape) for name, u in calls] == [
+            ("dqf_c", (512,)), ("dqf", (512,)), ("dqf_c", (128,)), ("dqf", (128,))]
+        for _, grid in calls:
             assert np.all(np.diff(grid) > 0)
             assert grid[0] > 0 and grid[-1] < 0.5
 
@@ -176,6 +187,18 @@ class TestClassC:
         assert S.class_c_check(P2) is S.ClassC.MEMBER_GEQ
         assert S.class_c_check(PowerFunction(theta=0.5)) is S.ClassC.MEMBER_LEQ
         assert S.class_c_check(PA2) is S.ClassC.MEMBER_LEQ
+
+    @pytest.mark.parametrize("d", [UserNormalNoSf(), UserLogisticNoSf()], ids=repr)
+    def test_symmetric_law_with_the_generic_sf_is_equal(self, d):
+        # the generic sf 1 - cdf loses its low digits in the upper tail, so eta
+        # there is up to 4e-13 of 1/dqf off 0 (1.05e-9 on the normal at u = 1e-4,
+        # where 1/dqf is near 2.5e3), not within an absolute 1e-10
+        assert S.class_c_check(d) is S.ClassC.MEMBER_EQUAL
+
+    def test_a_small_asymmetry_keeps_its_sign(self):
+        # |eta| is at least 4e-8 of 1/dqf on the grid, far above the slack
+        assert S.class_c_check(PowerFunction(theta=1.0 + 1e-4)) is S.ClassC.MEMBER_GEQ
+        assert S.class_c_check(PowerFunction(theta=1.0 - 1e-4)) is S.ClassC.MEMBER_LEQ
 
     def test_sign_crossing_law_is_not_member(self):
         assert S.class_c_check(TiltedCubic()) is S.ClassC.NOT_MEMBER
@@ -686,7 +709,10 @@ class TestVerify:
         # the 10 powers u^p; each bisection round evaluates them in one call, a
         # Horner pass of four steps (degree 3 to 0), and the w*dqf stack's 3
         # kij weights at n >= 2 in another round of their own (n = 1's is
-        # constant, so its gap is a zero point in no stack)
+        # constant, so its gap is a zero point in no stack).  The stacks are
+        # cold, so every round's intervals are new to their tables; a second
+        # verify of the law reads every interval from them and calls no stack
+        cold_stacks()
         calls, rounds = [], []
         stack, integrate = R._Stack.__call__, M.integrate_support_stack
 
@@ -711,6 +737,9 @@ class TestVerify:
         weights = [(0, n) for n in range(2, 5)]
         assert {tuple(r) for r in rounds} == {((70, 4, tuple(sorted(phi + powers))),),
                                               ((3, 4, tuple(weights)),)}
+        del calls[:]
+        S.verify_characterizations(P2)
+        assert calls == []
 
     @pytest.mark.parametrize("d", SYMMETRIC_MEMBERS, ids=repr)
     def test_symmetric_law_takes_no_phi_pass(self, monkeypatch, d):
@@ -807,6 +836,46 @@ class _UndeclaredNormal(Normal):
 def _residuals(rep):
     """Each residual's key, status and value bits."""
     return [(e.key(), e.status, e.value.hex()) for e in rep.residuals]
+
+
+class TestStackTables:
+    """Each stack of more than one row keeps a table of its rows per
+    quadrature interval, which every law after the first reads; it changes
+    no output bit, whichever laws ran before on the same stacks."""
+
+    @staticmethod
+    def run(d, what):
+        if what == "verify":
+            rep = S.verify_characterizations(d)
+            return rep.class_c, rep.verdict, _residuals(rep)
+        mv = M.kij_record(d, 3, 2, what) if what in ("upper", "lower") else M.crj(d)
+        return mv.quad_status, mv.value.hex(), mv.abs_error.hex()
+
+    def test_outputs_do_not_depend_on_what_ran_before(self, monkeypatch):
+        laws = [PowerFunction(theta=0.6), P2, PowerFunction(theta=2.6), E1, PA2,
+                _user_law("perfbench_kumaraswamy", monkeypatch)]
+        cases = [(d, what) for d in laws for what in ("verify", "upper", "lower", "crj")]
+        alone = []
+        for case in cases:
+            cold_stacks()
+            alone.append(self.run(*case))
+        for order in (cases, cases[::-1]):
+            cold_stacks()
+            got = {id(case): self.run(*case) for case in order}
+            assert [got[id(case)] for case in cases] == alone
+
+    def test_tables_are_bounded_and_read_only(self):
+        cold_stacks()
+        rng = np.random.default_rng(7)
+        for theta in 10.0 ** rng.uniform(-0.7, 0.7, 50):
+            S.verify_characterizations(PowerFunction(theta=float(theta)))
+        stacks = [kernels for _, _, kernels in S._grid(4, 4, 4)[1].stacks]
+        assert [len(kernels) for kernels in stacks] == [70, 3]
+        assert all(len(kernels.tables[True]) > 0 for kernels in stacks)
+        for kernels in stacks:
+            for table in kernels.tables:
+                assert len(table) <= R._TABLE_INTERVALS
+                assert not any(block.flags.writeable for block in table.values())
 
 
 class TestStructuralGaps:
