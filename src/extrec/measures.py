@@ -38,18 +38,18 @@ quadrature evaluates each once per array.  Every evaluation goes from points
 resolves and checks each point once and gives each its params, its stack
 and its row in that stack, and each stack its form, side and kernels as a
 :class:`~extrec.records._Stack`, which evaluates each distinct base of its
-kernels once per node array and keeps its rows in u per quadrature
-interval for every later law (:func:`_integrand`).  The gap rows of one
-form share a stack on shared nodes; a measure point is a stack of its own.  A gap point whose
-kernel is constant (``delta_kij`` at n = 1) is in no stack: its weight
-K(u) - K(1-u) is 0, so it takes the ladder's zero answer.  The integration
-(:func:`_integrate`) is per law: the tolerance check, the structural rule
-and the variable once per stack, one integration call per stack the rule
-does not decide (the oracle's in the other variable, without the rule), and
-each point's ``(value, status, abs_error)``, scaled by its prefactor, in
-point order.  :func:`_evaluate` wraps each in a :class:`MeasureValue`;
-verify builds its residuals from the same list.  verify plans each
-(n, k, m) grid once and integrates that plan on every law;
+kernels once per node array, forms every gap weight and keeps its gap rows
+in u per quadrature interval for every later law (:func:`_integrand`).  The
+gap rows of one form share a stack; a measure point is a stack of its own.
+A gap point whose kernel is constant (``delta_kij`` at n = 1) is in no
+stack: its weight K(u) - K(1-u) is 0, so it takes the ladder's zero answer.
+The integration (:func:`_integrate`) is per law: the tolerance check, the
+structural rule and the variable once per stack, one integration call per
+stack the rule does not decide (the oracle's in the other variable, without
+the rule), and each point's ``(value, status, abs_error)``, scaled by its
+prefactor, in point order.  :func:`_evaluate` wraps each in a
+:class:`MeasureValue`; verify builds its residuals from the same list.
+verify plans each (n, k, m) grid once and integrates that plan on every law;
 :func:`measure_value` and :func:`oracle_value` plan their one point afresh,
 and only its one-kernel stack is kept, on its kernel.
 
@@ -72,8 +72,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dist import Distribution, lift
-from .quad import (_ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, _lift, check_tol,
+from .dist import Distribution
+from .quad import (_NODES, _ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, _lift, check_tol,
                    integrate_support_stack)
 from .records import _Stack, check_params, phi_power, stack, u_phi, weight
 
@@ -299,16 +299,6 @@ def _variable(d: Distribution, form: str, side: str | None, oracle: bool = False
     return "x" if in_x != oracle else "u"
 
 
-def _at(f: Callable, x: np.ndarray) -> np.ndarray:
-    """``lift(f, x)``; if f raises an arithmetic error at some node, the array
-    is redone through ``quad._lift``, which reads that node as nan, a
-    non-finite integrand value, as it does for a scalar integrand."""
-    try:
-        return lift(f, x)
-    except ArithmeticError:
-        return _lift(f)(x)
-
-
 def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
                variable: str) -> tuple[Callable, tuple[float, float]]:
     """(F, domain): the integral of each row of F over the domain is one
@@ -325,24 +315,24 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
     splits a whole-line support at 0, so there x is shifted to split it at
     the median.
 
-    In u, F reads the stack's rows, or its gap rows K(u) - K(1-u), from the
-    stack's :meth:`~extrec.records._Stack.table`: the quadrature calls F on
-    whole intervals, the kernels do not depend on the law, so a later law
-    on the same stack evaluates only the intervals the table lacks, and a
-    node's rows have the same bits in any call, so the table changes no
-    output bit.  Only the factor g is the law's.  In x the nodes u are the
-    law's sf or cdf, so the stack is called on them directly.
+    Every gap weight is the stack's :meth:`~extrec.records._Stack.gap`, at
+    (u, 1 - u) or (sf(x), cdf(x)); in u F reads it from the stack's gap
+    :meth:`~extrec.records._Stack.table` per quadrature interval, which moves
+    no output bit, so a later law evaluates only the intervals the table
+    lacks.  Only the factor g is the law's.  A measure's one kernel is called
+    on its nodes directly; in x those are the law's sf or cdf, and sf, cdf
+    and pdf go through ``quad._lift``, which reads an arithmetic error as nan.
     """
     if variable == "u":
         if side is None:
             def F(u: np.ndarray) -> np.ndarray:
-                w = kernels.table(u, gap=True)
+                w = kernels.table(u.reshape(-1, _NODES.size))
                 return w * (eta(d, u) if form == "K/dqf" else d.dqf_c(u) - d.dqf(u))
             return F, (0.0, 0.5)
         den = d.dqf_c if side == "upper" else d.dqf
 
         def F(u: np.ndarray) -> np.ndarray:
-            w = kernels.table(u)
+            w = kernels(u)
             return w / den(u) if form == "K/dqf" else w * den(u)
         return F, (0.0, 1.0)
 
@@ -351,15 +341,14 @@ def _integrand(form: str, kernels: _Stack, d: Distribution, side: str | None,
     def F(x: np.ndarray) -> np.ndarray:
         x = x + c
         if side is None:
-            sf, cdf = _at(d.sf, x), _at(d.cdf, x)
-            w = kernels(np.concatenate([sf, cdf]))
-            w, inside = w[:, :x.size] - w[:, x.size:], (sf > 0.0) & (cdf > 0.0)
+            sf, cdf = _lift(d.sf)(x), _lift(d.cdf)(x)
+            w, inside = kernels.gap(sf, cdf), (sf > 0.0) & (cdf > 0.0)
         else:
-            u = _at(d.sf if side == "upper" else d.cdf, x)
+            u = _lift(d.sf if side == "upper" else d.cdf)(x)
             w, inside = kernels(u), u > 0.0
         if form == "K/dqf":
             return w
-        return np.where(inside, w * _at(d.pdf, x) ** 2, 0.0)  # K takes log u, so 0 where u is
+        return np.where(inside, w * _lift(d.pdf)(x) ** 2, 0.0)  # K takes log u, so 0 where u is
     return F, d.support
 
 

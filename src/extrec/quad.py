@@ -441,17 +441,22 @@ _ZERO_ROW = _ladder([0.0] * _LO.size, [0.0] * _LO.size, [math.nan] * _LO.size,
 
 
 def _lift(f):
-    """A scalar integrand as a one-row integrand over a node array.  An
-    arithmetic error at a node (overflow, division by zero) reads as a
-    non-finite value there, as it does for an array integrand: every piece
-    is evaluated, also those past an early divergence exit."""
+    """A scalar function as a one-row integrand, mapped over all nodes in one
+    pass.  Only if an arithmetic error (overflow, division by zero) stops it
+    are the nodes redone one by one, where a node that raises reads nan, a
+    non-finite value, as in an array integrand: every piece is evaluated."""
     def value(x: float) -> float:
         try:
             return f(x)
         except ArithmeticError:
             return math.nan
 
-    return lambda x: np.fromiter(map(value, x.tolist()), dtype=float, count=x.size)
+    def F(x: np.ndarray) -> np.ndarray:
+        try:
+            return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+        except ArithmeticError:
+            return np.fromiter(map(value, x.tolist()), dtype=float, count=x.size)
+    return F
 
 
 def integrate_unit(f, tol: float = DEFAULT_TOL) -> QuadResult:

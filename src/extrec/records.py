@@ -14,7 +14,8 @@ phi at one u is the lower record's cdf on the uniform law,
 ``RecordLaw(Uniform(), n, k, "lower").cdf(u)``.  With L = -log u, phi^m,
 u phi, the weight and u^p are each a :class:`Kernel` ``(u^b P(L))^m u^e``,
 P with coefficients >= 0, a value kept in a bounded cache, and one
-evaluator, :class:`_Stack`, takes every kernel.
+evaluator, :class:`_Stack`, takes every kernel; its :meth:`_Stack.gap` is
+the one place a gap weight K(p) - K(q) is formed.
 
 The same identity is the sampler: phi_n(u) = P(exp(-G/k) < u) with
 G ~ Gamma(n, 1), so p(R) has the law of exp(-G/k) and one Gamma draw and one
@@ -34,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .dist import U_FLOOR, Distribution, _check_count, _check_seed
-from .quad import _NODES
 
 __all__ = ["RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
@@ -58,8 +58,8 @@ _MAX_BATCH = 65536
 #: Kernels each builder keeps: more than a (4, 4, 4) grid takes, and a bound for a sweep.
 _KERNEL_CACHE = 256
 
-#: Quadrature intervals a stack's table keeps per variant, the first ones it
-#: sees: verify's 70-row gap stack takes under 50 on the catalog's laws, and
+#: Units a stack's gap table keeps, the first ones it sees: verify's 70-row
+#: gap stack takes under 50 quadrature intervals on the catalog's laws, and
 #: 64 of its blocks are 0.75 MB.
 _TABLE_INTERVALS = 64
 
@@ -132,8 +132,8 @@ class _Stack(tuple):
     Every step above, the log-domain mask and the cap included, works node
     by node, so a node's rows have the same bits whatever array it sits in.
     That makes :meth:`table` exact: the kernels do not depend on the law,
-    so a stack of more than one row evaluates its rows at a quadrature
-    interval once and every later law reads them."""
+    so a stack of more than one row forms its gap rows at a unit of nodes
+    once and every later law reads them."""
 
     def __init__(self, kernels):
         bases = sorted({(K.b, K.logc) for K in self}, key=lambda base: -len(base[1]))
@@ -154,41 +154,40 @@ class _Stack(tuple):
             c <= j * math.log(b) - math.lgamma(j + 1) for j, c in enumerate(logc))]
         self.bmax = max((b for b, _ in self.poly), default=0)
         self.factors = {e for _, _, e in self.rows if e}
-        self.tables = ({}, {})  # per variant, rows and gap: nodes' bytes -> read-only block
+        self.blocks = {}  # the gap table: a unit's bytes -> its read-only block
 
-    def table(self, u: np.ndarray, gap: bool = False) -> np.ndarray:
-        """The rows at the nodes u, or with ``gap`` K(u) - K(1-u), as the
-        stack's call gives them, read from its table where it holds them.
+    def gap(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The gap weights K(p) - K(q), one row per kernel, in one call on p
+        and q together: the only place a gap weight is formed."""
+        w = self(np.concatenate([p, q]))
+        return np.subtract(w[:, :p.size], w[:, p.size:])
 
-        u is a whole number of quadrature intervals of ``quad._NODES.size``
-        nodes each, and the table is keyed by the exact bytes of each
-        interval's nodes.  The intervals not in it take one call, on u alone
-        or, for a gap, on u and 1 - u, and the first ``_TABLE_INTERVALS``
-        of each variant are kept, as read-only blocks, and never evicted.
-        A one-row stack, a measure's, keeps no table: its one row costs
-        about what reading it back does, and the tables of the hundred or
-        so such stacks a measure sweep fills would hold about 4 MB."""
+    def table(self, units: np.ndarray) -> np.ndarray:
+        """``gap(u, 1 - u)`` at u = ``units.ravel()``, read from the stack's
+        table where it holds it.
+
+        Each row of ``units`` is one of the caller's units of nodes (a
+        quadrature interval), and the table is keyed by the exact bytes of
+        each unit.  The units not in it take one :meth:`gap` call, and the
+        first ``_TABLE_INTERVALS`` are kept, as read-only blocks, and never
+        evicted.  A one-row stack, a gap measure's, keeps no table: its one
+        row costs about what reading it back does."""
         if len(self) == 1:
-            return self._rows(u, gap)
-        store, per = self.tables[gap], _NODES.size
-        keys = [x.tobytes() for x in u.reshape(-1, per)]
-        new = [i for i, key in enumerate(keys) if key not in store]
+            u = units.ravel()
+            return self.gap(u, 1.0 - u)
+        keys = [x.tobytes() for x in units]
+        new = [i for i, key in enumerate(keys) if key not in self.blocks]
         fresh = {}
         if new:
-            w = self._rows(u.reshape(-1, per)[new].ravel(), gap)
+            u = units[new].ravel()
+            w = self.gap(u, 1.0 - u)
             fresh = dict(zip((keys[i] for i in new), np.split(w, len(new), axis=1)))
             for key, block in fresh.items():
-                if len(store) < _TABLE_INTERVALS:
-                    store[key] = block = block.copy()
+                if len(self.blocks) < _TABLE_INTERVALS:
+                    self.blocks[key] = block = block.copy()
                     block.flags.writeable = False
-        return np.concatenate([fresh[key] if key in fresh else store[key] for key in keys], axis=1)
-
-    def _rows(self, u: np.ndarray, gap: bool) -> np.ndarray:
-        """The rows at u, or with ``gap`` K(u) - K(1-u), in one call."""
-        if not gap:
-            return self(u)
-        w = self(np.concatenate([u, 1.0 - u]))
-        return np.subtract(w[:, :u.size], w[:, u.size:])
+        return np.concatenate([fresh[key] if key in fresh else self.blocks[key] for key in keys],
+                              axis=1)
 
     def __call__(self, u: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
         base = np.empty((len(self.coef), u.size))

@@ -90,12 +90,17 @@ def class_c_check(d: Distribution, grid_size: int = 512) -> ClassC:
     A node's eta counts as 0, or either sign, within 1e-10 of the size of
     the two reciprocals it subtracts: their rounding grows with them, and a
     symmetric law whose sf is the generic 1 - cdf leaves eta up to 4e-13 of
-    1/dqf off 0 (1.05e-9 at u = 1e-4 on the normal)."""
+    1/dqf off 0 (1.05e-9 at u = 1e-4 on the normal).  A grid where some
+    reciprocal is not positive and finite, as where dqf overflows, cannot
+    show that eta keeps one sign, and is ``NOT_MEMBER``."""
     _check_count(grid_size, "grid_size", 64)
     if d.symmetric:
         return ClassC.MEMBER_EQUAL
     u = np.linspace(1e-4, 0.5 - 1e-4, grid_size)
-    upper, lower = 1.0 / d.dqf_c(u), 1.0 / d.dqf(u)
+    with np.errstate(all="ignore"):
+        upper, lower = 1.0 / d.dqf_c(u), 1.0 / d.dqf(u)
+    if not all(((r > 0.0) & (r < np.inf)).all() for r in (upper, lower)):
+        return ClassC.NOT_MEMBER
     values, tol = upper - lower, 1e-10 * (np.abs(upper) + np.abs(lower))  # eta, and its slack
     if np.all(np.abs(values) <= tol):
         return ClassC.MEMBER_EQUAL

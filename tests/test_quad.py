@@ -229,6 +229,24 @@ class TestCore:
         assert r.status is QuadStatus.NO_CONVERGENCE
         assert "non-finite integrand value at an interior point (u=0.5)" in r.detail
 
+    def test_lift_is_one_pass_and_nan_only_where_a_node_raises(self):
+        # the one pass gives the bits of the node-by-node redo, which an
+        # OverflowError at one node sets off and which reads nan there alone
+        calls = []
+
+        def f(x: float) -> float:
+            calls.append(x)
+            return math.exp(x) / 3.0
+        x = np.array([-745.5, -1.5, 0.1, 1.0 / 3.0, 700.0, 709.7])
+        whole = Q._lift(f)(x)
+        assert calls == x.tolist()
+        assert whole.tobytes() == np.array([f(v) for v in x.tolist()]).tobytes()
+        del calls[:]
+        y = np.insert(x, 3, 710.0)
+        raised = Q._lift(f)(y)
+        assert calls == y[:4].tolist() + y.tolist()
+        assert math.isnan(raised[3]) and np.delete(raised, 3).tobytes() == whole.tobytes()
+
     def test_subdivision_limit_is_named_in_detail(self):
         # about 130 periods per subinterval even at the limit: the middle piece
         # stops far above its budget, and its error estimate keeps the ladder

@@ -212,10 +212,11 @@ class TestKernelEdges:
 
 
 class TestStackTable:
-    """A stack's table keeps its rows per quadrature interval, keyed by the
-    interval's node bytes.  That is exact because a node's rows have the same
-    bits in any array: the log-domain mask, the direct-or-log test and phi's
-    cap at 1 each work node by node."""
+    """A stack forms every gap weight K(p) - K(q) in one call, and its gap
+    table keeps gap(u, 1 - u) per unit of nodes, keyed by the unit's bytes.
+    That is exact because a node's rows have the same bits in any array: the
+    log-domain mask, the direct-or-log test and phi's cap at 1 each work
+    node by node."""
 
     KERNELS = (phi_power(4, 4), phi_power(3, 2, 3), u_phi(4, 3), phi_power(1, 2, 4),
                phi_power(50, 5, 2), weight(200, 1), weight(3, 2))
@@ -244,33 +245,45 @@ class TestStackTable:
         for s in range(0, u.size, per):
             assert stack(u[s:s + per]).tobytes() == whole[:, s:s + per].tobytes(), s
 
-    # a one-row stack keeps no table and reads every interval from its call
+    # at (u, 1 - u), and at (sf(x), cdf(x)) of Exp(1) out to x = 60, where the
+    # sf is exp(-x) and the cdf rounds to 1, so the sf is not 1 - cdf
+    @pytest.mark.parametrize("kernels", [KERNELS, KERNELS[:1]], ids=["7 rows", "1 row"])
+    def test_gap_is_each_kernel_at_p_minus_at_q(self, kernels):
+        stack, u = _Stack(kernels), self.nodes()
+        x, d = np.linspace(0.01, 60.0, 147), Exponential(rate=1.0)
+        sf, cdf = (np.array([f(v) for v in x.tolist()]) for f in (d.sf, d.cdf))
+        assert (sf[-20:] > 0.0).all() and (cdf[-20:] == 1.0).all()
+        for p, q in ((u, 1.0 - u), (sf, cdf)):
+            got = stack.gap(p, q)
+            assert got.shape == (len(kernels), p.size)
+            for row, K in zip(got, kernels):
+                assert row.tobytes() == (K(p) - K(q)).tobytes()
+
+    # a one-row stack keeps no table and forms every unit's gap afresh
     @pytest.mark.parametrize("kernels, kept", [(KERNELS, 7), (KERNELS[:1], 0)],
                              ids=["7 rows", "1 row"])
-    def test_table_is_the_call(self, kernels, kept):
-        # cold, then with some intervals kept and the others new, in another order
+    def test_table_is_the_gap(self, kernels, kept):
+        # cold, then with some units kept and the others new, in another order
         stack, u, per = _Stack(kernels), self.nodes(), _NODES.size
-        rows, order = len(stack), [4, 0, 6, 1, 5, 2, 3]
-        gap = np.subtract(*np.split(stack(np.concatenate([u, 1.0 - u])), 2, axis=1))
-        for variant, want in ((False, stack(u)), (True, gap)):
-            assert stack.table(u[:2 * per], variant).tobytes() == want[:, :2 * per].tobytes()
-            got = stack.table(u.reshape(-1, per)[order].ravel(), variant)
-            assert got.tobytes() == want.reshape(rows, -1, per)[:, order].tobytes()
-        assert [len(t) for t in stack.tables] == [kept, kept]
+        units, order = u.reshape(-1, per), [4, 0, 6, 1, 5, 2, 3]
+        want = stack.gap(u, 1.0 - u).reshape(len(stack), -1, per)
+        assert stack.table(units[:2]).tobytes() == want[:, :2].tobytes()
+        assert stack.table(units[order]).tobytes() == want[:, order].tobytes()
+        assert stack.table(units[order]).tobytes() == want[:, order].tobytes()
+        assert len(stack.blocks) == kept
 
-    def test_table_keeps_the_first_intervals_read_only(self, monkeypatch):
+    def test_table_keeps_the_first_units_read_only(self, monkeypatch):
         stack, per = _Stack(self.KERNELS), _NODES.size
         u = np.linspace(0.01, 0.99, (_TABLE_INTERVALS + 6) * per)
-        want = stack(u)
+        units, want = u.reshape(-1, per), stack.gap(u, 1.0 - u)
         calls, call = [], _Stack.__call__
         monkeypatch.setattr(_Stack, "__call__", lambda self, x, L=None: calls.append(x.size)
                             or call(self, x, L))
         for _ in range(2):
-            assert stack.table(u).tobytes() == want.tobytes()
-        assert calls == [u.size, 6 * per]
-        table = stack.tables[False]
-        assert list(table) == [x.tobytes() for x in u.reshape(-1, per)[:_TABLE_INTERVALS]]
-        assert not any(block.flags.writeable for block in table.values())
+            assert stack.table(units).tobytes() == want.tobytes()
+        assert calls == [2 * u.size, 2 * 6 * per]
+        assert list(stack.blocks) == [x.tobytes() for x in units[:_TABLE_INTERVALS]]
+        assert not any(block.flags.writeable for block in stack.blocks.values())
 
 
 @settings(max_examples=200, deadline=None)

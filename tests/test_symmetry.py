@@ -203,6 +203,17 @@ class TestClassC:
     def test_sign_crossing_law_is_not_member(self):
         assert S.class_c_check(TiltedCubic()) is S.ClassC.NOT_MEMBER
 
+    @pytest.mark.parametrize("d", [PowerFunction(theta=1e-300), Pareto(theta=1e-300)], ids=repr)
+    def test_overflowed_grid_is_not_member(self, d):
+        # dqf overflows to inf on the grid, so 1/dqf reads 0: on the power law
+        # eta would be 0 - 0 (equal), on the pareto law nan; neither grid can
+        # show that eta keeps one sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert S.class_c_check(d) is S.ClassC.NOT_MEMBER
+            rep = S.verify_characterizations(d)
+        assert rep.class_c is S.ClassC.NOT_MEMBER and rep.verdict is S.Verdict.INCONCLUSIVE
+
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             S.class_c_check(U, grid_size=32)
@@ -871,11 +882,9 @@ class TestStackTables:
             S.verify_characterizations(PowerFunction(theta=float(theta)))
         stacks = [kernels for _, _, kernels in S._grid(4, 4, 4)[1].stacks]
         assert [len(kernels) for kernels in stacks] == [70, 3]
-        assert all(len(kernels.tables[True]) > 0 for kernels in stacks)
         for kernels in stacks:
-            for table in kernels.tables:
-                assert len(table) <= R._TABLE_INTERVALS
-                assert not any(block.flags.writeable for block in table.values())
+            assert 0 < len(kernels.blocks) <= R._TABLE_INTERVALS
+            assert not any(block.flags.writeable for block in kernels.blocks.values())
 
 
 class TestStructuralGaps:
