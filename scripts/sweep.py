@@ -166,13 +166,14 @@ def read(path: str) -> dict[tuple, list[str]]:
 FIELDS = ("status", "value", "error", "counts", "counts", "variable")
 
 
-def kernel_values(path: str) -> str:
-    """The kernel-value total of a sweep output, or ``-`` in one that lacks it."""
+def summary(path: str) -> dict[str, str]:
+    """The ``# results`` totals of a sweep output by name (results, rounds,
+    nodes, kernel_values), or {} in one that lacks them."""
     with open(path) as f:
         for fields in map(str.split, f):
             if fields[:2] == ["#", "results"]:
-                return dict(zip(fields[1::2], fields[2::2])).get("kernel_values", "-")
-    return "-"
+                return dict(zip(fields[1::2], fields[2::2]))
+    return {}
 
 
 def diff(a_path: str, b_path: str) -> int:
@@ -205,8 +206,8 @@ def diff(a_path: str, b_path: str) -> int:
     print(f"compared {len(a.keys() & b.keys())} results;",
           ", ".join(f"{label} moves {moved[label]}"
                     for label in (*dict.fromkeys(FIELDS), "only in one")))
-    print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}, "
-          f"kernel values {kernel_values(a_path)} -> {kernel_values(b_path)}")
+    kva, kvb = (summary(path).get("kernel_values", "-") for path in (a_path, b_path))
+    print(f"rounds {ra} -> {rb}, nodes {na} -> {nb}, kernel values {kva} -> {kvb}")
     print("largest finite value move:", ", ".join(
         f"{label} {size:.3g} at {' '.join(key)}" if key else f"{label} none"
         for label, (size, key) in largest.items()))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import measures as M
 from . import symmetry as S
-from .dist import _check_seed, _decimal, make_distribution
+from .dist import _check_count, _decimal, make_distribution
 from .quad import DEFAULT_TOL, QuadStatus
 from .records import METHODS, SIDES, simulate_records
 
@@ -48,7 +48,7 @@ def _seed_default() -> int:
         seed = _decimal(raw, int)
     except ValueError:
         raise ValueError(f"environment variable {_SEED_ENV}={raw!r} is not an integer") from None
-    _check_seed(seed, f"environment variable {_SEED_ENV}")
+    _check_count(seed, f"environment variable {_SEED_ENV}", 0)
     return seed
 
 
@@ -257,8 +257,6 @@ def _read_sample(path: str) -> np.ndarray:
         if not math.isfinite(v):
             raise ValueError(f"{path}:{ln}: non-finite value: {text!r}")
         values.append(v)
-    if len(values) < 20:
-        raise ValueError(f"{path}: need at least 20 data rows, found {len(values)}")
     return np.asarray(values, dtype=float)
 
 

@@ -232,19 +232,12 @@ def _decimal(text: str, parse=float):
     return parse(text)
 
 
-def _check_seed(seed, label: str = "seed") -> None:
-    """The one check of a seed: an Integral >= 0, not a bool, as
-    ``np.random.default_rng`` takes it, with ``label`` naming its source."""
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"{label} must be an integer >= 0, got {seed!r}")
-
-
 def _check_count(value, label: str, least: int, bound: str | None = None) -> None:
-    """A count: an Integral, not a bool, >= ``least`` (``bound`` if named)."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+    """The one integer rule: ``value`` an Integral, not a bool, >= ``least``,
+    which the message names as ``bound`` if given ("k" for max_draws).  A
+    seed is a count from 0, as ``np.random.default_rng`` takes it."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
         raise ValueError(f"{label} must be an integer >= {bound or least}, got {value!r}")
-    if value < least:
-        raise ValueError(f"{label} must be >= {bound or least}, got {value}")
 
 
 def _ordinal(x: float) -> int:
@@ -624,7 +617,7 @@ def make_distribution(spec: str) -> Distribution:
 def sample(d: Distribution, count: int, seed: int) -> np.ndarray:
     """``count`` iid draws from ``d`` by inverse transform; deterministic in ``seed``."""
     _check_count(count, "count", 1)
-    _check_seed(seed)
+    _check_count(seed, "seed", 0)
     u = np.random.default_rng(seed).random(count)
     np.maximum(u, U_FLOOR, out=u)
     return d.quantile(u)

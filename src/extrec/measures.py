@@ -72,7 +72,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import Distribution, _check_count
 from .quad import (_NODES, _ZERO_ROW, DEFAULT_TOL, QuadResult, QuadStatus, _lift, check_tol,
                    integrate_support_stack)
 from .records import _Stack, check_params, phi_power, stack, u_phi, weight
@@ -251,7 +251,9 @@ KERNELS: dict[str, KernelRow] = {row.measure_id: row for row in (
 def resolve(row: KernelRow, n: int = 1, k: int = 1, m: int = 2, side: str = "upper") -> tuple:
     """The row's free parameters and its kernel's (n, k, m), each a plain int;
     all four arguments are checked, whether or not the row uses them."""
-    check_params(n=n, k=k, m=m, side=side)
+    for label, v in (("n", n), ("k", k), ("m", m)):
+        _check_count(v, label, 1)
+    check_params(side=side)
     given = {"n": int(n), "k": int(k), "m": int(m), "side": side}
     params = {p: given[p] for p in row.params}
     point = {"n": 1, "k": 1, "m": 2, **row.fixed, **params}

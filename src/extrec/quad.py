@@ -93,9 +93,9 @@ _FAST_GROWTH_RATIO = 5.0
 
 
 def check_tol(**values) -> None:
-    """The one check of tolerances: each must be finite and > 0."""
+    """The one check of tolerances: each must be finite and > 0, and not a bool."""
     for label, v in values.items():
-        if not 0.0 < v < math.inf:
+        if isinstance(v, bool) or not 0.0 < v < math.inf:
             raise ValueError(f"{label} must be a positive finite number, got {v!r}")
 
 

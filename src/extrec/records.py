@@ -28,19 +28,20 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dist import U_FLOOR, Distribution, _check_count, _check_seed
+from .dist import U_FLOOR, Distribution, _check_count
 
 __all__ = ["RecordLaw", "RecordSample", "simulate_records", "SIDES", "METHODS"]
 
 SIDES = ("upper", "lower")
 #: simulate_records methods: the exact Gamma inversion, and the definitional scan
 METHODS = ("exact", "scan")
+#: The choices of each parameter that ``check_params`` checks
+_CHOICES = {"side": SIDES, "method": METHODS}
 
 #: Largest b*L = -b log u at which a base u^b P(L) is evaluated directly;
 #: past it u^b is near underflow while P(L) can overflow for large n, so the
@@ -65,14 +66,11 @@ _TABLE_INTERVALS = 64
 
 
 def check_params(**values) -> None:
-    """The one check of record parameters and counts: ``side`` in SIDES, every
-    other label (n, k, m, a grid bound, a count) an Integral >= 1, not a bool."""
+    """The one check of a choice: ``side`` in SIDES, ``method`` in METHODS.
+    Integers (n, k, m, a grid bound, a count, a seed) are ``dist._check_count``'s."""
     for label, v in values.items():
-        if label == "side":
-            if v not in SIDES:
-                raise ValueError(f"side must be one of {SIDES}, got {v!r}")
-        elif not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
-            raise ValueError(f"{label} must be an integer >= 1, got {v!r}")
+        if v not in _CHOICES[label]:
+            raise ValueError(f"{label} must be one of {_CHOICES[label]}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,9 @@ class RecordLaw:
     side: str = "upper"
 
     def __post_init__(self):
-        check_params(n=self.n, k=self.k, side=self.side)
+        _check_count(self.n, "n", 1)
+        _check_count(self.k, "k", 1)
+        check_params(side=self.side)
 
     def _p_and_log(self, x: float) -> tuple[float, float]:
         """p(x), the base sf (upper) or cdf (lower), and -log p, from the complement q
@@ -399,11 +399,12 @@ def simulate_records(base: Distribution, n: int, k: int, side: str, count: int,
 
     Both methods are deterministic in ``seed``.
     """
-    check_params(n=n, k=k, side=side, count=count)
-    _check_seed(seed)
+    _check_count(n, "n", 1)
+    _check_count(k, "k", 1)
+    check_params(side=side, method=method)
+    _check_count(count, "count", 1)
+    _check_count(seed, "seed", 0)
     _check_count(max_draws, "max_draws", k, "k")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     upper = side == "upper"
     if method == "exact":
         return RecordSample(values=_invert_gamma(base, n, k, upper, count, seed), aborted=0)

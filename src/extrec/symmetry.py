@@ -38,9 +38,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dist import Distribution, _check_count, _check_seed
+from .dist import Distribution, _check_count
 from .quad import DEFAULT_TOL, QuadStatus, check_tol
-from .records import check_params
 from .measures import KERNELS, _integrate, _plan, eta
 
 __all__ = [
@@ -182,7 +181,8 @@ def verify_characterizations(d: Distribution, max_n: int = 4, max_k: int = 4,
     finite; anything else (non-membership, or a divergent or unsettled
     residual with every finite one below ``tol``) is ``inconclusive``.
     """
-    check_params(max_n=max_n, max_k=max_k, max_m=max_m)
+    for label, v in (("max_n", max_n), ("max_k", max_k), ("max_m", max_m)):
+        _check_count(v, label, 1)
     check_tol(tol=tol, quad_tol=quad_tol)
     cls = class_c_check(d)
     labels, plan = _grid(max_n, max_k, max_m)
@@ -267,7 +267,7 @@ def symmetry_test(sample: Iterable[float], replicates: int = 999,
     _check_count(replicates, "replicates", 199)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_seed(seed)
+    _check_count(seed, "seed", 0)
     if x.max() == x.min():
         raise ValueError("degenerate sample: all values equal")
     n = x.size

@@ -277,10 +277,10 @@ class TestSymtestCommand:
         f.write_text("\n".join(str(v) for v in range(10)))
         proc, _ = run_cli("symtest", "--input", str(f))
         assert proc.returncode == 2
-        assert proc.stderr == f"error: {f}: need at least 20 data rows, found 10\n"
+        assert proc.stderr == "error: sample must have at least 20 values, got 10\n"
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--replicates", "100", "error: replicates must be >= 199, got 100"),
+        ("--replicates", "100", "error: replicates must be an integer >= 199, got 100"),
         ("--alpha", "1.5", "error: alpha must lie in (0, 1), got 1.5"),
     ])
     def test_bootstrap_settings_rejected(self, flag, value, message):
@@ -312,11 +312,11 @@ OUT_OF_RANGE = [
      "tol must be a positive finite number, got inf"),
     (("verify", "--dist", "uniform", "--quad-tol", "inf"),
      "quad_tol must be a positive finite number, got inf"),
-    (("classc", "--dist", "uniform", "--grid-size", "0"), "grid_size must be >= 64, got 0"),
+    (("classc", "--dist", "uniform", "--grid-size", "0"), "grid_size must be an integer >= 64, got 0"),
     (("records-sim", "--dist", "uniform", "--count", "0"), "count must be an integer >= 1, got 0"),
-    (("records-sim", "--dist", "uniform", "--max-draws", "0"), "max_draws must be >= k, got 0"),
+    (("records-sim", "--dist", "uniform", "--max-draws", "0"), "max_draws must be an integer >= k, got 0"),
     (("symtest", "--input", SYM20, "--alpha", "nan"), "alpha must lie in (0, 1), got nan"),
-    (("symtest", "--input", SYM20, "--replicates", "0"), "replicates must be >= 199, got 0"),
+    (("symtest", "--input", SYM20, "--replicates", "0"), "replicates must be an integer >= 199, got 0"),
     (("measure", "--measure", "crj", "--dist", "normal:mu=inf"),
      "bad parameters in spec 'normal:mu=inf': normal: mu must be finite, got inf"),
 ]
@@ -463,12 +463,21 @@ class TestSweepDiff:
         out = capsys.readouterr().out
         assert f"{self.KEY} moved: value " in out and "status moves 0, value moves 1" in out
 
+    #: The sweep's totals where they last moved.  A rise of more than 2% in
+    #: any of them fails; a fall passes, and the change that makes it lowers them.
+    COUNT_CEILINGS = {"rounds": 19_670, "nodes": 13_837_950, "kernel_values": 14_399_154}
+
     def test_library_sweep_statuses_match_the_golden(self, sweep, tmp_path):
         # the whole sweep (about 8 s), as CI's experiment step runs it: it fails
-        # on a numeric warning raised outside an errstate block, and no result's
-        # status may move from the committed golden
+        # on a numeric warning raised outside an errstate block, no result's
+        # status may move from the committed golden, and its integrand work
+        # may not grow
         out = tmp_path / "sweep.txt"
         with out.open("w") as f:
             subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "scripts/sweep.py"],
                            stdout=f, env=cli_env(PYTHONPATH="src"), cwd=REPO, check=True)
         assert sweep.diff(str(REPO / "tests" / "golden" / "sweep_statuses.txt"), str(out)) == 0
+        totals = {name: int(sweep.summary(str(out))[name]) for name in self.COUNT_CEILINGS}
+        risen = {name: (self.COUNT_CEILINGS[name], count) for name, count in totals.items()
+                 if count > 1.02 * self.COUNT_CEILINGS[name]}
+        assert not risen, f"sweep counts more than 2% above their ceilings (ceiling, now): {risen}"

@@ -26,6 +26,7 @@ from extrec.dist import (
     scale,
 )
 from extrec.quad import QuadStatus, integrate_support
+from extrec.records import simulate_records
 
 from conftest import (
     CATALOG_MEMBERS,
@@ -440,14 +441,14 @@ class TestSampling:
         b = sample(Uniform(), 64, seed=2)
         assert not np.array_equal(a, b)
 
-    def test_count_validated(self):
-        with pytest.raises(ValueError, match=re.escape("count must be >= 1, got 0")):
-            sample(Uniform(), 0, seed=1)
-
-    @pytest.mark.parametrize("count", [True, 2.5])
+    @pytest.mark.parametrize("count", [0, True, 2.5])
     def test_count_is_an_integer(self, count):
-        with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 1, got {count!r}")):
+        """One rule, one message: the record sampler reads a count as ``sample`` does."""
+        message = re.escape(f"count must be an integer >= 1, got {count!r}")
+        with pytest.raises(ValueError, match=message):
             sample(Normal(), count, seed=0)
+        with pytest.raises(ValueError, match=message):
+            simulate_records(Normal(), 2, 1, "upper", count, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, True, 0.5, None])
     def test_seed_validated(self, seed):

@@ -71,10 +71,11 @@ class TestIntegrateUnit:
         with pytest.raises(ValueError):
             integrate_unit(lambda u: u, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, math.inf, math.nan, True])
     def test_tol_must_be_positive_and_finite(self, tol):
-        # at tol=inf the raw ladder criterion would accept the first rung of u^-1/2
-        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        # at tol=inf the raw ladder criterion would accept the first rung of u^-1/2;
+        # True compares as 1.0, but a bool is no tolerance
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a positive finite number, got {tol!r}")):
             integrate_unit(lambda u: u ** -0.5, tol=tol)
 
     def test_linearity_spot_check(self):

@@ -577,8 +577,12 @@ class TestSimulateRecords:
             simulate_records(Uniform(), 1, 1, "upper", 0, seed=1)
         with pytest.raises(ValueError):
             simulate_records(Uniform(), 1, 3, "upper", 5, seed=1, max_draws=2)
-        with pytest.raises(ValueError, match="method"):
+        stream = re.escape("method must be one of ('exact', 'scan'), got 'stream'")
+        with pytest.raises(ValueError, match=stream):
             simulate_records(Uniform(), 1, 1, "upper", 5, seed=1, method="stream")
+        # the choices are checked before the counts, so a bad method comes before a bad seed
+        with pytest.raises(ValueError, match=stream):
+            simulate_records(Uniform(), 1, 1, "upper", 5, seed=-1, method="stream")
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("max_draws", [100.5, 100.0, True, np.float64(100)])

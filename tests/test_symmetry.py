@@ -582,8 +582,9 @@ class TestVerify:
     @pytest.mark.parametrize("kwargs, message", [
         ({"tol": math.inf}, "tol must be a positive finite number, got inf"),
         ({"quad_tol": math.inf}, "quad_tol must be a positive finite number, got inf"),
+        ({"tol": True}, "tol must be a positive finite number, got True"),
         ({"max_n": 0}, "max_n must be an integer >= 1, got 0"),
-    ], ids=["tol", "quad_tol", "max_n"])
+    ], ids=["tol", "quad_tol", "bool-tol", "max_n"])
     def test_rejects_bad_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             S.verify_characterizations(U, **kwargs)
